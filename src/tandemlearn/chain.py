@@ -28,7 +28,7 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional [jit] extra
     HAVE_NUMBA = False
 
     def njit(*args, **kwargs):
@@ -39,7 +39,8 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
 
 
 DRIFT_TOLERANCE = 1e-9
-_CHUNK = 1 << 20
+_CHUNK = 1 << 20  # agents per jit kernel call
+_SCAN_CHUNK = 1 << 12  # agents per transition-operator build
 
 
 class ChainDriftError(RuntimeError):
@@ -170,41 +171,96 @@ def _renormalize(d: np.ndarray):
         d /= total
 
 
+def _transition_operators(tables: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """Per-theta, per-agent window transition matrices, shape (2, n, S, S).
+
+    ``tables`` holds n rule tables of shape (S, 2) and ``sig[theta]`` the
+    signal law under theta.  Row u of a matrix is the law of the next
+    window given window u, so a distribution advances as ``d @ T``.  As
+    in :func:`propagate_dist`, signal-independent entries move mass as
+    the entry itself, so deterministic rules stay exact.
+    """
+    n, n_states, _ = tables.shape
+    t0 = tables[:, :, 0]
+    t1 = tables[:, :, 1]
+    averaged = sig[:, 0, None, None] * t0 + sig[:, 1, None, None] * t1
+    p_one = np.where(t0 == t1, t0, averaged)
+    u = np.arange(n_states)
+    ops = np.zeros((2, n, n_states, n_states))
+    ops[:, :, u, ((u << 1) | 1) & (n_states - 1)] = p_one
+    ops[:, :, u, (u << 1) & (n_states - 1)] = 1.0 - p_one
+    return ops
+
+
+def _compose(ops: np.ndarray) -> np.ndarray:
+    """Ordered product of ``ops[:, 0] @ ops[:, 1] @ ...``, shape (2, S, S).
+
+    Adjacent pairs are multiplied in one batched matmul per round, which
+    halves the count (an odd last factor carries over), so the product
+    takes log2(n) rounds of numpy work instead of n Python steps.
+    """
+    while ops.shape[1] > 1:
+        even = ops.shape[1] & ~1
+        paired = np.matmul(ops[:, 0:even:2], ops[:, 1:even:2])
+        if even < ops.shape[1]:
+            paired = np.concatenate([paired, ops[:, even:]], axis=1)
+        ops = paired
+    return ops[:, 0]
+
+
+def _scan_chunk(n_states: int) -> int:
+    # Agents per operator build: _SCAN_CHUNK up to K = 2, fewer for wider
+    # windows so that one chunk's operators stay within 1 MB (from K = 9
+    # on, a chunk is a single agent).
+    return max(1, min(_SCAN_CHUNK, (_SCAN_CHUNK * 16) // (n_states * n_states)))
+
+
 def sweep(profile, model, N: int, record_after=()) -> dict:
     """Run the exact window chain through agents 1..N.
 
     Returns {step: (d0, d1)} snapshots of the window distribution taken
     after the decision of agent ``step`` (step 0 is the initial
     zero-padded point mass, i.e. the distribution of v_1).
+
+    Without numba, each chunk of agents is turned into transition
+    matrices once, and the stretch between consecutive record points
+    (or chunk ends) is applied as one composed product.
     """
     points = sorted(set(int(s) for s in record_after))
     if points and (points[0] < 0 or points[-1] > N):
         raise ValueError("record points must lie in [0, N]")
     n_states = 1 << profile.K
-    d0 = np.zeros(n_states)
-    d1 = np.zeros(n_states)
-    d0[0] = d1[0] = 1.0
-    sig0 = model.signal_probs(0)
-    sig1 = model.signal_probs(1)
+    d = np.zeros((2, n_states))
+    d[:, 0] = 1.0
+    sig = np.array([model.signal_probs(0), model.signal_probs(1)], dtype=np.float64)
     snapshots = {}
     if points and points[0] == 0:
-        snapshots[0] = (d0.copy(), d1.copy())
+        snapshots[0] = (d[0].copy(), d[1].copy())
         points = points[1:]
+    chunk = _CHUNK if HAVE_NUMBA else _scan_chunk(n_states)
+    end = points[-1] if points else 0
+    pending = iter(points)
+    target = next(pending, None)
     step = 0
-    for target in points:
-        while step < target:
-            hi = min(step + _CHUNK, target)
-            tables = _rule_tables(profile, step + 1, hi)
+    while step < end:
+        hi = min(step + chunk, end)
+        tables = _rule_tables(profile, step + 1, hi)
+        ops = None if HAVE_NUMBA else _transition_operators(tables, sig)
+        done = step
+        while done < hi:
+            stop = min(target, hi)
+            a, b = done - step, stop - step
             if HAVE_NUMBA:
-                _sweep_kernel(tables, d0, d1, sig0[0], sig0[1], sig1[0], sig1[1])
+                _sweep_kernel(tables[a:b], d[0], d[1], sig[0, 0], sig[0, 1], sig[1, 0], sig[1, 1])
             else:
-                for t in tables:
-                    d0 = propagate_dist(d0, t, sig0)
-                    d1 = propagate_dist(d1, t, sig1)
-            _renormalize(d0)
-            _renormalize(d1)
-            step = hi
-        snapshots[target] = (d0.copy(), d1.copy())
+                d = np.matmul(d[:, None, :], _compose(ops[:, a:b]))[:, 0]
+            _renormalize(d[0])
+            _renormalize(d[1])
+            if stop == target:
+                snapshots[target] = (d[0].copy(), d[1].copy())
+                target = next(pending, None)
+            done = stop
+        step = hi
     return snapshots
 
 

@@ -5,7 +5,9 @@ Every output file embeds the fully resolved configuration and a version
 stamp; floats are printed with 17 significant digits so reruns can be
 compared byte for byte.
 
-Exit codes: 0 success, 2 invalid model, 3 zero-probability conditioning.
+Exit codes: 0 success, 2 invalid model, 3 zero-probability conditioning,
+4 invalid arguments (``exact`` checks its horizon and checkpoints).
+Codes 2-4 print a JSON object with ``error`` and ``reason``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ from .signals import ModelError, SignalModel, model_from_dict, quantize
 
 EXIT_MODEL_ERROR = 2
 EXIT_ZERO_PROBABILITY = 3
+EXIT_USAGE_ERROR = 4
+
+
+class UsageError(ValueError):
+    """A flag value outside the range the subcommand accepts."""
 
 
 def _fmt(x) -> str:
@@ -143,10 +150,20 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
+    if args.checkpoints:
+        try:
+            cps = _parse_int_list(args.checkpoints)
+        except (ValueError, OverflowError):
+            raise UsageError(f"--checkpoints must be integers, got {args.checkpoints!r}") from None
+        if not cps or min(cps) < 1 or max(cps) > args.n:
+            raise UsageError(f"--checkpoints must lie in [1, {args.n}], got {args.checkpoints!r}")
+    else:
+        cps = _default_checkpoints(args.n)
     model = parse_model(args.model)
     binary = quantize(model) if not isinstance(model, SignalModel) else model
     profile = parse_profile(args.profile, binary, K=args.k, horizon=args.n)
-    cps = _parse_int_list(args.checkpoints) if args.checkpoints else _default_checkpoints(args.n)
     traj = error_trajectory(profile, binary, args.n, cps)
     rows = zip(traj.ns, traj.p0_correct, traj.p1_correct, traj.p_correct)
     _write_csv(
@@ -366,6 +383,9 @@ def main(argv=None) -> int:
     except ZeroProbabilityError as exc:
         _write_json(None, {"error": "zero_probability", "reason": str(exc)}, {})
         return EXIT_ZERO_PROBABILITY
+    except UsageError as exc:
+        _write_json(None, {"error": "usage", "reason": str(exc)}, {})
+        return EXIT_USAGE_ERROR
     if args.out:
         print(f"{args.command}: ok -> {args.out}")
     return rc

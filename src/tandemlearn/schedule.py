@@ -32,7 +32,6 @@ class RoleKind(IntEnum):
 class AgentRole:
     kind: RoleKind
     m: int | None = None  # segment index; None for the preamble
-    offset: int | None = None  # 1-based position within the S or R block
 
 
 @dataclass(frozen=True)
@@ -136,13 +135,13 @@ class SegmentTable:
         pos = n - start  # 0-based within the segment
         if pos < 2 * k - 1:
             kind = RoleKind.S_FIRST if pos == 0 else RoleKind.S_BODY
-            return AgentRole(kind=kind, m=m, offset=pos + 1)
+            return AgentRole(kind=kind, m=m)
         if pos == 2 * k - 1:
             return AgentRole(kind=RoleKind.SR_TRANSIENT, m=m)
         pos -= 2 * k
         if pos < 2 * r - 1:
             kind = RoleKind.R_FIRST if pos == 0 else RoleKind.R_BODY
-            return AgentRole(kind=kind, m=m, offset=pos + 1)
+            return AgentRole(kind=kind, m=m)
         return AgentRole(kind=RoleKind.RS_TRANSIENT, m=m)
 
     def block_start_agent(self, i: int) -> int:
@@ -161,15 +160,20 @@ class SegmentTable:
         return self.segment_start(m) + 2 * int(self._k[m - 1])
 
     def last_block_start_before(self, n: int) -> tuple[int, int]:
-        """(i, agent) of the last block start with agent <= n."""
-        i = 1
-        best = (1, self.block_start_agent(1))
-        while True:
-            i += 1
-            a = self.block_start_agent(i)
-            if a > n:
-                return best
-            best = (i, a)
+        """(i, agent) of the last block start with agent <= n.
+
+        Block starts interleave S-block starts (odd i) and R-block starts
+        (even i), so a search over segment starts finds the segment and
+        one comparison picks its S- or R-block.  Below agent 3 the answer
+        is the first block start, (1, 3).
+        """
+        if n < 3:
+            return 1, self.segment_start(1)
+        m = self.segment_of(n)
+        r_start = int(self._starts[m - 1] + 2 * self._k[m - 1])
+        if n >= r_start:
+            return 2 * m, r_start
+        return 2 * m - 1, int(self._starts[m - 1])
 
     def role_codes(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized (role kind, 1/m) arrays for agents n0..n1 inclusive.

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from tandemlearn import (
     series_diagnostics,
     window_distributions,
 )
-from tandemlearn.chain import BRUTE_FORCE_MAX_N, sweep
+from tandemlearn import chain
+from tandemlearn.chain import BRUTE_FORCE_MAX_N, _scan_chunk, propagate_dist, sweep
+from tandemlearn.profiles import profile_from_json
 from conftest import TableProfile
 
 
@@ -71,6 +75,85 @@ def test_sweep_snapshots_are_independent_copies(m37):
     d0_5 = snaps[5][0].copy()
     snaps[20][0][:] = -1.0
     assert np.array_equal(snaps[5][0], d0_5)
+
+
+def _sequential_sweep(profile, model, N):
+    """Reference: one propagate_dist step per agent, no renormalization,
+    a snapshot after every agent."""
+    sig = (model.signal_probs(0), model.signal_probs(1))
+    d = [np.eye(1 << profile.K)[0]] * 2
+    snaps = {0: tuple(d)}
+    for n in range(1, N + 1):
+        table = profile.rule(n).table
+        d = [propagate_dist(d[t], table, sig[t]) for t in (0, 1)]
+        snaps[n] = tuple(d)
+    return snaps
+
+
+def _random_json_profile(path, rng, N):
+    """K=2 table profile with random entries: some signal-independent,
+    some exactly 0 or 1, and per-agent overrides around chunk edges."""
+
+    def entry():
+        out = {}
+        for code in range(4):
+            kind = rng.integers(3)
+            if kind == 0:
+                t0 = t1 = float(rng.random())
+            elif kind == 1:
+                t0, t1 = (float(x) for x in rng.integers(0, 2, size=2))
+            else:
+                t0, t1 = (float(x) for x in rng.random(2))
+            out[format(code, "02b")] = {"0": t0, "1": t1}
+        return out
+
+    edge = _scan_chunk(4)
+    agents = set(rng.integers(1, N + 1, size=40).tolist()) | {edge - 1, edge, edge + 1}
+    path.write_text(json.dumps({
+        "K": 2, "default": entry(), "agents": {str(n): entry() for n in sorted(agents)}
+    }))
+    return profile_from_json(path)
+
+
+@pytest.mark.parametrize("name", ["designed", "myopic1", "myopic3", "copy", "custom"])
+def test_sweep_matches_sequential_propagation(name, m37, m46, tmp_path):
+    model = m46 if name == "myopic1" else m37
+    N = 3 * _scan_chunk(4) + 123  # not a multiple of any chunk length
+    prof = {
+        "designed": lambda: designed_profile(m37),
+        "myopic1": lambda: myopic_profile(m46, 1, 300),
+        "myopic3": lambda: myopic_profile(m37, 3, 60),
+        "copy": lambda: baseline_profile("copy", 2),
+        "custom": lambda: _random_json_profile(tmp_path / "p.json", np.random.default_rng(5), N),
+    }[name]()
+    ref = _sequential_sweep(prof, model, N)
+    chunk = _scan_chunk(1 << prof.K)
+    layouts = [
+        range(0, chunk + 40),  # dense: every step, across a chunk end
+        [1, 999, 2 * chunk + 1, N],  # sparse
+        [chunk - 1, chunk, chunk + 1],  # around the first chunk end
+        [N],  # one stretch through several chunks
+    ]
+    for points in layouts:
+        snaps = sweep(prof, model, N, points)
+        assert set(snaps) == set(points)
+        for n in points:
+            for t in (0, 1):
+                assert np.max(np.abs(snaps[n][t] - ref[n][t])) <= 1e-12, (name, n, t)
+
+
+def test_jit_path_structure_matches_scan(m37, monkeypatch):
+    # The numba kernel is plain Python when numba is absent, so the jit
+    # branch of sweep can be exercised here with a small kernel chunk.
+    dp = designed_profile(m37)
+    points = [0, 5, 63, 64, 65, 300]
+    scan = sweep(dp, m37, 300, points)
+    monkeypatch.setattr(chain, "HAVE_NUMBA", True)
+    monkeypatch.setattr(chain, "_CHUNK", 64)
+    jit = sweep(dp, m37, 300, points)
+    for n in points:
+        for t in (0, 1):
+            assert np.max(np.abs(jit[n][t] - scan[n][t])) <= 1e-12
 
 
 @pytest.mark.parametrize("model_args", [(0.3, 0.7), (0.4, 0.6)])

@@ -6,6 +6,7 @@ import pytest
 from tandemlearn import SignalModel, designed_profile, error_trajectory
 from tandemlearn.cli import (
     EXIT_MODEL_ERROR,
+    EXIT_USAGE_ERROR,
     main,
     parse_model,
     parse_profile,
@@ -150,3 +151,23 @@ def test_explicit_flags_beat_config(tmp_path):
 
 def test_invalid_model_exit_code():
     assert main(["exact", "--model", "0.5,0.5", "--profile", "copy", "--n", "3"]) == EXIT_MODEL_ERROR
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n", "0"],
+        ["--n", "-5"],
+        ["--n", "10", "--checkpoints", "0,10"],
+        ["--n", "10", "--checkpoints", "5,11"],
+        ["--n", "10", "--checkpoints", "abc"],
+        ["--n", "10", "--checkpoints", "1e400"],
+        ["--n", "10", "--checkpoints", ","],
+    ],
+)
+def test_exact_rejects_bad_range_with_usage_error(flags, capsys):
+    rc = main(["exact", "--model", "0.3,0.7", "--profile", "designed", *flags])
+    assert rc == EXIT_USAGE_ERROR
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "usage"
+    assert payload["reason"]

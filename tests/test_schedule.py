@@ -83,6 +83,22 @@ def test_last_block_start_before(m37):
     assert tab.block_start_agent(i + 1) > 100
 
 
+@pytest.mark.parametrize("model_args", [(0.3, 0.7), (0.3, 0.8)])
+def test_last_block_start_before_matches_walk(model_args):
+    tab = segment_table(SignalModel(*model_args))
+    starts = [tab.block_start_agent(i) for i in range(1, 2000)]
+
+    def walk(n):
+        # Reference: step through block starts until one passes n.
+        i = 1
+        while starts[i] <= n:
+            i += 1
+        return i, starts[i - 1]
+
+    for n in range(-1, 4001):
+        assert tab.last_block_start_before(n) == walk(n), n
+
+
 def test_role_codes_match_role_of(m37):
     tab = segment_table(m37)
     kinds, inv_m = tab.role_codes(1, 400)
