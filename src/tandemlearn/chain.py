@@ -24,23 +24,13 @@ import numpy as np
 
 from .schedule import block_sizes, block_sizes_arrays, segment_table
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # numba is the optional [jit] extra
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
+# The sweep has no numba path; perfbench's environment stamp reads this name.
+HAVE_NUMBA = False
 
 DRIFT_TOLERANCE = 1e-9
-_CHUNK = 1 << 20  # agents per jit kernel call
-_SCAN_CHUNK = 1 << 12  # agents per transition-operator build
+_CHUNK = 1 << 12  # agents per chunk of rule tables
+_SCAN_MAX_K = 5  # widest window whose stretches are composed as matrices
+_CHUNK_BYTES = 1 << 20  # bound on one chunk's per-agent arrays
 
 
 class ChainDriftError(RuntimeError):
@@ -49,6 +39,10 @@ class ChainDriftError(RuntimeError):
 
 class ZeroProbabilityError(ValueError):
     """Conditioning on an event of probability zero."""
+
+
+class CheckpointRangeError(ValueError):
+    """A checkpoint outside the agents 1..N of the horizon."""
 
 
 # ---------------------------------------------------------------------------
@@ -123,40 +117,6 @@ def propagate(dist: WindowDistribution, rule, model) -> WindowDistribution:
     )
 
 
-@njit(cache=True)
-def _sweep_kernel(tables, d0, d1, s00, s01, s10, s11):  # pragma: no cover - jit
-    n, n_states, _ = tables.shape
-    mask = n_states - 1
-    nd0 = np.empty(n_states)
-    nd1 = np.empty(n_states)
-    for idx in range(n):
-        for j in range(n_states):
-            nd0[j] = 0.0
-            nd1[j] = 0.0
-        for u in range(n_states):
-            m0 = d0[u]
-            m1 = d1[u]
-            if m0 == 0.0 and m1 == 0.0:
-                continue
-            hi = ((u << 1) | 1) & mask
-            lo = (u << 1) & mask
-            t0 = tables[idx, u, 0]
-            t1 = tables[idx, u, 1]
-            if t0 == t1:
-                p0_one = t0
-                p1_one = t0
-            else:
-                p0_one = s00 * t0 + s01 * t1
-                p1_one = s10 * t0 + s11 * t1
-            nd0[hi] += m0 * p0_one
-            nd0[lo] += m0 * (1.0 - p0_one)
-            nd1[hi] += m1 * p1_one
-            nd1[lo] += m1 * (1.0 - p1_one)
-        for j in range(n_states):
-            d0[j] = nd0[j]
-            d1[j] = nd1[j]
-
-
 def _rule_tables(profile, n0: int, n1: int) -> np.ndarray:
     if hasattr(profile, "rule_table_chunk"):
         return profile.rule_table_chunk(n0, n1)
@@ -171,20 +131,27 @@ def _renormalize(d: np.ndarray):
         d /= total
 
 
-def _transition_operators(tables: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """Per-theta, per-agent window transition matrices, shape (2, n, S, S).
+def _step_probs(tables: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """P(decision = 1 | window u) per theta and agent, shape (2, n, S).
 
     ``tables`` holds n rule tables of shape (S, 2) and ``sig[theta]`` the
-    signal law under theta.  Row u of a matrix is the law of the next
-    window given window u, so a distribution advances as ``d @ T``.  As
-    in :func:`propagate_dist`, signal-independent entries move mass as
-    the entry itself, so deterministic rules stay exact.
+    signal law under theta.  As in :func:`propagate_dist`,
+    signal-independent entries are the probability itself, with no signal
+    average, so deterministic rules stay exact.
     """
-    n, n_states, _ = tables.shape
     t0 = tables[:, :, 0]
     t1 = tables[:, :, 1]
     averaged = sig[:, 0, None, None] * t0 + sig[:, 1, None, None] * t1
-    p_one = np.where(t0 == t1, t0, averaged)
+    return np.where(t0 == t1, t0, averaged)
+
+
+def _transition_operators(p_one: np.ndarray) -> np.ndarray:
+    """Per-theta, per-agent window transition matrices, shape (2, n, S, S).
+
+    Row u of a matrix is the law of the next window given window u, so a
+    distribution advances as ``d @ T``.
+    """
+    _, n, n_states = p_one.shape
     u = np.arange(n_states)
     ops = np.zeros((2, n, n_states, n_states))
     ops[:, :, u, ((u << 1) | 1) & (n_states - 1)] = p_one
@@ -208,11 +175,28 @@ def _compose(ops: np.ndarray) -> np.ndarray:
     return ops[:, 0]
 
 
-def _scan_chunk(n_states: int) -> int:
-    # Agents per operator build: _SCAN_CHUNK up to K = 2, fewer for wider
-    # windows so that one chunk's operators stay within 1 MB (from K = 9
-    # on, a chunk is a single agent).
-    return max(1, min(_SCAN_CHUNK, (_SCAN_CHUNK * 16) // (n_states * n_states)))
+def _step(d: np.ndarray, p_one: np.ndarray) -> np.ndarray:
+    """One agent's decision for both theta in O(S), for windows too wide to scan.
+
+    Windows u and u + S/2 differ only in the bit that drops out, so both
+    move to windows 2r and 2r + 1 for r = u mod S/2.
+    """
+    half = d.shape[1] // 2
+    mass = d.reshape(2, 2, half)
+    p = p_one.reshape(2, 2, half)
+    new = np.empty((2, half, 2))
+    new[:, :, 1] = (mass * p).sum(axis=1)
+    new[:, :, 0] = (mass * (1.0 - p)).sum(axis=1)
+    return new.reshape(2, -1)
+
+
+def _chunk_agents(K: int) -> int:
+    # Agents per chunk: _CHUNK, or fewer where one chunk's
+    # per-agent arrays (S x S operators up to _SCAN_MAX_K, S step
+    # probabilities and S x 2 rule tables above it) would pass 1 MB.
+    n_states = 1 << K
+    per_agent = 16 * n_states * (n_states if K <= _SCAN_MAX_K else 1)
+    return max(1, min(_CHUNK, _CHUNK_BYTES // per_agent))
 
 
 def sweep(profile, model, N: int, record_after=()) -> dict:
@@ -222,14 +206,16 @@ def sweep(profile, model, N: int, record_after=()) -> dict:
     after the decision of agent ``step`` (step 0 is the initial
     zero-padded point mass, i.e. the distribution of v_1).
 
-    Without numba, each chunk of agents is turned into transition
-    matrices once, and the stretch between consecutive record points
-    (or chunk ends) is applied as one composed product.
+    Each chunk of agents is turned into transition matrices once, and the
+    stretch between consecutive record points (or chunk ends) is applied
+    as one composed product.  Composing costs O(S^3) per agent, so for
+    K > _SCAN_MAX_K agents are applied one at a time in O(S) instead.
     """
     points = sorted(set(int(s) for s in record_after))
     if points and (points[0] < 0 or points[-1] > N):
         raise ValueError("record points must lie in [0, N]")
     n_states = 1 << profile.K
+    scan = profile.K <= _SCAN_MAX_K
     d = np.zeros((2, n_states))
     d[:, 0] = 1.0
     sig = np.array([model.signal_probs(0), model.signal_probs(1)], dtype=np.float64)
@@ -237,23 +223,24 @@ def sweep(profile, model, N: int, record_after=()) -> dict:
     if points and points[0] == 0:
         snapshots[0] = (d[0].copy(), d[1].copy())
         points = points[1:]
-    chunk = _CHUNK if HAVE_NUMBA else _scan_chunk(n_states)
+    chunk = _chunk_agents(profile.K)
     end = points[-1] if points else 0
     pending = iter(points)
     target = next(pending, None)
     step = 0
     while step < end:
         hi = min(step + chunk, end)
-        tables = _rule_tables(profile, step + 1, hi)
-        ops = None if HAVE_NUMBA else _transition_operators(tables, sig)
+        p_one = _step_probs(_rule_tables(profile, step + 1, hi), sig)
+        ops = _transition_operators(p_one) if scan else None
         done = step
         while done < hi:
             stop = min(target, hi)
             a, b = done - step, stop - step
-            if HAVE_NUMBA:
-                _sweep_kernel(tables[a:b], d[0], d[1], sig[0, 0], sig[0, 1], sig[1, 0], sig[1, 1])
-            else:
+            if scan:
                 d = np.matmul(d[:, None, :], _compose(ops[:, a:b]))[:, 0]
+            else:
+                for i in range(a, b):
+                    d = _step(d, p_one[:, i])
             _renormalize(d[0])
             _renormalize(d[1])
             if stop == target:
@@ -302,7 +289,7 @@ def error_trajectory(profile, model, N: int, checkpoints=None) -> Trajectory:
         checkpoints = [N]
     ns = sorted(set(int(n) for n in checkpoints))
     if ns and (ns[0] < 1 or ns[-1] > N):
-        raise ValueError("checkpoints must lie in [1, N]")
+        raise CheckpointRangeError(f"checkpoints must lie in [1, {N}], got {ns[0]}..{ns[-1]}")
     snaps = sweep(profile, model, N, ns)
     p0 = np.empty(len(ns))
     p1 = np.empty(len(ns))

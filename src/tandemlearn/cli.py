@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .chain import (
+    CheckpointRangeError,
     ZeroProbabilityError,
     error_trajectory,
     k1_diagnostics,
@@ -157,14 +158,17 @@ def cmd_exact(args) -> int:
             cps = _parse_int_list(args.checkpoints)
         except (ValueError, OverflowError):
             raise UsageError(f"--checkpoints must be integers, got {args.checkpoints!r}") from None
-        if not cps or min(cps) < 1 or max(cps) > args.n:
-            raise UsageError(f"--checkpoints must lie in [1, {args.n}], got {args.checkpoints!r}")
+        if not cps:
+            raise UsageError(f"--checkpoints lists no agent, got {args.checkpoints!r}")
     else:
         cps = _default_checkpoints(args.n)
     model = parse_model(args.model)
     binary = quantize(model) if not isinstance(model, SignalModel) else model
     profile = parse_profile(args.profile, binary, K=args.k, horizon=args.n)
-    traj = error_trajectory(profile, binary, args.n, cps)
+    try:
+        traj = error_trajectory(profile, binary, args.n, cps)
+    except CheckpointRangeError as exc:
+        raise UsageError(str(exc)) from None
     rows = zip(traj.ns, traj.p0_correct, traj.p1_correct, traj.p_correct)
     _write_csv(
         args.out,

@@ -20,8 +20,7 @@ from tandemlearn import (
     series_diagnostics,
     window_distributions,
 )
-from tandemlearn import chain
-from tandemlearn.chain import BRUTE_FORCE_MAX_N, _scan_chunk, propagate_dist, sweep
+from tandemlearn.chain import BRUTE_FORCE_MAX_N, _SCAN_MAX_K, _chunk_agents, propagate_dist, sweep
 from tandemlearn.profiles import profile_from_json
 from conftest import TableProfile
 
@@ -81,7 +80,9 @@ def _sequential_sweep(profile, model, N):
     """Reference: one propagate_dist step per agent, no renormalization,
     a snapshot after every agent."""
     sig = (model.signal_probs(0), model.signal_probs(1))
-    d = [np.eye(1 << profile.K)[0]] * 2
+    start = np.zeros(1 << profile.K)
+    start[0] = 1.0
+    d = [start, start]
     snaps = {0: tuple(d)}
     for n in range(1, N + 1):
         table = profile.rule(n).table
@@ -107,7 +108,7 @@ def _random_json_profile(path, rng, N):
             out[format(code, "02b")] = {"0": t0, "1": t1}
         return out
 
-    edge = _scan_chunk(4)
+    edge = _chunk_agents(2)
     agents = set(rng.integers(1, N + 1, size=40).tolist()) | {edge - 1, edge, edge + 1}
     path.write_text(json.dumps({
         "K": 2, "default": entry(), "agents": {str(n): entry() for n in sorted(agents)}
@@ -118,7 +119,7 @@ def _random_json_profile(path, rng, N):
 @pytest.mark.parametrize("name", ["designed", "myopic1", "myopic3", "copy", "custom"])
 def test_sweep_matches_sequential_propagation(name, m37, m46, tmp_path):
     model = m46 if name == "myopic1" else m37
-    N = 3 * _scan_chunk(4) + 123  # not a multiple of any chunk length
+    N = 3 * _chunk_agents(2) + 123  # not a multiple of any chunk length
     prof = {
         "designed": lambda: designed_profile(m37),
         "myopic1": lambda: myopic_profile(m46, 1, 300),
@@ -127,7 +128,7 @@ def test_sweep_matches_sequential_propagation(name, m37, m46, tmp_path):
         "custom": lambda: _random_json_profile(tmp_path / "p.json", np.random.default_rng(5), N),
     }[name]()
     ref = _sequential_sweep(prof, model, N)
-    chunk = _scan_chunk(1 << prof.K)
+    chunk = _chunk_agents(prof.K)
     layouts = [
         range(0, chunk + 40),  # dense: every step, across a chunk end
         [1, 999, 2 * chunk + 1, N],  # sparse
@@ -142,18 +143,33 @@ def test_sweep_matches_sequential_propagation(name, m37, m46, tmp_path):
                 assert np.max(np.abs(snaps[n][t] - ref[n][t])) <= 1e-12, (name, n, t)
 
 
-def test_jit_path_structure_matches_scan(m37, monkeypatch):
-    # The numba kernel is plain Python when numba is absent, so the jit
-    # branch of sweep can be exercised here with a small kernel chunk.
-    dp = designed_profile(m37)
-    points = [0, 5, 63, 64, 65, 300]
-    scan = sweep(dp, m37, 300, points)
-    monkeypatch.setattr(chain, "HAVE_NUMBA", True)
-    monkeypatch.setattr(chain, "_CHUNK", 64)
-    jit = sweep(dp, m37, 300, points)
+@pytest.mark.parametrize("K", [_SCAN_MAX_K + 1, 12])
+def test_wide_window_sweep_matches_sequential_propagation(K, m37):
+    # Above _SCAN_MAX_K agents are applied one at a time; random tables
+    # (a third of the entries signal-independent) spread mass over every
+    # window, and N crosses several chunk ends.
+    rng = np.random.default_rng(K)
+    tables = []
+    for _ in range(7):
+        t = rng.random((1 << K, 2))
+        same = rng.random(1 << K) < 1 / 3
+        t[same, 1] = t[same, 0]
+        tables.append(t)
+    prof = TableProfile(tables * 20)
+    chunk = _chunk_agents(K)
+    N = 3 * chunk + 5
+    ref = _sequential_sweep(prof, m37, N)
+    points = [0, 1, K, chunk - 1, chunk, chunk + 1, N]
+    snaps = sweep(prof, m37, N, points)
     for n in points:
         for t in (0, 1):
-            assert np.max(np.abs(jit[n][t] - scan[n][t])) <= 1e-12
+            assert np.max(np.abs(snaps[n][t] - ref[n][t])) <= 1e-12, (K, n, t)
+    const = baseline_profile("constant1", K)
+    ref = _sequential_sweep(const, m37, N)
+    snaps = sweep(const, m37, N, points)
+    for n in points:
+        for t in (0, 1):
+            assert np.array_equal(snaps[n][t], ref[n][t]), (K, n, t)
 
 
 @pytest.mark.parametrize("model_args", [(0.3, 0.7), (0.4, 0.6)])
