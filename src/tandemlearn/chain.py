@@ -123,6 +123,11 @@ def _rule_tables(profile, n0: int, n1: int) -> np.ndarray:
     return np.stack([profile.rule(n).table for n in range(n0, n1 + 1)])
 
 
+def _signal_laws(model) -> np.ndarray:
+    """sig[theta, s]: the signal law under each state of the world."""
+    return np.array([model.signal_probs(0), model.signal_probs(1)], dtype=np.float64)
+
+
 def _renormalize(d: np.ndarray):
     total = d.sum()
     if abs(total - 1.0) > DRIFT_TOLERANCE:
@@ -218,7 +223,7 @@ def sweep(profile, model, N: int, record_after=()) -> dict:
     scan = profile.K <= _SCAN_MAX_K
     d = np.zeros((2, n_states))
     d[:, 0] = 1.0
-    sig = np.array([model.signal_probs(0), model.signal_probs(1)], dtype=np.float64)
+    sig = _signal_laws(model)
     snapshots = {}
     if points and points[0] == 0:
         snapshots[0] = (d[0].copy(), d[1].copy())

@@ -6,7 +6,8 @@ stamp; floats are printed with 17 significant digits so reruns can be
 compared byte for byte.
 
 Exit codes: 0 success, 2 invalid model, 3 zero-probability conditioning,
-4 invalid arguments (``exact`` checks its horizon and checkpoints).
+4 invalid arguments (``exact`` checks its horizon and checkpoints,
+``equilibrium`` its range, discount, horizon and eps).
 Codes 2-4 print a JSON object with ``error`` and ``reason``.
 """
 
@@ -27,7 +28,7 @@ from .chain import (
     k1_diagnostics,
     series_diagnostics,
 )
-from .game import check_equilibrium
+from .game import CheckArgumentError, certified_tail, check_equilibrium
 from .montecarlo import SimConfig, estimate_error
 from .profiles import baseline_profile, designed_profile, myopic_profile, profile_from_json
 from .schedule import segment_table
@@ -233,9 +234,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_equilibrium(args) -> int:
+    try:
+        n1, n2 = (int(x) for x in args.range.split(".."))
+    except ValueError:
+        raise UsageError(f"--range must read n1..n2 with integers, got {args.range!r}") from None
+    try:
+        certified_tail((n1, n2), args.delta, args.eps, args.horizon)
+    except CheckArgumentError as exc:
+        raise UsageError(str(exc)) from None
     model = parse_model(args.model)
     binary = quantize(model) if not isinstance(model, SignalModel) else model
-    n1, n2 = (int(x) for x in args.range.split(".."))
     profile = parse_profile(args.profile, binary, K=args.k, horizon=n2 + args.horizon + 1)
     report = check_equilibrium(
         profile, binary, delta=args.delta, n_range=(n1, n2), eps=args.eps, horizon=args.horizon

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ZeroProbabilityError, propagate_dist, window_distributions
+from . import chain
+from .chain import ZeroProbabilityError, window_distributions
+from .profiles import code_window, window_code
 from .signals import blr_bounds
 
 
@@ -76,6 +78,22 @@ def _tail_bound(delta: float, horizon: int) -> float:
     return 0.0 if delta == 0.0 else delta ** (horizon + 1) / (1.0 - delta)
 
 
+class CheckArgumentError(ValueError):
+    """Equilibrium-check arguments under which nothing can be certified."""
+
+
+def certified_tail(n_range: tuple, delta: float, eps: float, horizon: int) -> float:
+    """Truncation tail of a check, once the arguments are known to allow one."""
+    if not (1 <= n_range[0] <= n_range[1]):
+        raise CheckArgumentError(f"need 1 <= n1 <= n2, got {n_range[0]}..{n_range[1]}")
+    if not (0.0 <= delta < 1.0) or horizon < 0:
+        raise CheckArgumentError("need a discount factor in [0, 1) and a horizon >= 0")
+    tail = _tail_bound(delta, horizon)
+    if 2.0 * tail >= eps:
+        raise CheckArgumentError(f"horizon too short to certify eps={eps}: slack {2.0 * tail}")
+    return tail
+
+
 def _posterior_one(dist, model, u_code: int, s: int) -> float:
     w1 = dist.d1[u_code] * model.signal_probs(1)[s]
     w0 = dist.d0[u_code] * model.signal_probs(0)[s]
@@ -86,47 +104,43 @@ def _posterior_one(dist, model, u_code: int, s: int) -> float:
     return w1 / (w0 + w1)
 
 
-def _continuation_sums(profile, model, n: int, u_code: int, action: int, delta: float, horizon: int):
-    """(C0, C1): per-theta discounted sums of P(x_k = theta) for
-    k = n+1..n+T, starting from the window that follows decision
-    ``action`` in window ``u_code``."""
+def _continuation_values(profile, model, n1: int, n2: int, delta: float, horizon: int):
+    """G[theta, n - n1, w]: the sum over t = 1..T of delta^t P^theta(x_{n+t}
+    = theta | v_{n+1} = w), for the agents n = n1..n2 and every window w.
+
+    One backward (Horner) recursion over depth t = T..1 serves all n:
+    g <- delta P_{n+t}(e_theta + g), where e_theta marks the windows whose
+    newest decision is theta and (P_k f)(u) = p_k(u) f(2r + 1) + (1 -
+    p_k(u)) f(2r) for r = u mod S/2, the two windows that follow u.
+    """
+    count, n_states = n2 - n1 + 1, 1 << profile.K
+    g = np.zeros((2, count, n_states))
     if delta == 0.0 or horizon == 0:
-        return 0.0, 0.0
-    n_states = 1 << profile.K
-    mask = n_states - 1
-    start = ((u_code << 1) | action) & mask
-    sums = [0.0, 0.0]
-    for theta in (0, 1):
-        d = np.zeros(n_states)
-        d[start] = 1.0
-        sig = model.signal_probs(theta)
-        disc = 1.0
-        total = 0.0
-        for k in range(n + 1, n + horizon + 1):
-            d = propagate_dist(d, profile.rule(k).table, sig)
-            disc *= delta
-            on_theta = d[theta::2].sum()  # windows whose newest decision is theta
-            total += disc * on_theta
-        sums[theta] = total
-    return sums[0], sums[1]
+        return g
+    tables = chain._rule_tables(profile, n1 + 1, n2 + horizon)
+    p_one = chain._step_probs(tables, chain._signal_laws(model))
+    p_zero = 1.0 - p_one
+    newest = np.eye(2)[:, :, None, None]  # [theta, newest decision]
+    for t in range(horizon, 0, -1):
+        p = p_one[:, t - 1 : t - 1 + count].reshape(2, count, 2, -1)
+        q = p_zero[:, t - 1 : t - 1 + count].reshape(2, count, 2, -1)
+        f_lo = (g[:, :, 0::2] + newest[:, 0])[:, :, None]
+        f_hi = (g[:, :, 1::2] + newest[:, 1])[:, :, None]
+        g = (delta * (p * f_hi + q * f_lo)).reshape(2, count, n_states)
+    return g
 
 
 def payoff(profile, model, query: PayoffQuery, _dist=None) -> PayoffResult:
     """Truncated conditional expected payoff U_n(action; window, signal)."""
-    from .profiles import window_code
-
     u_code = window_code(query.window, profile.K)
     dist = _dist if _dist is not None else window_distributions(profile, model, [query.n])[query.n]
     post1 = _posterior_one(dist, model, u_code, query.s)
     post0 = 1.0 - post1
     immediate = post1 if query.action == 1 else post0
-    c0, c1 = _continuation_sums(
-        profile, model, query.n, u_code, query.action, query.delta, query.horizon
-    )
-    value = immediate + post0 * c0 + post1 * c1
-    return PayoffResult(
-        value=value, tail_bound=_tail_bound(query.delta, query.horizon), posterior=post1
-    )
+    start = ((u_code << 1) | query.action) & ((1 << profile.K) - 1)
+    cont = _continuation_values(profile, model, query.n, query.n, query.delta, query.horizon)
+    value = immediate + post0 * cont[0, 0, start] + post1 * cont[1, 0, start]
+    return PayoffResult(value, _tail_bound(query.delta, query.horizon), post1)
 
 
 def check_equilibrium(
@@ -138,64 +152,60 @@ def check_equilibrium(
 
     A violation is recorded only when the alternative action beats the
     profile's (possibly randomized) action by more than eps plus twice
-    the truncation tail, so it survives un-truncation.
+    the truncation tail, so it survives un-truncation.  Agents go in
+    chunks; in each the window laws advance one agent at a time and the
+    argmax runs on arrays over the (n, u, s) triples.
     """
-    from .profiles import code_window
-
+    tail = certified_tail(n_range, delta, eps, horizon)
     n1, n2 = n_range
-    if not (1 <= n1 <= n2):
-        raise ValueError("need 1 <= n1 <= n2")
-    tail = _tail_bound(delta, horizon)
-    if 2.0 * tail >= eps:
-        raise ValueError(
-            f"horizon too short to certify eps={eps}: tail slack is {2.0 * tail}"
-        )
-    agents = list(range(n1, n2 + 1))
-    dists = window_distributions(profile, model, agents)
-    n_states = 1 << profile.K
-    sig0 = model.signal_probs(0)
-    sig1 = model.signal_probs(1)
-    violations = []
-    checked = 0
-    for n in agents:
-        dist = dists[n]
-        table = profile.rule(n).table
-        for u in range(n_states):
-            if dist.d0[u] == 0.0 and dist.d1[u] == 0.0:
-                continue
-            cont = {
-                y: _continuation_sums(profile, model, n, u, y, delta, horizon)
-                for y in (0, 1)
-            }
-            for s in (0, 1):
-                if dist.d0[u] * sig0[s] + dist.d1[u] * sig1[s] == 0.0:
-                    continue
-                checked += 1
-                post1 = _posterior_one(dist, model, u, s)
-                post0 = 1.0 - post1
-                value = {}
-                for y in (0, 1):
-                    c0, c1 = cont[y]
-                    value[y] = (post1 if y == 1 else post0) + post0 * c0 + post1 * c1
-                sigma_value = table[u, s] * value[1] + (1.0 - table[u, s]) * value[0]
-                best_action = 1 if value[1] >= value[0] else 0
-                gain = value[best_action] - sigma_value
-                if gain > eps + 2.0 * tail:
-                    violations.append(
-                        Violation(
-                            n=n,
-                            window=code_window(u, profile.K),
-                            s=s,
-                            gain=gain - 2.0 * tail,
-                            sigma_value=sigma_value,
-                            best_value=value[best_action],
-                            best_action=best_action,
-                        )
-                    )
-                    if stop_after is not None and len(violations) >= stop_after:
-                        return EquilibriumReport(
-                            violations, (n1, n2), eps, delta, horizon, tail, checked
-                        )
+    K, sig = profile.K, chain._signal_laws(model)
+    start = ((np.arange(1 << K)[:, None] << 1) | np.arange(2)) & ((1 << K) - 1)  # [u, y]
+    d = np.stack(chain.sweep(profile, model, n1 - 1, [n1 - 1])[n1 - 1])  # law of v_n1
+    # A chunk and its horizon hold at most _CHUNK_BYTES / (32 S) agents, so the
+    # step probabilities and [n, u, s, y] values stay within _CHUNK_BYTES; with
+    # stop_after, chunks start at one agent and double, so an early stop does
+    # about twice the work up to it.
+    size = max(1, chain._CHUNK_BYTES // (32 << K) - horizon)
+    step = size if stop_after is None else 1
+    violations, checked, lo = [], 0, n1
+    while lo <= n2:
+        hi = min(lo + step - 1, n2)
+        tables = chain._rule_tables(profile, lo, hi)
+        p_one = chain._step_probs(tables, sig)
+        dists = np.empty((2, hi - lo + 1, 1 << K))
+        for i in range(hi - lo + 1):
+            dists[:, i] = d
+            d = chain._step(d, p_one[:, i])
+        # Guard the drift without rescaling, so no value depends on the chunk ends.
+        if np.abs(d.sum(axis=1) - 1.0).max() > chain.DRIFT_TOLERANCE:
+            raise chain.ChainDriftError(f"probability mass drifted to {d.sum(axis=1)!r}")
+        cont = _continuation_values(profile, model, lo, hi, delta, horizon)[:, :, start]
+        w = dists[:, :, :, None] * sig[:, None, None, :]  # [theta, n, u, s]
+        valid = w[0] + w[1] != 0.0
+        with np.errstate(invalid="ignore"):
+            post1 = w[1] / (w[0] + w[1])
+        post0 = 1.0 - post1
+        value = np.stack([post0, post1], axis=-1) + post0[..., None] * cont[0][:, :, None]
+        value = value + post1[..., None] * cont[1][:, :, None]  # [n, u, s, y]
+        sigma_value = tables * value[..., 1] + (1.0 - tables) * value[..., 0]
+        best_action = (value[..., 1] >= value[..., 0]).astype(int)
+        best_value = np.where(best_action == 1, value[..., 1], value[..., 0])
+        gain = best_value - sigma_value
+        hits = np.flatnonzero(valid & (gain > eps + 2.0 * tail))
+        stop = stop_after is not None and len(hits) and len(violations) + len(hits) >= stop_after
+        if stop:
+            hits = hits[: max(1, stop_after - len(violations))]
+            valid = valid.ravel()[: hits[-1] + 1]  # the triples up to the last violation kept
+        checked += int(np.count_nonzero(valid))
+        for at in zip(*np.unravel_index(hits, gain.shape)):
+            violations.append(Violation(
+                lo + int(at[0]), code_window(int(at[1]), K), int(at[2]),
+                float(gain[at]) - 2.0 * tail, float(sigma_value[at]), float(best_value[at]),
+                int(best_action[at]),
+            ))
+        if stop:
+            break
+        lo, step = hi + 1, min(2 * step, size)
     return EquilibriumReport(violations, (n1, n2), eps, delta, horizon, tail, checked)
 
 
@@ -219,36 +229,24 @@ class PosteriorSequence:
 
 
 def posterior_sequence(profile, model, n_range: tuple, window=None) -> PosteriorSequence:
-    from .profiles import window_code
-
     n1, n2 = n_range
-    if window is None:
-        window = (1,) * profile.K
+    window = (1,) * profile.K if window is None else window
     e = window_code(window, profile.K)
     _, M = blr_bounds(model)
     agents = list(range(n1, n2 + 1))
     dists = window_distributions(profile, model, agents)
-    sig1 = model.signal_probs(1)
-    count = len(agents)
-    pi = np.full(count, np.nan)
-    f = {0: np.full(count, np.nan), 1: np.full(count, np.nan)}
-    f_lower = np.full(count, np.nan)
-    gamma = np.full(count, np.nan)
-    for i, n in enumerate(agents):
-        dist = dists[n]
-        mass0, mass1 = dist.d0[e], dist.d1[e]
-        if mass0 == 0.0 and mass1 == 0.0:
-            continue
-        pi[i] = mass1 / (mass0 + mass1)
-        for s in (0, 1):
-            f[s][i] = _posterior_one(dist, model, e, s)
-        if mass0 > 0.0:
-            ratio = (mass1 / mass0) / M
-            f_lower[i] = ratio / (1.0 + ratio)
-        else:
-            f_lower[i] = 1.0
-        table = profile.rule(n).table
-        gamma[i] = sig1[0] * (1.0 - table[e, 0]) + sig1[1] * (1.0 - table[e, 1])
+    mass0, mass1 = np.array([(dists[n].d0[e], dists[n].d1[e]) for n in agents]).T
+    seen = (mass0 != 0.0) | (mass1 != 0.0)
+    sig = chain._signal_laws(model)
+    table = chain._rule_tables(profile, n1, n2)[:, e]  # [n, s]
+    keep = lambda x: np.where(seen, x, np.nan)  # noqa: E731 - NaN where v_n = window is impossible
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = (mass1[:, None] * sig[1]) / (mass0[:, None] * sig[0] + mass1[:, None] * sig[1])
+        ratio = (mass1 / mass0) / M
+        f_lower = np.where(mass0 > 0.0, ratio / (1.0 + ratio), 1.0)
+        pi = mass1 / (mass0 + mass1)
+    gamma = sig[1, 0] * (1.0 - table[:, 0]) + sig[1, 1] * (1.0 - table[:, 1])
     return PosteriorSequence(
-        ns=np.asarray(agents), window=tuple(window), pi=pi, f=f, f_lower=f_lower, gamma=gamma
+        np.asarray(agents), tuple(window), keep(pi), {0: keep(f[:, 0]), 1: keep(f[:, 1])},
+        keep(f_lower), keep(gamma),
     )

@@ -94,7 +94,20 @@ def baseline_profile(kind: str, K: int) -> Profile:
         rule = DecisionRule(table)
     else:
         raise ValueError(f"unknown baseline profile {kind!r}")
-    return Profile(K, lambda n: rule, kind)
+    return _FixedRuleProfile(K, rule, kind)
+
+
+class _FixedRuleProfile(Profile):
+    """Every agent plays the same rule."""
+
+    def __init__(self, K: int, rule: DecisionRule, descriptor: str):
+        self._table = rule.table
+        super().__init__(K, lambda n: rule, descriptor)
+
+    def rule_table_chunk(self, n0: int, n1: int) -> np.ndarray:
+        """Per-agent rule tables for agents n0..n1, shape (n, 2^K, 2), as a
+        read-only view of the one table."""
+        return np.broadcast_to(self._table, (n1 - n0 + 1, *self._table.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +207,18 @@ class MyopicProfile(Profile):
         self.flagged: list[tuple[int, int]] = []
         rules, dists = _myopic_induction(model, K, horizon, self.flagged)
         self._rules = rules
+        self._tables = np.stack([rule.table for rule in rules])
         #: per-theta window distributions of v_n for n = 1..horizon+1
         self.window_dists = dists
         super().__init__(K=K, rule_fn=self._rule, descriptor=f"myopic(K={K})")
 
     def _rule(self, n: int) -> DecisionRule:
         return self._rules[min(n, self.horizon) - 1]
+
+    def rule_table_chunk(self, n0: int, n1: int) -> np.ndarray:
+        """Per-agent rule tables for agents n0..n1, shape (n, 2^K, 2);
+        agents past the horizon get the horizon rule, as in ``rule``."""
+        return self._tables[np.minimum(np.arange(n0, n1 + 1), self.horizon) - 1]
 
     def cascade_onset(self) -> int | None:
         """Smallest n* with every rule from n* to the horizon ignoring

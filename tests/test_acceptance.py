@@ -99,6 +99,7 @@ def test_criterion_3_learning_plateau(report):
     early, plateau = tr.p_correct
     ok = (
         abs(plateau - PLATEAU_LEARNING) < 1e-9
+        and abs(early - LEARNING_AT_1E4) < 1e-9
         and plateau > 0.9
         and plateau > early
     )

@@ -171,3 +171,19 @@ def test_exact_rejects_bad_range_with_usage_error(flags, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == "usage"
     assert payload["reason"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--range", "5..1"],
+        ["--range", "abc"],
+        ["--range", "1..50", "--delta", "0.9", "--eps", "0.01", "--horizon", "5"],
+    ],
+)
+def test_equilibrium_rejects_bad_arguments_with_usage_error(flags, capsys):
+    rc = main(["equilibrium", "--model", "0.3,0.7", "--profile", "designed", *flags])
+    assert rc == EXIT_USAGE_ERROR
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "usage"
+    assert payload["reason"]

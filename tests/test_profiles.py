@@ -126,6 +126,19 @@ def test_designed_rule_chunk_matches_per_agent(m37):
         assert np.array_equal(chunk[n - 1], dp.rule(n).table)
 
 
+@pytest.mark.parametrize("K", [1, 3])
+def test_myopic_and_baseline_rule_chunks_match_per_agent(K, m46):
+    horizon = 40
+    profiles = [myopic_profile(m46, K, horizon)]
+    profiles += [baseline_profile(kind, K) for kind in ("constant0", "constant1", "copy")]
+    for prof in profiles:
+        for n0, n1 in [(1, 1), (1, horizon), (horizon - 3, horizon + 5), (horizon + 2, 90)]:
+            chunk = prof.rule_table_chunk(n0, n1)
+            assert chunk.shape == (n1 - n0 + 1, 1 << K, 2)
+            expect = np.stack([prof.rule(n).table for n in range(n0, n1 + 1)])
+            assert np.array_equal(chunk, expect), (prof.descriptor, n0, n1)
+
+
 def test_designed_searching_mask(m37):
     dp = designed_profile(m37)
     win = np.array([0, 1, 2, 3])
