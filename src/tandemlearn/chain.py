@@ -67,10 +67,6 @@ class WindowDistribution:
         if self.d0.shape != self.d1.shape:
             raise ValueError("per-theta vectors must have equal length")
 
-    @property
-    def K(self) -> int:
-        return int(len(self.d0)).bit_length() - 1
-
     @classmethod
     def initial(cls, K: int) -> "WindowDistribution":
         d = np.zeros(1 << K)
@@ -82,27 +78,10 @@ def propagate_dist(dist: np.ndarray, table: np.ndarray, sig: tuple) -> np.ndarra
     """One forward step of the window chain under one state of the world.
 
     ``table`` is the acting agent's rule table, ``sig`` the signal law
-    (P(s=0), P(s=1)) under that state of the world.  Signal-independent
-    rule entries bypass the signal average so that deterministic rules
-    move mass without rounding.
+    (P(s=0), P(s=1)) under that state of the world.
     """
-    n_states = len(dist)
-    mask = n_states - 1
-    new = np.zeros(n_states)
-    for u in range(n_states):
-        mass = dist[u]
-        if mass == 0.0:
-            continue
-        hi = ((u << 1) | 1) & mask
-        lo = (u << 1) & mask
-        t0, t1 = table[u, 0], table[u, 1]
-        if t0 == t1:
-            p_one = t0
-        else:
-            p_one = sig[0] * t0 + sig[1] * t1
-        new[hi] += mass * p_one
-        new[lo] += mass * (1.0 - p_one)
-    return new
+    sig = np.asarray(sig, dtype=np.float64)[None]
+    return _step(dist, _step_probs(np.asarray(table)[None], sig)[0, 0])
 
 
 def propagate(dist: WindowDistribution, rule, model) -> WindowDistribution:
@@ -128,21 +107,21 @@ def _signal_laws(model) -> np.ndarray:
     return np.array([model.signal_probs(0), model.signal_probs(1)], dtype=np.float64)
 
 
-def _renormalize(d: np.ndarray):
-    total = d.sum()
-    if abs(total - 1.0) > DRIFT_TOLERANCE:
-        raise ChainDriftError(f"probability mass drifted to {total!r}")
-    if total != 1.0:
-        d /= total
+def _mass(d: np.ndarray) -> np.ndarray:
+    """Total mass of each law in d (..., S); drift beyond DRIFT_TOLERANCE raises."""
+    total = d.sum(axis=-1, keepdims=True)
+    if np.abs(total - 1.0).max() > DRIFT_TOLERANCE:
+        raise ChainDriftError(f"probability mass drifted to {total.ravel()!r}")
+    return total
 
 
 def _step_probs(tables: np.ndarray, sig: np.ndarray) -> np.ndarray:
     """P(decision = 1 | window u) per theta and agent, shape (2, n, S).
 
     ``tables`` holds n rule tables of shape (S, 2) and ``sig[theta]`` the
-    signal law under theta.  As in :func:`propagate_dist`,
-    signal-independent entries are the probability itself, with no signal
-    average, so deterministic rules stay exact.
+    signal law under theta.  Signal-independent entries are the
+    probability itself, with no signal average, so deterministic rules
+    move mass without rounding.
     """
     t0 = tables[:, :, 0]
     t1 = tables[:, :, 1]
@@ -181,18 +160,30 @@ def _compose(ops: np.ndarray) -> np.ndarray:
 
 
 def _step(d: np.ndarray, p_one: np.ndarray) -> np.ndarray:
-    """One agent's decision for both theta in O(S), for windows too wide to scan.
+    """Laws d (..., S) of the window before one agent, to the laws after it.
 
+    ``p_one``, shaped like d, is the agent's P(decision = 1 | window).
     Windows u and u + S/2 differ only in the bit that drops out, so both
     move to windows 2r and 2r + 1 for r = u mod S/2.
     """
-    half = d.shape[1] // 2
-    mass = d.reshape(2, 2, half)
-    p = p_one.reshape(2, 2, half)
-    new = np.empty((2, half, 2))
-    new[:, :, 1] = (mass * p).sum(axis=1)
-    new[:, :, 0] = (mass * (1.0 - p)).sum(axis=1)
-    return new.reshape(2, -1)
+    mass = d.reshape(*d.shape[:-1], 2, -1, 1)  # [..., dropped bit, r, 1]
+    p = p_one.reshape(mass.shape)
+    return (mass * np.concatenate([1.0 - p, p], axis=-1)).sum(axis=-3).reshape(d.shape)
+
+
+def _advance(d: np.ndarray, p_one: np.ndarray):
+    """Push the per-theta laws d (2, S) through the agents of p_one (2, n, S).
+
+    Returns the laws before each agent, shape (2, n, S), and the laws
+    after the last.  Mass drift beyond DRIFT_TOLERANCE raises; nothing is
+    rescaled, so no value depends on how callers cut their agents.
+    """
+    before = np.empty(p_one.shape)
+    for i in range(p_one.shape[1]):
+        before[:, i] = d
+        d = _step(d, p_one[:, i])
+    _mass(d)
+    return before, d
 
 
 def _chunk_agents(K: int) -> int:
@@ -244,10 +235,8 @@ def sweep(profile, model, N: int, record_after=()) -> dict:
             if scan:
                 d = np.matmul(d[:, None, :], _compose(ops[:, a:b]))[:, 0]
             else:
-                for i in range(a, b):
-                    d = _step(d, p_one[:, i])
-            _renormalize(d[0])
-            _renormalize(d[1])
+                d = _advance(d, p_one[:, a:b])[1]
+            d /= _mass(d)
             if stop == target:
                 snapshots[target] = (d[0].copy(), d[1].copy())
                 target = next(pending, None)
@@ -461,51 +450,23 @@ def k1_diagnostics(profile, model, N: int) -> K1Diagnostics:
     if profile.K != 1:
         raise ValueError("k1_diagnostics requires a K=1 profile")
     m_blr, M_blr = blr_bounds(model)
-    sig0 = model.signal_probs(0)
-    sig1 = model.signal_probs(1)
-    a = np.full((N, 2, 2), np.nan)
-    abar = np.full((N, 2, 2), np.nan)
-    sums = np.zeros((4, N))  # a01, a10, abar01, abar10 running sums
-    violations = []
-    p_state0 = np.array([1.0, 0.0])  # x_0 is the zero padding
-    p_state1 = np.array([1.0, 0.0])
-    run = np.zeros(4)
-    for n in range(1, N + 1):
-        table = profile.rule(n).table
-        for i in (0, 1):
-            one0 = sig0[0] * table[i, 0] + sig0[1] * table[i, 1]
-            one1 = sig1[0] * table[i, 0] + sig1[1] * table[i, 1]
-            if p_state0[i] > 0.0:
-                a[n - 1, i, 1] = one0
-                a[n - 1, i, 0] = 1.0 - one0
-            if p_state1[i] > 0.0:
-                abar[n - 1, i, 1] = one1
-                abar[n - 1, i, 0] = 1.0 - one1
-            if p_state0[i] > 0.0 and p_state1[i] > 0.0:
-                for j in (0, 1):
-                    lo = m_blr * abar[n - 1, i, j]
-                    hi = M_blr * abar[n - 1, i, j]
-                    if not (lo - 1e-12 <= a[n - 1, i, j] <= hi + 1e-12):
-                        violations.append((n, i, j))
-        if not math.isnan(a[n - 1, 0, 1]):
-            run[0] += a[n - 1, 0, 1]
-        if not math.isnan(a[n - 1, 1, 0]):
-            run[1] += a[n - 1, 1, 0]
-        if not math.isnan(abar[n - 1, 0, 1]):
-            run[2] += abar[n - 1, 0, 1]
-        if not math.isnan(abar[n - 1, 1, 0]):
-            run[3] += abar[n - 1, 1, 0]
-        sums[:, n - 1] = run
-        p_state0 = propagate_dist(p_state0, table, sig0)
-        p_state1 = propagate_dist(p_state1, table, sig1)
+    sig = _signal_laws(model)
+    tables = _rule_tables(profile, 1, N)
+    start = np.array([[1.0, 0.0], [1.0, 0.0]])  # x_0 is the zero padding
+    seen = _advance(start, _step_probs(tables, sig))[0] > 0.0  # [theta, n, i]
+    # The entries are the signal average even where a rule ignores the signal.
+    one = sig[:, 0, None, None] * tables[:, :, 0] + sig[:, 1, None, None] * tables[:, :, 1]
+    a, abar = np.where(seen[..., None], np.stack([1.0 - one, one], axis=-1), np.nan)
+    inside = (m_blr * abar - 1e-12 <= a) & (a <= M_blr * abar + 1e-12)
+    violations = np.argwhere(seen.all(axis=0)[..., None] & ~inside)
     return K1Diagnostics(
         a=a,
         abar=abar,
-        sum_a01=sums[0],
-        sum_a10=sums[1],
-        sum_abar01=sums[2],
-        sum_abar10=sums[3],
-        coupling_violations=violations,
+        sum_a01=np.nancumsum(a[:, 0, 1]),
+        sum_a10=np.nancumsum(a[:, 1, 0]),
+        sum_abar01=np.nancumsum(abar[:, 0, 1]),
+        sum_abar10=np.nancumsum(abar[:, 1, 0]),
+        coupling_violations=[(int(n) + 1, int(i), int(j)) for n, i, j in violations],
     )
 
 

@@ -6,9 +6,9 @@ stamp; floats are printed with 17 significant digits so reruns can be
 compared byte for byte.
 
 Exit codes: 0 success, 2 invalid model, 3 zero-probability conditioning,
-4 invalid arguments (``exact`` checks its horizon and checkpoints,
-``equilibrium`` its range, discount, horizon and eps).
-Codes 2-4 print a JSON object with ``error`` and ``reason``.
+4 invalid arguments (a flag outside the range its subcommand accepts, an
+unknown profile, or a profile whose window length the subcommand cannot
+use).  Codes 2-4 print a JSON object with ``error`` and ``reason``.
 """
 
 from __future__ import annotations
@@ -103,29 +103,36 @@ def parse_model(spec: str):
 
 def parse_profile(spec: str, model, K: int, horizon: int):
     """Profile from a name (designed, myopic, constant0, constant1, copy)
-    or a JSON table path."""
-    if spec.endswith(".json") or os.path.sep in spec:
-        return profile_from_json(spec)
-    if spec == "designed":
-        return designed_profile(quantize(model) if not isinstance(model, SignalModel) else model)
-    if spec == "myopic":
-        return myopic_profile(model, K=K, horizon=horizon)
-    return baseline_profile(spec, K=K)
+    or a JSON table path, for a binary signal model."""
+    if K < 1:
+        raise UsageError(f"--k must be >= 1, got {K}")
+    try:
+        if spec.endswith(".json") or os.path.sep in spec:
+            return profile_from_json(spec)
+        if spec == "designed":
+            return designed_profile(model)
+        if spec == "myopic":
+            return myopic_profile(model, K=K, horizon=horizon)
+        return baseline_profile(spec, K=K)
+    except (OSError, ValueError) as exc:  # unknown name, bad table or unreadable file
+        raise UsageError(f"--profile {spec}: {exc}") from None
 
 
-def _default_checkpoints(N: int) -> list:
-    cps = []
-    n = 1
-    while n <= N:
-        cps.append(n)
-        n *= 10
-    if cps[-1] != N:
-        cps.append(N)
+def _checkpoints(text, N: int) -> list:
+    """The agents listed in ``--checkpoints``, or the powers of ten up to N, and N."""
+    if not text:
+        cps, n = [], 1
+        while n <= N:
+            cps.append(n)
+            n *= 10
+        return cps if cps and cps[-1] == N else cps + [N]
+    try:
+        cps = [int(float(tok)) for tok in text.split(",") if tok.strip()]
+    except (ValueError, OverflowError):
+        raise UsageError(f"--checkpoints must be integers, got {text!r}") from None
+    if not cps:
+        raise UsageError(f"--checkpoints lists no agent, got {text!r}")
     return cps
-
-
-def _parse_int_list(text: str) -> list:
-    return [int(float(tok)) for tok in text.split(",") if tok.strip()]
 
 
 def _resolved(args, keys) -> dict:
@@ -133,10 +140,7 @@ def _resolved(args, keys) -> dict:
 
 
 def cmd_schedule(args) -> int:
-    model = parse_model(args.model)
-    if not isinstance(model, SignalModel):
-        model = quantize(model)
-    tab = segment_table(model)
+    tab = segment_table(quantize(parse_model(args.model)))
     rows = []
     for m in range(1, args.m + 1):
         sizes = tab.sizes(m)
@@ -154,20 +158,11 @@ def cmd_schedule(args) -> int:
 def cmd_exact(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-    if args.checkpoints:
-        try:
-            cps = _parse_int_list(args.checkpoints)
-        except (ValueError, OverflowError):
-            raise UsageError(f"--checkpoints must be integers, got {args.checkpoints!r}") from None
-        if not cps:
-            raise UsageError(f"--checkpoints lists no agent, got {args.checkpoints!r}")
-    else:
-        cps = _default_checkpoints(args.n)
-    model = parse_model(args.model)
-    binary = quantize(model) if not isinstance(model, SignalModel) else model
-    profile = parse_profile(args.profile, binary, K=args.k, horizon=args.n)
+    cps = _checkpoints(args.checkpoints, args.n)
+    model = quantize(parse_model(args.model))
+    profile = parse_profile(args.profile, model, K=args.k, horizon=args.n)
     try:
-        traj = error_trajectory(profile, binary, args.n, cps)
+        traj = error_trajectory(profile, model, args.n, cps)
     except CheckpointRangeError as exc:
         raise UsageError(str(exc)) from None
     rows = zip(traj.ns, traj.p0_correct, traj.p1_correct, traj.p_correct)
@@ -181,11 +176,12 @@ def cmd_exact(args) -> int:
 
 
 def cmd_series(args) -> int:
-    model = parse_model(args.model)
-    if not isinstance(model, SignalModel):
-        model = quantize(model)
-    cps = _parse_int_list(args.checkpoints) if args.checkpoints else _default_checkpoints(args.m)
-    diag = series_diagnostics(model, args.m, cps)
+    model = quantize(parse_model(args.model))
+    cps = _checkpoints(args.checkpoints, args.m)
+    try:
+        diag = series_diagnostics(model, args.m, cps)
+    except ValueError as exc:  # M < 2 or a checkpoint outside [1, M]
+        raise UsageError(str(exc)) from None
     rows = zip(diag.checkpoints, diag.sum_p1k, diag.sum_q1r, diag.sum_p0k, diag.sum_q0r)
     _write_csv(
         args.out,
@@ -201,19 +197,21 @@ def cmd_series(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = parse_model(args.model)
-    binary = quantize(model) if not isinstance(model, SignalModel) else model
-    profile = parse_profile(args.profile, binary, K=args.k, horizon=args.n)
-    cps = _parse_int_list(args.checkpoints) if args.checkpoints else _default_checkpoints(args.n)
-    config = SimConfig(
-        profile=profile,
-        model=binary,
-        N=args.n,
-        reps=args.reps,
-        seed=args.seed,
-        theta=args.theta,
-        checkpoints=tuple(cps),
-    )
+    model = quantize(parse_model(args.model))
+    cps = _checkpoints(args.checkpoints, args.n)
+    profile = parse_profile(args.profile, model, K=args.k, horizon=args.n)
+    try:
+        config = SimConfig(
+            profile=profile,
+            model=model,
+            N=args.n,
+            reps=args.reps,
+            seed=args.seed,
+            theta=args.theta,
+            checkpoints=tuple(cps),
+        )
+    except ValueError as exc:  # no agent, no replication or a checkpoint outside [1, N]
+        raise UsageError(str(exc)) from None
     stats = estimate_error(config)
     resolved = _resolved(args, ["model", "profile", "n", "k", "reps", "seed", "theta"])
     resolved["checkpoints"] = list(stats.ns)
@@ -242,11 +240,10 @@ def cmd_equilibrium(args) -> int:
         certified_tail((n1, n2), args.delta, args.eps, args.horizon)
     except CheckArgumentError as exc:
         raise UsageError(str(exc)) from None
-    model = parse_model(args.model)
-    binary = quantize(model) if not isinstance(model, SignalModel) else model
-    profile = parse_profile(args.profile, binary, K=args.k, horizon=n2 + args.horizon + 1)
+    model = quantize(parse_model(args.model))
+    profile = parse_profile(args.profile, model, K=args.k, horizon=n2 + args.horizon + 1)
     report = check_equilibrium(
-        profile, binary, delta=args.delta, n_range=(n1, n2), eps=args.eps, horizon=args.horizon
+        profile, model, delta=args.delta, n_range=(n1, n2), eps=args.eps, horizon=args.horizon
     )
     _write_json(
         args.out,
@@ -273,25 +270,15 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_k1diag(args) -> int:
-    model = parse_model(args.model)
-    binary = quantize(model) if not isinstance(model, SignalModel) else model
-    profile = parse_profile(args.profile, binary, K=1, horizon=args.n)
+    model = quantize(parse_model(args.model))
+    profile = parse_profile(args.profile, model, K=1, horizon=args.n)
     if profile.K != 1:
-        raise ModelError("k1diag requires a K=1 profile")
-    diag = k1_diagnostics(profile, binary, args.n)
-    rows = []
-    for n in range(1, args.n + 1):
-        rows.append(
-            (
-                n,
-                diag.a[n - 1, 0, 1],
-                diag.a[n - 1, 1, 0],
-                diag.abar[n - 1, 0, 1],
-                diag.abar[n - 1, 1, 0],
-                diag.sum_a01[n - 1],
-                diag.sum_a10[n - 1],
-            )
-        )
+        raise UsageError(f"k1diag requires a K=1 profile, got K={profile.K}")
+    diag = k1_diagnostics(profile, model, args.n)
+    rows = zip(
+        range(1, args.n + 1), diag.a[:, 0, 1], diag.a[:, 1, 0], diag.abar[:, 0, 1],
+        diag.abar[:, 1, 0], diag.sum_a01, diag.sum_a10,
+    )
     _write_csv(
         args.out,
         ["n", "a01", "a10", "abar01", "abar10", "sum_a01", "sum_a10"],

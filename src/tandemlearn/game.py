@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chain
-from .chain import ZeroProbabilityError, window_distributions
+from .chain import ZeroProbabilityError
 from .profiles import code_window, window_code
 from .signals import blr_bounds
 
@@ -94,16 +94,6 @@ def certified_tail(n_range: tuple, delta: float, eps: float, horizon: int) -> fl
     return tail
 
 
-def _posterior_one(dist, model, u_code: int, s: int) -> float:
-    w1 = dist.d1[u_code] * model.signal_probs(1)[s]
-    w0 = dist.d0[u_code] * model.signal_probs(0)[s]
-    if w0 + w1 == 0.0:
-        raise ZeroProbabilityError(
-            f"window {u_code:0{dist.K}b} with signal {s} has probability zero at n={dist.n}"
-        )
-    return w1 / (w0 + w1)
-
-
 def _continuation_values(profile, model, n1: int, n2: int, delta: float, horizon: int):
     """G[theta, n - n1, w]: the sum over t = 1..T of delta^t P^theta(x_{n+t}
     = theta | v_{n+1} = w), for the agents n = n1..n2 and every window w.
@@ -130,17 +120,43 @@ def _continuation_values(profile, model, n1: int, n2: int, delta: float, horizon
     return g
 
 
-def payoff(profile, model, query: PayoffQuery, _dist=None) -> PayoffResult:
-    """Truncated conditional expected payoff U_n(action; window, signal)."""
-    u_code = window_code(query.window, profile.K)
-    dist = _dist if _dist is not None else window_distributions(profile, model, [query.n])[query.n]
-    post1 = _posterior_one(dist, model, u_code, query.s)
+def _law_before(profile, model, n: int) -> np.ndarray:
+    """Per-theta law of the window v_n, shape (2, S)."""
+    return np.stack(chain.sweep(profile, model, n - 1, [n - 1])[n - 1])
+
+
+def _values(profile, model, dists, n1: int, n2: int, delta: float, horizon: int):
+    """(post1, valid, value) over the triples (n, u, s) of agents n1..n2.
+
+    ``dists[theta, n - n1]`` is the law of v_n.  post1 is P(theta=1 | v_n
+    = u, s_n = s), valid marks the triples of positive probability, and
+    value[n, u, s, y] is the truncated payoff of playing y there.
+    """
+    K, sig = profile.K, chain._signal_laws(model)
+    start = ((np.arange(1 << K)[:, None] << 1) | np.arange(2)) & ((1 << K) - 1)  # [u, y]
+    cont = _continuation_values(profile, model, n1, n2, delta, horizon)[:, :, start]
+    w = dists[:, :, :, None] * sig[:, None, None, :]  # [theta, n, u, s]
+    valid = w[0] + w[1] != 0.0
+    with np.errstate(invalid="ignore"):
+        post1 = w[1] / (w[0] + w[1])
     post0 = 1.0 - post1
-    immediate = post1 if query.action == 1 else post0
-    start = ((u_code << 1) | query.action) & ((1 << profile.K) - 1)
-    cont = _continuation_values(profile, model, query.n, query.n, query.delta, query.horizon)
-    value = immediate + post0 * cont[0, 0, start] + post1 * cont[1, 0, start]
-    return PayoffResult(value, _tail_bound(query.delta, query.horizon), post1)
+    value = np.stack([post0, post1], axis=-1) + post0[..., None] * cont[0][:, :, None]
+    return post1, valid, value + post1[..., None] * cont[1][:, :, None]
+
+
+def payoff(profile, model, query: PayoffQuery) -> PayoffResult:
+    """Truncated conditional expected payoff U_n(action; window, signal)."""
+    n, u, s = query.n, window_code(query.window, profile.K), query.s
+    dists = _law_before(profile, model, n)[:, None]
+    post1, valid, value = _values(profile, model, dists, n, n, query.delta, query.horizon)
+    if not valid[0, u, s]:
+        raise ZeroProbabilityError(
+            f"window {u:0{profile.K}b} with signal {s} has probability zero at n={n}"
+        )
+    return PayoffResult(
+        float(value[0, u, s, query.action]), _tail_bound(query.delta, query.horizon),
+        float(post1[0, u, s]),
+    )
 
 
 def check_equilibrium(
@@ -159,8 +175,7 @@ def check_equilibrium(
     tail = certified_tail(n_range, delta, eps, horizon)
     n1, n2 = n_range
     K, sig = profile.K, chain._signal_laws(model)
-    start = ((np.arange(1 << K)[:, None] << 1) | np.arange(2)) & ((1 << K) - 1)  # [u, y]
-    d = np.stack(chain.sweep(profile, model, n1 - 1, [n1 - 1])[n1 - 1])  # law of v_n1
+    d = _law_before(profile, model, n1)
     # A chunk and its horizon hold at most _CHUNK_BYTES / (32 S) agents, so the
     # step probabilities and [n, u, s, y] values stay within _CHUNK_BYTES; with
     # stop_after, chunks start at one agent and double, so an early stop does
@@ -171,22 +186,8 @@ def check_equilibrium(
     while lo <= n2:
         hi = min(lo + step - 1, n2)
         tables = chain._rule_tables(profile, lo, hi)
-        p_one = chain._step_probs(tables, sig)
-        dists = np.empty((2, hi - lo + 1, 1 << K))
-        for i in range(hi - lo + 1):
-            dists[:, i] = d
-            d = chain._step(d, p_one[:, i])
-        # Guard the drift without rescaling, so no value depends on the chunk ends.
-        if np.abs(d.sum(axis=1) - 1.0).max() > chain.DRIFT_TOLERANCE:
-            raise chain.ChainDriftError(f"probability mass drifted to {d.sum(axis=1)!r}")
-        cont = _continuation_values(profile, model, lo, hi, delta, horizon)[:, :, start]
-        w = dists[:, :, :, None] * sig[:, None, None, :]  # [theta, n, u, s]
-        valid = w[0] + w[1] != 0.0
-        with np.errstate(invalid="ignore"):
-            post1 = w[1] / (w[0] + w[1])
-        post0 = 1.0 - post1
-        value = np.stack([post0, post1], axis=-1) + post0[..., None] * cont[0][:, :, None]
-        value = value + post1[..., None] * cont[1][:, :, None]  # [n, u, s, y]
+        dists, d = chain._advance(d, chain._step_probs(tables, sig))
+        _, valid, value = _values(profile, model, dists, lo, hi, delta, horizon)
         sigma_value = tables * value[..., 1] + (1.0 - tables) * value[..., 0]
         best_action = (value[..., 1] >= value[..., 0]).astype(int)
         best_value = np.where(best_action == 1, value[..., 1], value[..., 0])
@@ -233,20 +234,19 @@ def posterior_sequence(profile, model, n_range: tuple, window=None) -> Posterior
     window = (1,) * profile.K if window is None else window
     e = window_code(window, profile.K)
     _, M = blr_bounds(model)
-    agents = list(range(n1, n2 + 1))
-    dists = window_distributions(profile, model, agents)
-    mass0, mass1 = np.array([(dists[n].d0[e], dists[n].d1[e]) for n in agents]).T
-    seen = (mass0 != 0.0) | (mass1 != 0.0)
     sig = chain._signal_laws(model)
-    table = chain._rule_tables(profile, n1, n2)[:, e]  # [n, s]
+    tables = chain._rule_tables(profile, n1, n2)
+    dists = chain._advance(_law_before(profile, model, n1), chain._step_probs(tables, sig))[0]
+    mass0, mass1 = dists[:, :, e]
+    seen = (mass0 != 0.0) | (mass1 != 0.0)
     keep = lambda x: np.where(seen, x, np.nan)  # noqa: E731 - NaN where v_n = window is impossible
     with np.errstate(invalid="ignore", divide="ignore"):
         f = (mass1[:, None] * sig[1]) / (mass0[:, None] * sig[0] + mass1[:, None] * sig[1])
         ratio = (mass1 / mass0) / M
         f_lower = np.where(mass0 > 0.0, ratio / (1.0 + ratio), 1.0)
         pi = mass1 / (mass0 + mass1)
-    gamma = sig[1, 0] * (1.0 - table[:, 0]) + sig[1, 1] * (1.0 - table[:, 1])
+    gamma = sig[1, 0] * (1.0 - tables[:, e, 0]) + sig[1, 1] * (1.0 - tables[:, e, 1])
     return PosteriorSequence(
-        np.asarray(agents), tuple(window), keep(pi), {0: keep(f[:, 0]), 1: keep(f[:, 1])},
+        np.arange(n1, n2 + 1), tuple(window), keep(pi), {0: keep(f[:, 0]), 1: keep(f[:, 1])},
         keep(f_lower), keep(gamma),
     )

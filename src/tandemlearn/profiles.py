@@ -94,20 +94,29 @@ def baseline_profile(kind: str, K: int) -> Profile:
         rule = DecisionRule(table)
     else:
         raise ValueError(f"unknown baseline profile {kind!r}")
-    return _FixedRuleProfile(K, rule, kind)
+    return _DefaultRuleProfile(K, rule, {}, kind)
 
 
-class _FixedRuleProfile(Profile):
-    """Every agent plays the same rule."""
+class _DefaultRuleProfile(Profile):
+    """Every agent plays a default rule, except the agents given their own."""
 
-    def __init__(self, K: int, rule: DecisionRule, descriptor: str):
-        self._table = rule.table
-        super().__init__(K, lambda n: rule, descriptor)
+    def __init__(self, K: int, default: DecisionRule, overrides: dict, descriptor: str):
+        self._default = default.table
+        self._overrides = overrides
+        self._agents = np.array(sorted(overrides), dtype=np.int64)
+        super().__init__(K, lambda n: overrides.get(n, default), descriptor)
 
     def rule_table_chunk(self, n0: int, n1: int) -> np.ndarray:
-        """Per-agent rule tables for agents n0..n1, shape (n, 2^K, 2), as a
-        read-only view of the one table."""
-        return np.broadcast_to(self._table, (n1 - n0 + 1, *self._table.shape))
+        """Per-agent rule tables for agents n0..n1, shape (n, 2^K, 2): a
+        read-only view of the default table, copied only when an agent of
+        the range has its own rule."""
+        chunk = np.broadcast_to(self._default, (n1 - n0 + 1, *self._default.shape))
+        lo, hi = np.searchsorted(self._agents, [n0, n1 + 1])
+        if lo < hi:
+            chunk = chunk.copy()
+            for n in self._agents[lo:hi]:
+                chunk[n - n0] = self._overrides[n].table
+        return chunk
 
 
 # ---------------------------------------------------------------------------
@@ -201,19 +210,11 @@ class MyopicProfile(Profile):
     def __init__(self, model, K: int, horizon: int):
         self.model = model
         self.horizon = horizon
-        #: (n, window code) pairs whose window has zero probability under
-        #: both states of the world; their entries copy the predecessor
-        #: and never execute.
-        self.flagged: list[tuple[int, int]] = []
-        rules, dists = _myopic_induction(model, K, horizon, self.flagged)
-        self._rules = rules
-        self._tables = np.stack([rule.table for rule in rules])
-        #: per-theta window distributions of v_n for n = 1..horizon+1
-        self.window_dists = dists
+        self._tables = _myopic_induction(model, K, horizon)
         super().__init__(K=K, rule_fn=self._rule, descriptor=f"myopic(K={K})")
 
     def _rule(self, n: int) -> DecisionRule:
-        return self._rules[min(n, self.horizon) - 1]
+        return DecisionRule(self._tables[min(n, self.horizon) - 1])
 
     def rule_table_chunk(self, n0: int, n1: int) -> np.ndarray:
         """Per-agent rule tables for agents n0..n1, shape (n, 2^K, 2);
@@ -223,47 +224,31 @@ class MyopicProfile(Profile):
     def cascade_onset(self) -> int | None:
         """Smallest n* with every rule from n* to the horizon ignoring
         the private signal, or None if the tail still consults signals."""
-        onset = None
-        for n in range(self.horizon, 0, -1):
-            t = self._rules[n - 1].table
-            if np.array_equal(t[:, 0], t[:, 1]):
-                onset = n
-            else:
-                break
-        return onset
+        consults = np.flatnonzero((self._tables[:, :, 0] != self._tables[:, :, 1]).any(axis=1))
+        onset = int(consults[-1]) + 2  # agent 1 always follows its signal
+        return onset if onset <= self.horizon else None
 
 
-def _myopic_induction(model, K, horizon, flagged):
-    from .chain import propagate_dist  # local import; chain is rule-agnostic
+def _myopic_induction(model, K, horizon) -> np.ndarray:
+    """Read-only rule tables of agents 1..horizon, shape (horizon, 2^K, 2).
 
-    n_states = 1 << K
-    d0 = np.zeros(n_states)
-    d1 = np.zeros(n_states)
-    d0[0] = d1[0] = 1.0  # zero-padded window before agent 1
-    rules = []
-    dists = [(d0.copy(), d1.copy())]
-    sig0 = model.signal_probs(0)
-    sig1 = model.signal_probs(1)
-    for n in range(1, horizon + 1):
-        table = np.zeros((n_states, 2))
-        for u in range(n_states):
-            if d0[u] == 0.0 and d1[u] == 0.0:
-                table[u, :] = u & 1  # copy predecessor; never executes
-                flagged.append((n, u))
-                continue
-            for s in (0, 1):
-                w1 = d1[u] * sig1[s]
-                w0 = d0[u] * sig0[s]
-                if w1 > w0:
-                    table[u, s] = 1.0
-                elif w1 == w0:
-                    table[u, s] = u & 1  # tie: copy the predecessor
-        rule = DecisionRule(table)
-        rules.append(rule)
-        d0 = propagate_dist(d0, rule.table, sig0)
-        d1 = propagate_dist(d1, rule.table, sig1)
-        dists.append((d0.copy(), d1.copy()))
-    return rules, dists
+    Agent n decides 1 where P(theta=1, v_n=u, s) beats P(theta=0, v_n=u, s)
+    and copies its predecessor on a tie, which covers the windows of
+    probability zero: those entries never execute.
+    """
+    from .chain import _signal_laws, _step, _step_probs  # chain is rule-agnostic
+
+    sig = _signal_laws(model)
+    copy = (np.arange(1 << K) & 1)[:, None].astype(np.float64)  # the predecessor bit
+    d = np.zeros((2, 1 << K))
+    d[:, 0] = 1.0  # zero-padded window before agent 1
+    tables = np.empty((horizon, 1 << K, 2))
+    for n in range(horizon):
+        w = d[:, :, None] * sig[:, None, :]  # [theta, u, s]
+        tables[n] = np.where(w[1] == w[0], copy, w[1] > w[0])
+        d = _step(d, _step_probs(tables[n : n + 1], sig)[:, 0])
+    tables.setflags(write=False)
+    return tables
 
 
 def myopic_profile(model, K: int, horizon: int) -> MyopicProfile:
@@ -301,7 +286,7 @@ def profile_from_dict(obj: dict) -> Profile:
 
     default = build(obj.get("default", {}))
     per_agent = {int(n): build(entry) for n, entry in obj.get("agents", {}).items()}
-    return Profile(K, lambda n: per_agent.get(n, default), "custom")
+    return _DefaultRuleProfile(K, default, per_agent, "custom")
 
 
 def profile_from_json(path) -> Profile:

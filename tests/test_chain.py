@@ -20,9 +20,21 @@ from tandemlearn import (
     series_diagnostics,
     window_distributions,
 )
-from tandemlearn.chain import BRUTE_FORCE_MAX_N, _SCAN_MAX_K, _chunk_agents, propagate_dist, sweep
+from tandemlearn.chain import (
+    BRUTE_FORCE_MAX_N,
+    _SCAN_MAX_K,
+    ChainDriftError,
+    _advance,
+    _chunk_agents,
+    _signal_laws,
+    _step_probs,
+    propagate_dist,
+    sweep,
+)
+from tandemlearn.profiles import profile_from_dict
+from tandemlearn.signals import blr_bounds
 from tandemlearn.profiles import profile_from_json
-from conftest import TableProfile
+from conftest import TableProfile, reference_step
 
 
 def test_initial_window_is_zero_padded():
@@ -77,7 +89,7 @@ def test_sweep_snapshots_are_independent_copies(m37):
 
 
 def _sequential_sweep(profile, model, N):
-    """Reference: one propagate_dist step per agent, no renormalization,
+    """Reference: one reference_step per agent, no renormalization,
     a snapshot after every agent."""
     sig = (model.signal_probs(0), model.signal_probs(1))
     start = np.zeros(1 << profile.K)
@@ -86,7 +98,7 @@ def _sequential_sweep(profile, model, N):
     snaps = {0: tuple(d)}
     for n in range(1, N + 1):
         table = profile.rule(n).table
-        d = [propagate_dist(d[t], table, sig[t]) for t in (0, 1)]
+        d = [reference_step(d[t], table, sig[t]) for t in (0, 1)]
         snaps[n] = tuple(d)
     return snaps
 
@@ -170,6 +182,37 @@ def test_wide_window_sweep_matches_sequential_propagation(K, m37):
     for n in points:
         for t in (0, 1):
             assert np.array_equal(snaps[n][t], ref[n][t]), (K, n, t)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 6])
+def test_advance_matches_reference_step_at_every_agent(K, m37):
+    # Random tables (a third of the entries signal-independent), advanced
+    # in uneven pieces so that the laws cross several piece ends.
+    rng = np.random.default_rng(10 + K)
+    tables = rng.random((40, 1 << K, 2))
+    same = rng.random((40, 1 << K)) < 1 / 3
+    tables[same, 1] = tables[same, 0]
+    sig = _signal_laws(m37)
+    p_one = _step_probs(tables, sig)
+    ref = np.zeros((2, 1 << K))
+    ref[:, 0] = 1.0
+    d, n = ref.copy(), 0
+    for piece in (1, 2, 7, 30):
+        before, d = _advance(d, p_one[:, n : n + piece])
+        for i in range(piece):
+            assert np.array_equal(before[:, i], ref), (K, n + i)
+            step = [reference_step(ref[t], tables[n + i], sig[t]) for t in (0, 1)]
+            assert np.array_equal(propagate_dist(ref[1], tables[n + i], sig[1]), step[1])
+            ref = np.array(step)
+        n += piece
+    assert np.array_equal(d, ref)
+
+
+def test_advance_rejects_drifted_mass(m37):
+    p_one = _step_probs(np.full((3, 4, 2), 0.5), _signal_laws(m37))
+    d = np.array([[1.0 + 1e-6, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(ChainDriftError):
+        _advance(d, p_one)
 
 
 @pytest.mark.parametrize("model_args", [(0.3, 0.7), (0.4, 0.6)])
@@ -271,3 +314,70 @@ def test_k1_error_floor_positive(m46, m37):
         assert 0.0 < floor < 0.5
     # tighter likelihood-ratio bounds give a larger guaranteed floor
     assert k1_error_floor(m46) > k1_error_floor(m37)
+
+
+def _k1_loop(profile, model, N):
+    """k1_diagnostics as one Python step per agent and window: a, abar, the
+    four running sums and the coupling violations."""
+    m_blr, M_blr = blr_bounds(model)
+    sig = (model.signal_probs(0), model.signal_probs(1))
+    ab = np.full((2, N, 2, 2), np.nan)  # [theta, n, i, j]
+    sums = np.zeros((4, N))
+    violations = []
+    states = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]
+    run = np.zeros(4)
+    for n in range(1, N + 1):
+        table = profile.rule(n).table
+        for i in (0, 1):
+            for t in (0, 1):
+                if states[t][i] > 0.0:
+                    one = sig[t][0] * table[i, 0] + sig[t][1] * table[i, 1]
+                    ab[t, n - 1, i] = [1.0 - one, one]
+            if states[0][i] > 0.0 and states[1][i] > 0.0:
+                for j in (0, 1):
+                    a, abar = ab[0, n - 1, i, j], ab[1, n - 1, i, j]
+                    if not (m_blr * abar - 1e-12 <= a <= M_blr * abar + 1e-12):
+                        violations.append((n, i, j))
+        for k, (t, i, j) in enumerate([(0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0)]):
+            if not np.isnan(ab[t, n - 1, i, j]):
+                run[k] += ab[t, n - 1, i, j]
+        sums[:, n - 1] = run
+        states = [reference_step(states[t], table, sig[t]) for t in (0, 1)]
+    return ab[0], ab[1], sums, violations
+
+
+def _fractional_k1_profile():
+    # Signal-independent entries 0.45 and 0.9, whose signal average is not
+    # the entry itself; agent 1 decides 0, so window 1 is unseen at agents
+    # 1 and 2, and agent 6 decides 1 against its signal.
+    default = {"0": {"0": 0.45, "1": 0.45}, "1": {"0": 0.2, "1": 0.9}}
+    agents = {
+        "1": {"0": {"0": 0.0, "1": 0.0}},
+        "4": {"0": {"0": 0.9, "1": 0.9}, "1": {"0": 0.9, "1": 0.9}},
+        "6": {"0": {"0": 1.0, "1": 0.0}, "1": {"0": 1.0, "1": 0.3}},
+    }
+    return profile_from_dict({"K": 1, "default": default, "agents": agents})
+
+
+@pytest.mark.parametrize("name", ["myopic", "follow", "fractional", "outside"])
+@pytest.mark.parametrize("model_args", [(0.4, 0.6), (0.35, 0.8)])
+def test_k1_diagnostics_equal_the_per_agent_loop(name, model_args):
+    model = SignalModel(*model_args)
+    prof = {
+        "myopic": lambda: myopic_profile(model, 1, 30),
+        "follow": lambda: TableProfile([np.array([[0.0, 1.0], [0.0, 1.0]])]),
+        "fractional": _fractional_k1_profile,
+        # Rules always meet the coupling; entries outside [0, 1], which no
+        # DecisionRule accepts, break it, so the violation lists are compared.
+        "outside": lambda: TableProfile([[[0.2, 0.9], [0.1, 0.3]], [[-0.5, 1.5], [1.2, 0.4]]]),
+    }[name]()
+    diag = k1_diagnostics(prof, model, 40)
+    a, abar, sums, violations = _k1_loop(prof, model, 40)
+    assert np.array_equal(diag.a, a, equal_nan=True)
+    assert np.array_equal(diag.abar, abar, equal_nan=True)
+    got = [diag.sum_a01, diag.sum_a10, diag.sum_abar01, diag.sum_abar10]
+    assert np.array_equal(np.array(got), sums)
+    assert diag.coupling_violations == violations
+    if name == "fractional":
+        assert np.isnan(a[:2, 1]).all() and not np.isnan(a[2:]).any()
+    assert bool(violations) == (name == "outside")

@@ -163,6 +163,8 @@ def test_invalid_model_exit_code():
         ["--n", "10", "--checkpoints", "abc"],
         ["--n", "10", "--checkpoints", "1e400"],
         ["--n", "10", "--checkpoints", ","],
+        ["--k", "0"],
+        ["--profile", "bogus"],
     ],
 )
 def test_exact_rejects_bad_range_with_usage_error(flags, capsys):
@@ -184,6 +186,24 @@ def test_exact_rejects_bad_range_with_usage_error(flags, capsys):
 def test_equilibrium_rejects_bad_arguments_with_usage_error(flags, capsys):
     rc = main(["equilibrium", "--model", "0.3,0.7", "--profile", "designed", *flags])
     assert rc == EXIT_USAGE_ERROR
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "usage"
+    assert payload["reason"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--reps", "0"],
+        ["simulate", "--n", "10", "--checkpoints", "50"],
+        ["simulate", "--n", "10", "--checkpoints", "abc"],
+        ["series", "--m", "1"],
+        ["k1diag", "--profile", "designed"],
+        ["k1diag", "--n", "0"],
+    ],
+)
+def test_bad_arguments_exit_with_usage_error(argv, capsys):
+    assert main([*argv, "--model", "0.3,0.7"]) == EXIT_USAGE_ERROR
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == "usage"
     assert payload["reason"]

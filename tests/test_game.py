@@ -15,9 +15,8 @@ from tandemlearn import (
     window_distributions,
 )
 from tandemlearn import chain, game
-from tandemlearn.chain import propagate_dist
 from tandemlearn.profiles import window_code
-from conftest import TableProfile
+from conftest import TableProfile, reference_step
 from test_chain import _random_json_profile
 
 
@@ -112,7 +111,7 @@ def test_posterior_sequence_signal_update(m46):
 
 # ---------------------------------------------------------------------------
 # The continuation values and the checker against the per-(n, u, y) forward
-# walk: one propagate_dist step per future agent, per start window and theta.
+# walk: one reference_step per future agent, per start window and theta.
 # ---------------------------------------------------------------------------
 
 
@@ -124,7 +123,7 @@ def _forward_walk(profile, model, n, start, delta, horizon):
         d[start] = 1.0
         disc, total = 1.0, 0.0
         for k in range(n + 1, n + horizon + 1):
-            d = propagate_dist(d, profile.rule(k).table, model.signal_probs(theta))
+            d = reference_step(d, profile.rule(k).table, model.signal_probs(theta))
             disc *= delta
             total += disc * d[theta::2].sum()
         sums.append(total)

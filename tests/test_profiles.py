@@ -6,6 +6,7 @@ import pytest
 from tandemlearn import (
     DecisionRule,
     RoleKind,
+    SignalModel,
     baseline_profile,
     designed_profile,
     myopic_profile,
@@ -14,6 +15,7 @@ from tandemlearn import (
     role_of,
 )
 from tandemlearn.profiles import code_window, window_code
+from conftest import reference_step
 
 
 def test_window_code_roundtrip():
@@ -126,11 +128,22 @@ def test_designed_rule_chunk_matches_per_agent(m37):
         assert np.array_equal(chunk[n - 1], dp.rule(n).table)
 
 
+def _json_profile(K, agents, seed):
+    rng = np.random.default_rng(seed)
+
+    def entry():
+        return {format(u, f"0{K}b"): {"0": rng.random(), "1": rng.random()} for u in range(1 << K)}
+
+    return profile_from_dict({"K": K, "default": entry(), "agents": {str(n): entry() for n in agents}})
+
+
 @pytest.mark.parametrize("K", [1, 3])
 def test_myopic_and_baseline_rule_chunks_match_per_agent(K, m46):
     horizon = 40
     profiles = [myopic_profile(m46, K, horizon)]
     profiles += [baseline_profile(kind, K) for kind in ("constant0", "constant1", "copy")]
+    # Overrides just inside and just outside the ends of each range below.
+    profiles.append(_json_profile(K, [1, 2, 36, 37, 41, 45, 46, 90, 91], seed=K))
     for prof in profiles:
         for n0, n1 in [(1, 1), (1, horizon), (horizon - 3, horizon + 5), (horizon + 2, 90)]:
             chunk = prof.rule_table_chunk(n0, n1)
@@ -151,6 +164,44 @@ def test_designed_searching_mask(m37):
     assert mask.tolist() == [False, False, False, True]
     # transient agents never search
     assert not dp.searching_mask(4, win, dec).any()
+
+
+def _myopic_loop(model, K, horizon):
+    """Myopic tables by one Python step per agent and window, and the onset
+    of the signal-free tail found by walking back from the horizon."""
+    sig = (model.signal_probs(0), model.signal_probs(1))
+    d = [np.eye(1, 1 << K)[0], np.eye(1, 1 << K)[0]]
+    tables = []
+    for n in range(1, horizon + 1):
+        table = np.zeros((1 << K, 2))
+        for u in range(1 << K):
+            for s in (0, 1):
+                w1, w0 = d[1][u] * sig[1][s], d[0][u] * sig[0][s]
+                if w1 > w0:
+                    table[u, s] = 1.0
+                elif w1 == w0:
+                    table[u, s] = u & 1  # tie, or a window of probability zero
+        tables.append(table)
+        d = [reference_step(d[t], table, sig[t]) for t in (0, 1)]
+    onset = None
+    for n in range(horizon, 0, -1):
+        if not np.array_equal(tables[n - 1][:, 0], tables[n - 1][:, 1]):
+            break
+        onset = n
+    return np.array(tables), onset
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("model_args", [(0.4, 0.6), (0.35, 0.8)])
+def test_myopic_tables_equal_the_per_window_loop(K, model_args):
+    model = SignalModel(*model_args)
+    mp = myopic_profile(model, K, 60)
+    tables, onset = _myopic_loop(model, K, 60)
+    assert np.array_equal(mp.rule_table_chunk(1, 60), tables)
+    assert mp.cascade_onset() == onset
+    for n in (1, 60, 61):
+        assert np.array_equal(mp.rule(n).table, tables[min(n, 60) - 1])
+    assert myopic_profile(model, K, 1).cascade_onset() is None  # agent 1 reads its signal
 
 
 def test_myopic_k1_cascades_immediately(m46):
