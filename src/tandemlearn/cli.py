@@ -84,18 +84,25 @@ def _write_json(path, payload: dict, config: dict):
 
 
 def parse_model(spec: str):
-    """Model from 'p0,p1', 'p0=..,p1=..', or a JSON file path."""
-    if spec.endswith(".json") or os.path.sep in spec:
-        with open(spec) as fh:
-            return model_from_dict(json.load(fh))
-    parts = [p.strip() for p in spec.split(",")]
-    vals = {}
-    for i, part in enumerate(parts):
-        if "=" in part:
-            key, val = part.split("=", 1)
-            vals[key.strip()] = float(val)
-        else:
-            vals[f"p{i}"] = float(part)
+    """Model from 'p0,p1', 'p0=..,p1=..', or a JSON file path; any spec
+    that does not give a valid model raises ``ModelError``."""
+    try:
+        if spec.endswith(".json") or os.path.sep in spec:
+            with open(spec) as fh:
+                return model_from_dict(json.load(fh))
+        parts = [p.strip() for p in spec.split(",")]
+        vals = {}
+        for i, part in enumerate(parts):
+            if "=" in part:
+                key, val = part.split("=", 1)
+                vals[key.strip()] = float(val)
+            else:
+                vals[f"p{i}"] = float(part)
+    except ModelError:
+        raise
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        # unreadable file, malformed JSON or numbers, or JSON of the wrong shape
+        raise ModelError(f"cannot parse model spec {spec!r}: {exc}") from None
     if set(vals) != {"p0", "p1"}:
         raise ModelError(f"cannot parse model spec {spec!r}")
     return SignalModel(p0=vals["p0"], p1=vals["p1"])
@@ -140,6 +147,8 @@ def _resolved(args, keys) -> dict:
 
 
 def cmd_schedule(args) -> int:
+    if args.m < 1:
+        raise UsageError(f"--m must be >= 1, got {args.m}")
     tab = segment_table(quantize(parse_model(args.model)))
     rows = []
     for m in range(1, args.m + 1):
@@ -197,6 +206,12 @@ def cmd_series(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed is None:
+        seed = os.environ.get("TANDEMLEARN_SEED", "0")
+        try:
+            args.seed = int(seed)
+        except ValueError:
+            raise UsageError(f"TANDEMLEARN_SEED must be an integer, got {seed!r}") from None
     model = quantize(parse_model(args.model))
     cps = _checkpoints(args.checkpoints, args.n)
     profile = parse_profile(args.profile, model, K=args.k, horizon=args.n)
@@ -270,6 +285,8 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_k1diag(args) -> int:
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
     model = quantize(parse_model(args.model))
     profile = parse_profile(args.profile, model, K=1, horizon=args.n)
     if profile.K != 1:
@@ -372,8 +389,6 @@ def main(argv=None) -> int:
             attr = key.replace("-", "_")
             if hasattr(args, attr) and attr not in given:
                 setattr(args, attr, value)
-    if hasattr(args, "seed") and args.seed is None:
-        args.seed = int(os.environ.get("TANDEMLEARN_SEED", "0"))
     try:
         rc = args.func(args)
     except ModelError as exc:

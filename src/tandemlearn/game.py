@@ -13,6 +13,7 @@ window chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,8 @@ def certified_tail(n_range: tuple, delta: float, eps: float, horizon: int) -> fl
         raise CheckArgumentError(f"need 1 <= n1 <= n2, got {n_range[0]}..{n_range[1]}")
     if not (0.0 <= delta < 1.0) or horizon < 0:
         raise CheckArgumentError("need a discount factor in [0, 1) and a horizon >= 0")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise CheckArgumentError(f"need a finite eps > 0, got {eps}")
     tail = _tail_bound(delta, horizon)
     if 2.0 * tail >= eps:
         raise CheckArgumentError(f"horizon too short to certify eps={eps}: slack {2.0 * tail}")

@@ -32,6 +32,10 @@ class SimConfig:
             raise ValueError("need at least one replication")
         if self.N < 1:
             raise ValueError("need at least one agent")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         cps = tuple(sorted(set(int(c) for c in self.checkpoints))) or (self.N,)
         if cps[0] < 1 or cps[-1] > self.N:
             raise ValueError("checkpoints must lie in [1, N]")
@@ -66,40 +70,106 @@ class PathStats:
     config: SimConfig = field(repr=False, default=None)
 
 
+_BLOCK_BYTES = 1 << 18  # bound on one chunk's (agent x stream) uint64 draw block
+
+
+def _chunk_agents(R: int, K: int) -> int:
+    """Agents per chunk: as many as keep the (agent x stream) draw block
+    and the (agent x window x signal) rule tables within _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * max(R, 2 << K)))
+
+
 def _run(config: SimConfig, streams: np.ndarray):
-    """Vectorized simulation of one path per stream id."""
-    profile, model = config.profile, config.model
-    mask = (1 << profile.K) - 1
+    """Vectorized simulation of one path per stream id.
+
+    Agents are walked in chunks.  Each chunk draws its signals in one
+    block, for the agents whose rule reads the signal somewhere, and its
+    rule draws in one block, for the agents with an entry strictly
+    inside (0, 1).  Every other draw could not change a decision (a
+    signal-blind row decides alike for both signals, a 0/1 entry alike
+    for every u in [0, 1)), and since each draw is a pure function of its
+    key, skipping it leaves every output bit as it was.  The agent loop
+    keeps 2 * window + decision per (agent, stream); switches,
+    checkpoints and the searching census are read off those rows
+    afterwards.  More streams than one block holds are run in groups.
+    """
+    width = _BLOCK_BYTES // 8
+    if len(streams) > width:
+        parts = [_run(config, streams[i : i + width]) for i in range(0, len(streams), width)]
+        theta, decisions, census, *counters = zip(*parts)
+
+        def join(dicts):
+            return {n: np.concatenate([d[n] for d in dicts]) for n in dicts[0]}
+
+        return (
+            np.concatenate(theta), join(decisions), join(census),
+            *(np.concatenate(c) for c in counters),
+        )
+    profile, model, seed = config.profile, config.model, config.seed
+    n_states = 1 << profile.K
     R = len(streams)
     if config.theta is None:
-        theta = (rng.uniform(config.seed, streams, 0, rng.KIND_WORLD) < 0.5).astype(np.int64)
+        theta = (rng.uniform(seed, streams, 0, rng.KIND_WORLD) < 0.5).astype(np.int64)
     else:
         theta = np.full(R, int(config.theta), dtype=np.int64)
     p_sig = np.where(theta == 1, model.p1, model.p0)
-    win = np.zeros(R, dtype=np.int64)  # zero-padded initial window
-    prev_x = np.zeros(R, dtype=np.int64)
+    lead = np.arange(2 * n_states) & ~1  # 2 * window, at index 2 * window + s
+    follow = (np.arange(2 * n_states) & (n_states - 1)) << 1  # 2 * window + x -> next lead
+    c = np.zeros(R, dtype=np.int64)  # 2 * window; the window before agent 1 is zero
+    prev_x = None
     switches = np.zeros(R, dtype=np.int64)
     searching = np.zeros(R, dtype=np.int64)
     last_switch = np.zeros(R, dtype=np.int64)
-    cps = set(config.checkpoints)
     decisions = {}
     census = {}
-    for n in range(1, config.N + 1):
-        table = profile.rule(n).table
-        s = (rng.uniform(config.seed, streams, n, rng.KIND_SIGNAL) < p_sig).astype(np.int64)
-        prob_one = table[win, s]
-        x = (rng.uniform(config.seed, streams, n, rng.KIND_RULE) < prob_one).astype(np.int64)
-        searching += profile.searching_mask(n, win, x)
-        if n > 1:
-            moved = x != prev_x
-            switches += moved
-            last_switch[moved] = n
-        if n in cps:
-            decisions[n] = x.copy()
-            census[n] = searching.copy()
-        win = ((win << 1) | x) & mask
-        prev_x = x
+    cps = np.asarray(config.checkpoints)
+    size = _chunk_agents(R, profile.K)
+    for n0 in range(1, config.N + 1, size):
+        n1 = min(n0 + size - 1, config.N)
+        count = n1 - n0 + 1
+        agents = np.arange(n0, n1 + 1)[:, None]
+        tables = profile.rule_table_chunk(n0, n1).reshape(count, 2 * n_states)
+        reads_signal = (tables[:, 0::2] != tables[:, 1::2]).any(axis=1)
+        randomised = ((tables > 0.0) & (tables < 1.0)).any(axis=1)
+        signals = rule_u = None
+        if reads_signal.any():
+            signals = rng.uniform(seed, streams, agents[reads_signal], rng.KIND_SIGNAL) < p_sig
+        if randomised.any():
+            rule_u = rng.uniform(seed, streams, agents[randomised], rng.KIND_RULE)
+        fixed = lead + (tables == 1.0)  # 2 * window + x where the rule draws nothing
+        rows = np.empty((count, R), dtype=np.int64)  # 2 * window + decision
+        for row, table, fix, j, k in zip(
+            rows, tables, fixed, _block_rows(reads_signal), _block_rows(randomised)
+        ):
+            idx = c if j < 0 else c + signals[j]
+            if k < 0:
+                fix.take(idx, out=row)
+            else:
+                np.add(c, rule_u[k] < table.take(idx), out=row)
+            follow.take(row, out=c)
+        x = np.empty((count + 1, R), dtype=np.int8)  # decisions, after the one before the chunk
+        np.bitwise_and(rows, 1, out=x[1:])
+        x[0] = x[1] if n0 == 1 else prev_x  # agent 1 has no decision to switch from
+        moved = x[1:] != x[:-1]
+        small = np.min_scalar_type(count)  # holds any per-chunk count; narrow sums are faster
+        switches += moved.sum(axis=0, dtype=small)
+        last = (moved * np.arange(1, count + 1, dtype=small)[:, None]).max(axis=0)
+        np.add(last, n0 - 1, out=last_switch, where=last > 0, dtype=np.int64)
+        prev_x = x[-1]
+        search = profile.search_table_chunk(n0, n1).reshape(count, 2 * n_states)
+        where = np.flatnonzero(search.any(axis=1))
+        offsets = 2 * n_states * np.arange(len(where))[:, None]  # rows of search[where], flat
+        started = search[where].take(rows[where] + offsets)
+        for n in cps[(cps >= n0) & (cps <= n1)].tolist():
+            decisions[n] = x[n - n0 + 1].astype(np.int64)
+            census[n] = searching + started[where <= n - n0].sum(axis=0)
+        searching += started.sum(axis=0, dtype=small)
     return theta, decisions, census, switches, searching, last_switch
+
+
+def _block_rows(needed: np.ndarray) -> list:
+    """Each agent's row in a chunk's draw block, -1 where it draws nothing."""
+    return np.where(needed, np.cumsum(needed) - 1, -1).tolist()
 
 
 def simulate_path(config: SimConfig, replication: int) -> PathRecord:

@@ -73,10 +73,11 @@ class Profile:
             raise ValueError("agent index must be >= 1")
         return self._rule_fn(n)
 
-    def searching_mask(self, n, window_codes, decisions):
-        """Boolean mask of searching-phase initiations (designed profile
-        only); the default profile has no searching phases."""
-        return np.zeros(np.shape(decisions), dtype=bool)
+    def search_table_chunk(self, n0: int, n1: int) -> np.ndarray:
+        """Which (window, decision) pairs start a searching phase, for
+        agents n0..n1: bool, shape (n, 2^K, 2).  Only the designed profile
+        searches; this is a read-only all-False view."""
+        return np.broadcast_to(False, (n1 - n0 + 1, 1 << self.K, 2))
 
     def __repr__(self):
         return f"<Profile {self.descriptor} K={self.K}>"
@@ -149,8 +150,16 @@ DESIGNED_DELTA = np.zeros((7, 4, 2), dtype=np.float64)
 DESIGNED_DELTA[RoleKind.S_FIRST, 0, 1] = 1.0  # (0,0), s=1: decide 1 w.p. 1/m
 DESIGNED_DELTA[RoleKind.R_FIRST, 3, 0] = -1.0  # (1,1), s=0: decide 0 w.p. 1/m
 
+# A search starts when a block-first agent leaves the block's consensus:
+# deciding 1 on window (0,0) at S_FIRST, or 0 on (1,1) at R_FIRST.
+# Indexed [kind, window, decision].
+DESIGNED_SEARCH = np.zeros((7, 4, 2), dtype=bool)
+DESIGNED_SEARCH[RoleKind.S_FIRST, 0, 1] = True
+DESIGNED_SEARCH[RoleKind.R_FIRST, 3, 0] = True
+
 DESIGNED_BASE.setflags(write=False)
 DESIGNED_DELTA.setflags(write=False)
+DESIGNED_SEARCH.setflags(write=False)
 
 
 class DesignedProfile(Profile):
@@ -177,15 +186,13 @@ class DesignedProfile(Profile):
         kinds, inv_m = self.segments.role_codes(n0, n1)
         return DESIGNED_BASE[kinds] + inv_m[:, None, None] * DESIGNED_DELTA[kinds]
 
+    def search_table_chunk(self, n0: int, n1: int) -> np.ndarray:
+        """Search-starting (window, decision) pairs of agents n0..n1, shape (n, 4, 2)."""
+        return DESIGNED_SEARCH[self.segments.role_codes(n0, n1)[0]]
+
     def searching_mask(self, n, window_codes, decisions):
-        role = self.segments.role_of(n)
-        w = np.asarray(window_codes)
-        x = np.asarray(decisions)
-        if role.kind == RoleKind.S_FIRST:
-            return (w == 0) & (x == 1)
-        if role.kind == RoleKind.R_FIRST:
-            return (w == 3) & (x == 0)
-        return np.zeros(x.shape, dtype=bool)
+        """Which (window, decision) pairs of agent n start a searching phase."""
+        return self.search_table_chunk(n, n)[0][np.asarray(window_codes), np.asarray(decisions)]
 
 
 def designed_profile(model) -> DesignedProfile:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tandemlearn import SignalModel
+from tandemlearn import RoleKind, SignalModel, rng
 
 
 class TableProfile:
@@ -25,9 +25,6 @@ class TableProfile:
     def rule(self, n):
         return self._Rule(self.tables[min(n, len(self.tables)) - 1])
 
-    def searching_mask(self, n, windows, decisions):
-        return np.zeros(len(windows), dtype=bool)
-
 
 def reference_step(dist, table, sig):
     """One agent's step of the window law under one state of the world,
@@ -48,6 +45,50 @@ def reference_step(dist, table, sig):
         new[((u << 1) | 1) & mask] += mass * p_one
         new[(u << 1) & mask] += mass * (1.0 - p_one)
     return new
+
+
+def reference_run(config, streams):
+    """The Monte Carlo loop agent by agent: two draws per agent and stream,
+    ``profile.rule(n)`` tables, and searches found from ``role_of``.  The
+    reference for the library's chunked ``montecarlo._run``."""
+    profile, model = config.profile, config.model
+    mask = (1 << profile.K) - 1
+    R = len(streams)
+    if config.theta is None:
+        theta = (rng.uniform(config.seed, streams, 0, rng.KIND_WORLD) < 0.5).astype(np.int64)
+    else:
+        theta = np.full(R, int(config.theta), dtype=np.int64)
+    p_sig = np.where(theta == 1, model.p1, model.p0)
+    win = np.zeros(R, dtype=np.int64)  # zero-padded initial window
+    prev_x = np.zeros(R, dtype=np.int64)
+    switches = np.zeros(R, dtype=np.int64)
+    searching = np.zeros(R, dtype=np.int64)
+    last_switch = np.zeros(R, dtype=np.int64)
+    segments = getattr(profile, "segments", None)  # only the designed profile searches
+    cps = set(config.checkpoints)
+    decisions = {}
+    census = {}
+    for n in range(1, config.N + 1):
+        table = profile.rule(n).table
+        s = (rng.uniform(config.seed, streams, n, rng.KIND_SIGNAL) < p_sig).astype(np.int64)
+        prob_one = table[win, s]
+        x = (rng.uniform(config.seed, streams, n, rng.KIND_RULE) < prob_one).astype(np.int64)
+        if segments is not None:
+            kind = segments.role_of(n).kind
+            if kind == RoleKind.S_FIRST:
+                searching += (win == 0) & (x == 1)
+            elif kind == RoleKind.R_FIRST:
+                searching += (win == 3) & (x == 0)
+        if n > 1:
+            moved = x != prev_x
+            switches += moved
+            last_switch[moved] = n
+        if n in cps:
+            decisions[n] = x.copy()
+            census[n] = searching.copy()
+        win = ((win << 1) | x) & mask
+        prev_x = x
+    return theta, decisions, census, switches, searching, last_switch
 
 
 @pytest.fixture

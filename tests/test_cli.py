@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tandemlearn import SignalModel, designed_profile, error_trajectory
 from tandemlearn.cli import (
@@ -200,6 +206,11 @@ def test_equilibrium_rejects_bad_arguments_with_usage_error(flags, capsys):
         ["series", "--m", "1"],
         ["k1diag", "--profile", "designed"],
         ["k1diag", "--n", "0"],
+        ["k1diag", "--profile", "copy", "--n", "-1"],
+        ["simulate", "--n", "10", "--seed", "-1"],
+        ["simulate", "--n", "10", "--seed", str(2**64)],
+        ["schedule", "--m", "0"],
+        ["schedule", "--m", "-3"],
     ],
 )
 def test_bad_arguments_exit_with_usage_error(argv, capsys):
@@ -207,3 +218,98 @@ def test_bad_arguments_exit_with_usage_error(argv, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == "usage"
     assert payload["reason"]
+
+
+def test_non_integer_seed_variable_exits_with_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("TANDEMLEARN_SEED", "abc")
+    assert main(["simulate", "--model", "0.3,0.7", "--n", "10"]) == EXIT_USAGE_ERROR
+    assert "TANDEMLEARN_SEED" in json.loads(capsys.readouterr().out)["reason"]
+
+
+@pytest.mark.parametrize("eps", ["nan", "-1", "0", "inf"])
+def test_equilibrium_rejects_eps_that_is_not_finite_and_positive(eps, capsys):
+    rc = main([
+        "equilibrium", "--model", "0.3,0.7", "--profile", "designed", "--range", "1..150",
+        "--delta", "0.5", "--horizon", "20", "--eps", eps,
+    ])
+    assert rc == EXIT_USAGE_ERROR
+    reason = json.loads(capsys.readouterr().out)["reason"]
+    assert "eps" in reason and "horizon" not in reason
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[0.3, 0.7]", '{"p0": "x", "p1": 0.7}', "5"])
+def test_unusable_model_specs_exit_with_model_error(content, tmp_path, capsys):
+    specs = ["abc", "0.3", "0.3,0.7,0.9", "p0=0.3,p1=", "nan,0.7", str(tmp_path)]
+    if content is not None:
+        path = tmp_path / "model.json"
+        path.write_text(content)
+        specs = [str(path)]
+    else:
+        specs.append(str(tmp_path / "nope.json"))
+    for spec in specs:
+        assert main(["exact", "--model", spec, "--profile", "copy", "--n", "3"]) == EXIT_MODEL_ERROR
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "model" and payload["reason"]
+
+
+# Values each flag takes in the fuzz test: valid ones, edge cases and junk.
+# Sizes stay small so every call is cheap.
+_FLAG_VALUES = {
+    "--model": ["0.3,0.7", "p0=0.4,p1=0.6", "0.7,0.3", "0.5,0.5", "abc", "nope.json", "1,0",
+                "nan,0.7", "0.3", ""],
+    "--profile": ["designed", "myopic", "copy", "constant0", "constant1", "bogus", "nope.json"],
+    "--n": ["-1", "0", "1", "2", "17", "60", "abc", "1e3"],
+    "--k": ["-1", "0", "1", "2", "3"],
+    "--reps": ["-1", "0", "1", "5"],
+    "--seed": ["-1", "0", "7", str(2**64 - 1), str(2**64), "x"],
+    "--theta": ["0", "1", "2"],
+    "--checkpoints": ["1", "5,17", "0", "abc", ",", "1e400", "-3", "60,1"],
+    "--m": ["-1", "0", "1", "2", "12", "abc"],
+    "--delta": ["0", "0.5", "0.9", "1", "-0.1", "nan", "inf"],
+    "--eps": ["0.01", "1e-9", "0", "-1", "nan", "inf", "-inf", "abc"],
+    "--range": ["1..20", "5..1", "abc", "0..3", "3..3", "1..2..3"],
+    "--horizon": ["-1", "0", "5", "20"],
+}
+_COMMAND_FLAGS = {
+    "schedule": ["--model"],
+    "exact": ["--model", "--profile", "--n", "--k", "--checkpoints"],
+    "series": ["--model", "--checkpoints"],
+    "simulate": ["--model", "--profile", "--n", "--k", "--reps", "--seed", "--theta",
+                 "--checkpoints"],
+    "equilibrium": ["--model", "--profile", "--delta", "--eps", "--range", "--horizon", "--k"],
+    "k1diag": ["--model", "--profile", "--n"],
+}
+_REQUIRED = {"schedule": "--m", "series": "--m"}  # their defaults are costly
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_fuzz_exits_cleanly(data):
+    """No traceback escapes any combination of flag values, every exit
+    code is documented, and no equilibrium passes with a non-finite eps."""
+    command = data.draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = data.draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command]), unique=True))
+    flags += [_REQUIRED[command]] if command in _REQUIRED else []
+    argv = [command]
+    for flag in flags:
+        argv += [flag, data.draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    env_seed = data.draw(st.sampled_from([None, "3", "x", "-1"]))
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.pop("TANDEMLEARN_SEED", None)
+    try:
+        if env_seed is not None:
+            os.environ["TANDEMLEARN_SEED"] = env_seed
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse rejects the flag itself
+                rc = exc.code
+    finally:
+        os.environ.pop("TANDEMLEARN_SEED", None)
+        if saved is not None:
+            os.environ["TANDEMLEARN_SEED"] = saved
+    assert rc in (0, 2, 3, 4), (argv, rc)
+    if command == "equilibrium" and rc == 0:
+        eps = float(argv[argv.index("--eps") + 1]) if "--eps" in argv else 1e-9
+        report = json.loads(out.getvalue())
+        assert not report["passed"] or (math.isfinite(eps) and eps > 0), argv

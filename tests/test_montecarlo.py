@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
+from conftest import reference_run
 
 from tandemlearn import (
+    RoleKind,
     SimConfig,
     baseline_profile,
     designed_profile,
     error_trajectory,
     estimate_error,
+    montecarlo,
+    myopic_profile,
+    profile_from_dict,
+    rng,
     simulate_path,
 )
+from tandemlearn.chain import sweep
 
 
 def _config(profile, model, **kw):
@@ -92,3 +99,188 @@ def test_searching_census_grows_with_horizon(m37):
     cfg = _config(dp, m37, N=20_000, reps=200, checkpoints=(1_000, 20_000))
     stats = estimate_error(cfg)
     assert stats.census_mean[1] > stats.census_mean[0]
+
+
+def test_seed_must_lie_in_the_uint64_range(m37):
+    dp = designed_profile(m37)
+    for seed in (-1, 1 << 64, 1.5, "3", True):
+        with pytest.raises(ValueError):
+            _config(dp, m37, seed=seed)
+    assert _config(dp, m37, seed=(1 << 64) - 1).seed == (1 << 64) - 1
+
+
+# ---------------------------------------------------------------------------
+# Block draws and the chunked loop against the agent-by-agent reference.
+# ---------------------------------------------------------------------------
+
+
+def test_uniform_blocks_equal_scalar_draws():
+    streams = np.array([0, 1, 7, 2**33, 2**63 + 5], dtype=np.uint64)
+    steps = np.array([0, 1, 2, 999, 2**40])[:, None]
+    for seed in (0, 3, 2**64 - 1):
+        for kind in (rng.KIND_WORLD, rng.KIND_SIGNAL, rng.KIND_RULE):
+            block = rng.uniform(seed, streams, steps, kind)
+            assert block.shape == (5, 5) and block.dtype == np.float64
+            for i, step in enumerate(steps[:, 0].tolist()):
+                for j, stream in enumerate(streams.tolist()):
+                    assert block[i, j] == rng.uniform(seed, stream, step, kind)
+            assert np.array_equal(rng.uniform(seed, 7, steps, kind), block[:, 2:3])
+    # Draws of the hash as first defined, so neither path can drift.
+    assert rng.uniform(0, 0, 0, 0) == 0.7141855929184249
+    assert rng.uniform(7, 3, 12345, 1) == 0.5969638276693716
+    assert rng.uniform(2**64 - 1, 2**40, 2**31, 2) == 0.4379082653589881
+    assert isinstance(rng.uniform(0, 0, 0, 0), float)
+
+
+def _assert_same_run(got, want):
+    """Every field of two ``_run`` results equal, dtype for dtype."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, dict):
+            assert list(a) == list(b)
+            pairs = [(a[n], b[n]) for n in b]
+        else:
+            pairs = [(a, b)]
+        for x, y in pairs:
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert np.array_equal(x, y)
+
+
+def _entry(gen, K, kind):
+    """A JSON rule entry: ``fixed`` has 0/1 entries only, ``blind`` ignores
+    the signal, ``mixed`` has blind, 0/1 and randomised rows."""
+    rows = {}
+    for u in range(1 << K):
+        row = kind if kind != "mixed" else ("fixed", "blind", "random")[u % 3]
+        if row == "fixed":
+            t = gen.integers(0, 2, size=2).astype(float)
+        elif row == "blind":
+            t = np.full(2, gen.random())
+        else:
+            t = gen.random(2)
+        rows[format(u, f"0{K}b")] = {"0": float(t[0]), "1": float(t[1])}
+    return rows
+
+
+STREAMS = 37
+_EDGE = montecarlo._chunk_agents(STREAMS, 2)  # last agent of the first K=2 chunk
+
+
+def _straddling_json(m37):
+    """K=2 overrides on both sides of the first two chunk ends."""
+    gen = np.random.default_rng(5)
+    agents = [_EDGE - 1, _EDGE, _EDGE + 1, 2 * _EDGE, 2 * _EDGE + 1]
+    kinds = ["fixed", "blind", "mixed", "mixed", "fixed"]
+    spec = {
+        "K": 2,
+        "default": _entry(gen, 2, "mixed"),
+        "agents": {str(n): _entry(gen, 2, kind) for n, kind in zip(agents, kinds)},
+    }
+    return profile_from_dict(spec), 2 * _EDGE + 40
+
+
+def _random_k6(m37):
+    gen = np.random.default_rng(6)
+    N = 600
+    kinds = ("fixed", "blind", "mixed")
+    spec = {
+        "K": 6,
+        "agents": {str(n): _entry(gen, 6, kinds[gen.integers(3)]) for n in range(1, N + 1)},
+    }
+    return profile_from_dict(spec), N
+
+
+PROFILES = {
+    "designed": lambda m: (designed_profile(m), 2 * _EDGE + 100),
+    "myopic-k1": lambda m: (myopic_profile(m, 1, 300), 1000),
+    "myopic-k3": lambda m: (myopic_profile(m, 3, 1200), 1200),
+    "copy-k3": lambda m: (baseline_profile("copy", 3), 900),
+    "json-straddling": _straddling_json,
+    "random-k6": _random_k6,
+}
+
+
+@pytest.mark.parametrize("block", [None, 8 * STREAMS * 5, 8 * 16])
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_run_matches_reference_run(name, block, m37, monkeypatch):
+    """Default chunks, five-agent chunks, and stream groups of 16 with
+    one agent per chunk; checkpoints at agent 1 and both sides of every
+    chunk end."""
+    if block is not None:
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block)
+    profile, N = PROFILES[name](m37)
+    size = montecarlo._chunk_agents(min(STREAMS, montecarlo._BLOCK_BYTES // 8), profile.K)
+    cps = {1, N} | {e + d for e in range(size, N, size) for d in (0, 1)}
+    cfg = SimConfig(profile=profile, model=m37, N=N, reps=STREAMS, seed=11, checkpoints=tuple(cps))
+    streams = np.arange(STREAMS)
+    _assert_same_run(montecarlo._run(cfg, streams), reference_run(cfg, streams))
+
+
+@pytest.mark.parametrize("theta, offset", [(1, 1000), (0, 5), (None, 2**40)])
+def test_run_matches_reference_with_offset_and_forced_state(theta, offset, m46):
+    profile = designed_profile(m46)
+    cfg = SimConfig(profile=profile, model=m46, N=1500, reps=STREAMS, seed=3, theta=theta,
+                    stream_offset=offset, checkpoints=(1, _EDGE, _EDGE + 1, 1500))
+    streams = offset + np.arange(STREAMS)
+    got = montecarlo._run(cfg, streams)
+    _assert_same_run(got, reference_run(cfg, streams))
+    record = simulate_path(cfg, 4)  # one stream: one chunk of 1500 agents
+    assert record.stream == offset + 4
+    assert record.decisions == {n: int(x[4]) for n, x in got[1].items()}
+
+
+@pytest.mark.parametrize("reps, block", [(1, None), (1000, None), (10**4, None), (40, 8 * 16)])
+def test_draw_blocks_stay_within_the_bound(reps, block, m37, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block)
+    sizes = []
+    real = rng.uniform
+
+    def counted(*args):
+        out = real(*args)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(rng, "uniform", counted)
+    cfg = SimConfig(profile=designed_profile(m37), model=m37, N=300, reps=reps, seed=2)
+    montecarlo._run(cfg, np.arange(reps))
+    assert sizes and 8 * max(sizes) <= montecarlo._BLOCK_BYTES
+
+
+# ---------------------------------------------------------------------------
+# The searching census against its exact expectation.
+# ---------------------------------------------------------------------------
+
+
+def _expected_census(profile, model, checkpoints):
+    """E[census at n]: P(v = (0,0)) P(s=1|theta)/m summed over S-block
+    openers and P(v = (1,1)) P(s=0|theta)/m over R-block openers up to n,
+    from the exact window laws, averaged over theta."""
+    N = max(checkpoints)
+    kinds, inv_m = profile.segments.role_codes(1, N)
+    agents = np.arange(1, N + 1)
+    openers = np.flatnonzero((kinds == RoleKind.S_FIRST) | (kinds == RoleKind.R_FIRST))
+    laws = sweep(profile, model, N, record_after=agents[openers] - 1)
+    terms = np.zeros(len(openers))
+    for theta in (0, 1):
+        p1 = model.p(theta)
+        for i, a in enumerate(openers):
+            d = laws[a][theta]  # the window law after agent a, before opener a + 1
+            if kinds[a] == RoleKind.S_FIRST:
+                terms[i] += 0.5 * d[0] * p1 * inv_m[a]
+            else:
+                terms[i] += 0.5 * d[3] * (1.0 - p1) * inv_m[a]
+    return np.array([terms[agents[openers] <= n].sum() for n in checkpoints])
+
+
+def test_census_mean_matches_exact_expectation(m37):
+    dp = designed_profile(m37)
+    checkpoints = (1000, 20_000)
+    cfg = SimConfig(profile=dp, model=m37, N=20_000, reps=2000, seed=3, checkpoints=checkpoints)
+    stats = estimate_error(cfg)
+    census = montecarlo._run(cfg, np.arange(cfg.reps))[2]
+    expect = _expected_census(dp, m37, checkpoints)
+    for i, n in enumerate(checkpoints):
+        assert stats.census_mean[i] == census[n].mean()
+        se = census[n].std() / np.sqrt(cfg.reps)
+        assert abs(stats.census_mean[i] - expect[i]) <= 4 * se, (n, stats.census_mean[i], expect[i])
