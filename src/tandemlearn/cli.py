@@ -1,14 +1,16 @@
 """Experiment runner: subcommand dispatch and deterministic artifacts.
 
-Configuration comes from an optional JSON file overridden by flags.
+Configuration comes from an optional JSON file overridden by flags; a
+file value is read as its flag's command-line text.
 Every output file embeds the fully resolved configuration and a version
 stamp; floats are printed with 17 significant digits so reruns can be
 compared byte for byte.
 
 Exit codes: 0 success, 2 invalid model, 3 zero-probability conditioning,
 4 invalid arguments (a flag outside the range its subcommand accepts, an
-unknown profile, or a profile whose window length the subcommand cannot
-use).  Codes 2-4 print a JSON object with ``error`` and ``reason``.
+unknown profile, a profile whose window length the subcommand cannot
+use, or a ``--config`` file that cannot be read or holds a value its
+flag rejects).  Codes 2-4 print a JSON object with ``error`` and ``reason``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .signals import ModelError, SignalModel, model_from_dict, quantize
 EXIT_MODEL_ERROR = 2
 EXIT_ZERO_PROBABILITY = 3
 EXIT_USAGE_ERROR = 4
+MAX_K = 16  # widest window --k may ask for; a rule table has 2^K x 2 entries
 
 
 class UsageError(ValueError):
@@ -111,8 +114,8 @@ def parse_model(spec: str):
 def parse_profile(spec: str, model, K: int, horizon: int):
     """Profile from a name (designed, myopic, constant0, constant1, copy)
     or a JSON table path, for a binary signal model."""
-    if K < 1:
-        raise UsageError(f"--k must be >= 1, got {K}")
+    if not 1 <= K <= MAX_K:
+        raise UsageError(f"--k must lie in [1, {MAX_K}], got {K}")
     try:
         if spec.endswith(".json") or os.path.sep in spec:
             return profile_from_json(spec)
@@ -305,42 +308,27 @@ def cmd_k1diag(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tandemlearn", description="Tandem social-learning laboratory"
-    )
-    parser.add_argument("--config", help="JSON file with default flag values")
-    sub = parser.add_subparsers(dest="command", required=True)
+_COMMON_FLAGS = {"--model": dict(default="p0=0.3,p1=0.7"), "--out": dict(default=None)}
 
-    def add(name, fn, **flags):
-        p = sub.add_parser(name)
-        p.set_defaults(func=fn)
-        p.add_argument("--model", default="p0=0.3,p1=0.7")
-        p.add_argument("--out", default=None)
-        for flag, kwargs in flags.items():
-            p.add_argument(flag, **kwargs)
-        return p
-
-    add("schedule", cmd_schedule, **{"--m": dict(type=int, default=10)})
-    add(
-        "exact",
+# Subcommand -> (handler, flags beside _COMMON_FLAGS).
+_COMMANDS = {
+    "schedule": (cmd_schedule, {"--m": dict(type=int, default=10)}),
+    "exact": (
         cmd_exact,
-        **{
+        {
             "--profile": dict(default="designed"),
             "--n": dict(type=int, default=1000),
             "--k": dict(type=int, default=2),
             "--checkpoints": dict(default=None),
         },
-    )
-    add(
-        "series",
+    ),
+    "series": (
         cmd_series,
-        **{"--m": dict(type=int, default=10**6), "--checkpoints": dict(default=None)},
-    )
-    add(
-        "simulate",
+        {"--m": dict(type=int, default=10**6), "--checkpoints": dict(default=None)},
+    ),
+    "simulate": (
         cmd_simulate,
-        **{
+        {
             "--profile": dict(default="designed"),
             "--n": dict(type=int, default=10**4),
             "--k": dict(type=int, default=2),
@@ -350,11 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--checkpoints": dict(default=None),
             "--out-json": dict(default=None),
         },
-    )
-    add(
-        "equilibrium",
+    ),
+    "equilibrium": (
         cmd_equilibrium,
-        **{
+        {
             "--profile": dict(default="myopic"),
             "--delta": dict(type=float, default=0.0),
             "--eps": dict(type=float, default=1e-9),
@@ -362,34 +349,74 @@ def build_parser() -> argparse.ArgumentParser:
             "--horizon": dict(type=int, default=0),
             "--k": dict(type=int, default=2),
         },
-    )
-    add(
-        "k1diag",
+    ),
+    "k1diag": (
         cmd_k1diag,
-        **{"--profile": dict(default="myopic"), "--n": dict(type=int, default=100)},
+        {"--profile": dict(default="myopic"), "--n": dict(type=int, default=100)},
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tandemlearn", description="Tandem social-learning laboratory"
     )
+    parser.add_argument("--config", help="JSON file with default flag values")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, flags) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        p.set_defaults(func=fn)
+        for flag, kwargs in {**_COMMON_FLAGS, **flags}.items():
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+def _config_values(path, command: str, given: set) -> dict:
+    """Flag values from a ``--config`` JSON object, for the flags of
+    ``command`` not in ``given``.  Each value is read as the flag's
+    command-line text, through the flag's type and choices; null leaves
+    the flag at its default, and keys that name no flag of the command
+    are ignored."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable file or malformed JSON
+        raise UsageError(f"--config {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise UsageError(f"--config {path}: expected a JSON object of flag values")
+    parser = argparse.ArgumentParser(
+        add_help=False, allow_abbrev=False, exit_on_error=False,
+        argument_default=argparse.SUPPRESS,
+    )
+    for flag, kwargs in {**_COMMON_FLAGS, **_COMMANDS[command][1]}.items():
+        parser.add_argument(flag, **{k: v for k, v in kwargs.items() if k != "default"})
+    tokens = [
+        f"--{key.replace('_', '-')}={value}"
+        for key, value in config.items()
+        if value is not None and key.replace("-", "_") not in given
+    ]
+    try:
+        values, _ = parser.parse_known_args(tokens)
+    except argparse.ArgumentError as exc:
+        raise UsageError(f"--config {path}: {exc}") from None
+    return vars(values)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     tokens = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(tokens)
-    if args.config:
-        # JSON config supplies values for flags not given on the command
-        # line; explicit flags always win.
-        given = {
-            tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-            for tok in tokens
-            if tok.startswith("--")
-        }
-        with open(args.config) as fh:
-            defaults = json.load(fh)
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in given:
-                setattr(args, attr, value)
     try:
+        if args.config:
+            # JSON config supplies values for flags not given on the command
+            # line; explicit flags always win.
+            given = {
+                tok.split("=", 1)[0].lstrip("-").replace("-", "_")
+                for tok in tokens
+                if tok.startswith("--")
+            }
+            for attr, value in _config_values(args.config, args.command, given).items():
+                setattr(args, attr, value)
         rc = args.func(args)
     except ModelError as exc:
         _write_json(None, {"error": "model", "reason": str(exc)}, {})

@@ -2,9 +2,13 @@
 
 Replications are independent streams; every draw is a pure function of
 (master seed, stream id, agent index, draw kind), so results are
-bitwise identical regardless of batching or execution order.  Paths are
-not stored wholesale: only checkpoint decisions and per-path counters
-(decision switches, searching-phase initiations, last switch index).
+bitwise identical regardless of batching or execution order, and a draw
+that cannot change a decision need not be made.  Each stream therefore
+moves from one random row to the next in a single jump, found by pointer
+jumping over a chunk's rule tables, and draws only at those rows.  Paths
+are not stored wholesale: only checkpoint decisions and per-path
+counters (decision switches, searching-phase initiations, last switch
+index).
 """
 
 from __future__ import annotations
@@ -70,32 +74,132 @@ class PathStats:
     config: SimConfig = field(repr=False, default=None)
 
 
-_BLOCK_BYTES = 1 << 18  # bound on one chunk's (agent x stream) uint64 draw block
+_GROUP = 1 << 15  # streams run together; bounds every per-stream array and draw block
+_TABLE_BYTES = 1 << 21  # bound on one chunk's per-(agent, window) tables
+_WINDOW_BYTES = 128  # bytes of those tables per (agent, window)
+_DRAWS = (rng.KIND_SIGNAL, rng.KIND_RULE)  # drawn together at every random row
 
 
-def _chunk_agents(R: int, K: int) -> int:
-    """Agents per chunk: as many as keep the (agent x stream) draw block
-    and the (agent x window x signal) rule tables within _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES // (8 * max(R, 2 << K)))
+def _chunk_agents(K: int) -> int:
+    """Agents per table chunk: as many as keep the chunk's per-(agent,
+    window) tables within _TABLE_BYTES."""
+    return max(1, _TABLE_BYTES // (_WINDOW_BYTES << K))
+
+
+@dataclass
+class _Jumps:
+    """A chunk's tables over states ``(i << K) | u`` (agent n0 + i, window u;
+    i = count is the chunk end) and edges ``(state << 1) | x`` (that agent
+    decides x, or sees signal x).  A stop is a state whose row reads the
+    signal, has an entry strictly inside (0, 1) or can start a search;
+    every other state takes its ``fixed`` edge without a draw.  Counts run
+    from the chunk start, and a last switch at agent n0 + i reads i + 1."""
+
+    n0: int
+    end: int  # the first chunk-end state
+    random: np.ndarray  # per state: the row needs the signal and rule draws
+    fixed: np.ndarray  # per state: its edge where the row draws nothing
+    entry: np.ndarray  # per edge: the rule entry under that signal
+    start: tuple  # per window u: (next stop, switches, last switch) from state u
+    edge: tuple  # per edge: (next stop, switches, last switch) from that decision on
+    search: np.ndarray  # per edge: the decision starts a searching phase
+
+
+def _jump_tables(tables: np.ndarray, search: np.ndarray, n0: int) -> _Jumps:
+    """Pointer jumping (Wyllie 1979) over a chunk: from every state, the
+    first stop at or after it, the window on arrival, and the decision
+    switches and last switch on the way.  Each round doubles the distance a
+    pointer covers; stops and chunk-end states point at themselves."""
+    count, n_states = tables.shape[:2]
+    K = n_states.bit_length() - 1
+    end = count << K
+    entry = np.ascontiguousarray(tables).reshape(2 * end)
+    t0, t1 = entry[0::2], entry[1::2]
+    random = (t0 != t1) | ((t0 > 0.0) & (t0 < 1.0))
+    search = search.reshape(2 * end)
+    stop = random | search[0::2] | search[1::2]
+    low = np.arange(2 * n_states)  # the low K + 1 bits of an edge: (u << 1) | x
+    succ = (np.arange(1, count + 1)[:, None] << K) | (low & (n_states - 1))
+    moved = ((low ^ (low >> 1)) & 1).astype(bool)  # x differs from the previous decision
+    last = np.where(moved, np.arange(1, count + 1, dtype=np.int32)[:, None], 0)
+    if n0 == 1:
+        last[0] = 0  # agent 1 has no decision to switch from
+    # An edge switches where its last switch is positive.
+    succ, last = succ.reshape(2 * end), last.reshape(2 * end)
+    fixed = (np.arange(end) << 1) | (t0 == 1.0)
+    go = ~stop
+    nxt = np.arange(end + n_states)  # one step ahead; stops and chunk ends stay put
+    lst = np.zeros(end + n_states, dtype=np.int32)
+    np.copyto(nxt[:end], succ.take(fixed), where=go)
+    np.copyto(lst[:end], last.take(fixed), where=go)
+    sw = (lst > 0).astype(np.int32)
+    for _ in range((count - 1).bit_length()):  # until pointers cover the chunk
+        sw += sw.take(nxt)
+        np.maximum(lst, lst.take(nxt), out=lst)
+        nxt = nxt.take(nxt)
+    return _Jumps(
+        n0=n0,
+        end=end,
+        random=random,
+        fixed=fixed,
+        entry=entry,
+        start=(nxt[:n_states], sw[:n_states], lst[:n_states]),
+        edge=(nxt.take(succ), sw.take(succ) + (last > 0), np.maximum(last, lst.take(succ))),
+        search=search,
+    )
+
+
+def _walk(jumps: _Jumps, config: SimConfig, streams, p_sig, win, switches, last_switch,
+          searching):
+    """Move every stream through one chunk, stop to stop, adding the
+    chunk's counts to the per-stream arrays.  Each pass moves each stream
+    still inside the chunk through its own next stop and on to the one
+    after."""
+    K = config.profile.K
+    stop, sw, last = jumps.start
+    live = np.arange(len(streams))
+    at, sw, last = stop.take(win), sw.take(win), last.take(win)
+    srch = np.zeros(len(streams), dtype=np.int32)
+    stop, more, later = jumps.edge
+    while True:
+        done = at >= jumps.end
+        if done.any():
+            out, since = live[done], last[done]
+            win[out] = at[done] - jumps.end
+            switches[out] += sw[done]
+            searching[out] += srch[done]
+            last_switch[out] = np.where(since > 0, since + np.int64(jumps.n0 - 1), last_switch[out])
+            keep = ~done
+            live, at, sw, last, srch = live[keep], at[keep], sw[keep], last[keep], srch[keep]
+            if not len(live):
+                return
+        edge = jumps.fixed.take(at)
+        draw = jumps.random.take(at).nonzero()[0]
+        if len(draw):
+            who, where = live.take(draw), at.take(draw) << 1
+            agents = (where >> (K + 1)) + jumps.n0
+            u = rng.uniform(config.seed, streams.take(who), agents, _DRAWS)
+            signal = u[0] < p_sig.take(who)
+            edge[draw] = where | (u[1] < jumps.entry.take(where | signal))
+        srch = srch + jumps.search.take(edge)
+        sw = sw + more.take(edge)
+        last = np.maximum(last, later.take(edge))
+        at = stop.take(edge)
 
 
 def _run(config: SimConfig, streams: np.ndarray):
-    """Vectorized simulation of one path per stream id.
+    """Vectorized simulation of one path per stream id, stop to stop.
 
-    Agents are walked in chunks.  Each chunk draws its signals in one
-    block, for the agents whose rule reads the signal somewhere, and its
-    rule draws in one block, for the agents with an entry strictly
-    inside (0, 1).  Every other draw could not change a decision (a
-    signal-blind row decides alike for both signals, a 0/1 entry alike
-    for every u in [0, 1)), and since each draw is a pure function of its
-    key, skipping it leaves every output bit as it was.  The agent loop
-    keeps 2 * window + decision per (agent, stream); switches,
-    checkpoints and the searching census are read off those rows
-    afterwards.  More streams than one block holds are run in groups.
+    Agents are taken in table chunks, cut at every checkpoint.  Within a
+    chunk each stream jumps from one stop (a row that draws or can start a
+    search, see ``_Jumps``) to the next by one table lookup, and the
+    signal and the rule are drawn only at stops, both in one call.  A row
+    passed without a draw decides alike for every draw, and since each
+    draw is a pure function of its key, skipping it leaves every output
+    bit as it was.  More streams than ``_GROUP`` run in groups.
     """
-    width = _BLOCK_BYTES // 8
-    if len(streams) > width:
-        parts = [_run(config, streams[i : i + width]) for i in range(0, len(streams), width)]
+    if len(streams) > _GROUP:
+        parts = [_run(config, streams[i : i + _GROUP]) for i in range(0, len(streams), _GROUP)]
         theta, decisions, census, *counters = zip(*parts)
 
         def join(dicts):
@@ -105,71 +209,32 @@ def _run(config: SimConfig, streams: np.ndarray):
             np.concatenate(theta), join(decisions), join(census),
             *(np.concatenate(c) for c in counters),
         )
-    profile, model, seed = config.profile, config.model, config.seed
-    n_states = 1 << profile.K
+    profile, model = config.profile, config.model
     R = len(streams)
     if config.theta is None:
-        theta = (rng.uniform(seed, streams, 0, rng.KIND_WORLD) < 0.5).astype(np.int64)
+        theta = (rng.uniform(config.seed, streams, 0, rng.KIND_WORLD) < 0.5).astype(np.int64)
     else:
         theta = np.full(R, int(config.theta), dtype=np.int64)
     p_sig = np.where(theta == 1, model.p1, model.p0)
-    lead = np.arange(2 * n_states) & ~1  # 2 * window, at index 2 * window + s
-    follow = (np.arange(2 * n_states) & (n_states - 1)) << 1  # 2 * window + x -> next lead
-    c = np.zeros(R, dtype=np.int64)  # 2 * window; the window before agent 1 is zero
-    prev_x = None
+    win = np.zeros(R, dtype=np.int64)  # the window before agent 1 is zero
     switches = np.zeros(R, dtype=np.int64)
     searching = np.zeros(R, dtype=np.int64)
     last_switch = np.zeros(R, dtype=np.int64)
     decisions = {}
     census = {}
-    cps = np.asarray(config.checkpoints)
-    size = _chunk_agents(R, profile.K)
-    for n0 in range(1, config.N + 1, size):
-        n1 = min(n0 + size - 1, config.N)
-        count = n1 - n0 + 1
-        agents = np.arange(n0, n1 + 1)[:, None]
-        tables = profile.rule_table_chunk(n0, n1).reshape(count, 2 * n_states)
-        reads_signal = (tables[:, 0::2] != tables[:, 1::2]).any(axis=1)
-        randomised = ((tables > 0.0) & (tables < 1.0)).any(axis=1)
-        signals = rule_u = None
-        if reads_signal.any():
-            signals = rng.uniform(seed, streams, agents[reads_signal], rng.KIND_SIGNAL) < p_sig
-        if randomised.any():
-            rule_u = rng.uniform(seed, streams, agents[randomised], rng.KIND_RULE)
-        fixed = lead + (tables == 1.0)  # 2 * window + x where the rule draws nothing
-        rows = np.empty((count, R), dtype=np.int64)  # 2 * window + decision
-        for row, table, fix, j, k in zip(
-            rows, tables, fixed, _block_rows(reads_signal), _block_rows(randomised)
-        ):
-            idx = c if j < 0 else c + signals[j]
-            if k < 0:
-                fix.take(idx, out=row)
-            else:
-                np.add(c, rule_u[k] < table.take(idx), out=row)
-            follow.take(row, out=c)
-        x = np.empty((count + 1, R), dtype=np.int8)  # decisions, after the one before the chunk
-        np.bitwise_and(rows, 1, out=x[1:])
-        x[0] = x[1] if n0 == 1 else prev_x  # agent 1 has no decision to switch from
-        moved = x[1:] != x[:-1]
-        small = np.min_scalar_type(count)  # holds any per-chunk count; narrow sums are faster
-        switches += moved.sum(axis=0, dtype=small)
-        last = (moved * np.arange(1, count + 1, dtype=small)[:, None]).max(axis=0)
-        np.add(last, n0 - 1, out=last_switch, where=last > 0, dtype=np.int64)
-        prev_x = x[-1]
-        search = profile.search_table_chunk(n0, n1).reshape(count, 2 * n_states)
-        where = np.flatnonzero(search.any(axis=1))
-        offsets = 2 * n_states * np.arange(len(where))[:, None]  # rows of search[where], flat
-        started = search[where].take(rows[where] + offsets)
-        for n in cps[(cps >= n0) & (cps <= n1)].tolist():
-            decisions[n] = x[n - n0 + 1].astype(np.int64)
-            census[n] = searching + started[where <= n - n0].sum(axis=0)
-        searching += started.sum(axis=0, dtype=small)
+    size = _chunk_agents(profile.K)
+    n0 = 1
+    for end in sorted({*config.checkpoints, config.N}):
+        while n0 <= end:
+            n1 = min(n0 + size - 1, end)
+            tables = profile.rule_table_chunk(n0, n1)
+            jumps = _jump_tables(tables, profile.search_table_chunk(n0, n1), n0)
+            _walk(jumps, config, streams, p_sig, win, switches, last_switch, searching)
+            n0 = n1 + 1
+        if end in config.checkpoints:
+            decisions[end] = win & 1  # the low bit of the window is the last decision
+            census[end] = searching.copy()
     return theta, decisions, census, switches, searching, last_switch
-
-
-def _block_rows(needed: np.ndarray) -> list:
-    """Each agent's row in a chunk's draw block, -1 where it draws nothing."""
-    return np.where(needed, np.cumsum(needed) - 1, -1).tolist()
 
 
 def simulate_path(config: SimConfig, replication: int) -> PathRecord:

@@ -50,7 +50,7 @@ def reference_step(dist, table, sig):
 def reference_run(config, streams):
     """The Monte Carlo loop agent by agent: two draws per agent and stream,
     ``profile.rule(n)`` tables, and searches found from ``role_of``.  The
-    reference for the library's chunked ``montecarlo._run``."""
+    reference for the library's stop-to-stop ``montecarlo._run``."""
     profile, model = config.profile, config.model
     mask = (1 << profile.K) - 1
     R = len(streams)

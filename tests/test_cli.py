@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -171,6 +172,8 @@ def test_invalid_model_exit_code():
         ["--n", "10", "--checkpoints", ","],
         ["--k", "0"],
         ["--profile", "bogus"],
+        ["--profile", "copy", "--k", "17"],
+        ["--profile", "myopic", "--k", str(10**30)],
     ],
 )
 def test_exact_rejects_bad_range_with_usage_error(flags, capsys):
@@ -252,6 +255,40 @@ def test_unusable_model_specs_exit_with_model_error(content, tmp_path, capsys):
         assert payload["error"] == "model" and payload["reason"]
 
 
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        ({"n": "abc"}, ["exact", "--profile", "copy"]),
+        ({"reps": 2.5}, ["simulate", "--profile", "copy", "--n", "5"]),
+        ({"theta": 2}, ["simulate", "--profile", "copy", "--n", "5"]),
+        ({"k": True}, ["exact", "--profile", "copy", "--n", "5"]),
+        ([1, 2], ["exact", "--profile", "copy", "--n", "5"]),
+        ("{not json", ["exact", "--profile", "copy", "--n", "5"]),
+        (None, ["exact", "--profile", "copy", "--n", "5"]),
+    ],
+)
+def test_config_values_go_through_flag_types(content, argv, tmp_path, capsys):
+    """A --config value is read as its flag's command-line text: one that
+    the flag's type or choices reject, a file that is not a JSON object
+    and a missing file all exit 4 with the JSON error."""
+    path = tmp_path / "run.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    assert main(["--config", str(path), *argv]) == EXIT_USAGE_ERROR
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "usage" and payload["reason"].startswith("--config")
+
+
+def test_config_keys_that_name_no_flag_and_nulls_are_ignored(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(
+        {"func": "x", "command": "y", "o": 1, "bogus": [], "n": 30, "out": None, "seed": None}
+    ))
+    assert main(["--config", str(path), "simulate", "--profile", "copy", "--reps", "2",
+                 "--checkpoints", "30"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("30,")  # null --out: stdout
+
+
 # Values each flag takes in the fuzz test: valid ones, edge cases and junk.
 # Sizes stay small so every call is cheap.
 _FLAG_VALUES = {
@@ -259,7 +296,7 @@ _FLAG_VALUES = {
                 "nan,0.7", "0.3", ""],
     "--profile": ["designed", "myopic", "copy", "constant0", "constant1", "bogus", "nope.json"],
     "--n": ["-1", "0", "1", "2", "17", "60", "abc", "1e3"],
-    "--k": ["-1", "0", "1", "2", "3"],
+    "--k": ["-1", "0", "1", "2", "3", "17", str(10**30)],
     "--reps": ["-1", "0", "1", "5"],
     "--seed": ["-1", "0", "7", str(2**64 - 1), str(2**64), "x"],
     "--theta": ["0", "1", "2"],
@@ -282,34 +319,56 @@ _COMMAND_FLAGS = {
 _REQUIRED = {"schedule": "--m", "series": "--m"}  # their defaults are costly
 
 
+# JSON values a --config entry takes in the fuzz test, beside the flag texts.
+_JSON_JUNK = [2.5, True, None, [1], {"a": 1}, -1, "", "nan"]
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_cli_fuzz_exits_cleanly(data):
-    """No traceback escapes any combination of flag values, every exit
-    code is documented, and no equilibrium passes with a non-finite eps."""
+    """No traceback escapes any combination of flag values, on the command
+    line or in a --config file, every exit code is documented, and no
+    equilibrium passes with a non-finite eps."""
     command = data.draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
     flags = data.draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command]), unique=True))
     flags += [_REQUIRED[command]] if command in _REQUIRED else []
     argv = [command]
     for flag in flags:
         argv += [flag, data.draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    config = None
+    if data.draw(st.booleans()):
+        keys = data.draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command] + ["--bogus"]), unique=True))
+        config = {
+            key.lstrip("-"): data.draw(st.sampled_from(_FLAG_VALUES.get(key, []) + _JSON_JUNK))
+            for key in keys
+        }
+        config = data.draw(st.sampled_from([config, config, [config], "{not json"]))
     env_seed = data.draw(st.sampled_from([None, "3", "x", "-1"]))
     out, err = io.StringIO(), io.StringIO()
     saved = os.environ.pop("TANDEMLEARN_SEED", None)
-    try:
-        if env_seed is not None:
-            os.environ["TANDEMLEARN_SEED"] = env_seed
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                rc = main(argv)
-            except SystemExit as exc:  # argparse rejects the flag itself
-                rc = exc.code
-    finally:
-        os.environ.pop("TANDEMLEARN_SEED", None)
-        if saved is not None:
-            os.environ["TANDEMLEARN_SEED"] = saved
-    assert rc in (0, 2, 3, 4), (argv, rc)
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = os.path.join(tmp, "run.json")
+            with open(path, "w") as fh:
+                fh.write(config if isinstance(config, str) else json.dumps(config))
+            argv = ["--config", path] + argv
+        try:
+            if env_seed is not None:
+                os.environ["TANDEMLEARN_SEED"] = env_seed
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:  # argparse rejects the flag itself
+                    rc = exc.code
+        finally:
+            os.environ.pop("TANDEMLEARN_SEED", None)
+            if saved is not None:
+                os.environ["TANDEMLEARN_SEED"] = saved
+    assert rc in (0, 2, 3, 4), (argv, config, rc)
     if command == "equilibrium" and rc == 0:
-        eps = float(argv[argv.index("--eps") + 1]) if "--eps" in argv else 1e-9
+        text = argv[argv.index("--eps") + 1] if "--eps" in argv else None
+        if text is None and isinstance(config, dict) and "eps" in config:
+            text = str(config["eps"])
+        eps = float(text) if text is not None else 1e-9
         report = json.loads(out.getvalue())
-        assert not report["passed"] or (math.isfinite(eps) and eps > 0), argv
+        assert not report["passed"] or (math.isfinite(eps) and eps > 0), (argv, config)

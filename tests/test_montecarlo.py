@@ -117,14 +117,23 @@ def test_seed_must_lie_in_the_uint64_range(m37):
 def test_uniform_blocks_equal_scalar_draws():
     streams = np.array([0, 1, 7, 2**33, 2**63 + 5], dtype=np.uint64)
     steps = np.array([0, 1, 2, 999, 2**40])[:, None]
+    kinds = (rng.KIND_WORLD, rng.KIND_SIGNAL, rng.KIND_RULE)
     for seed in (0, 3, 2**64 - 1):
-        for kind in (rng.KIND_WORLD, rng.KIND_SIGNAL, rng.KIND_RULE):
+        for kind in kinds:
             block = rng.uniform(seed, streams, steps, kind)
             assert block.shape == (5, 5) and block.dtype == np.float64
             for i, step in enumerate(steps[:, 0].tolist()):
                 for j, stream in enumerate(streams.tolist()):
                     assert block[i, j] == rng.uniform(seed, stream, step, kind)
             assert np.array_equal(rng.uniform(seed, 7, steps, kind), block[:, 2:3])
+        # A tuple of kinds stacks the draws of each kind along a leading axis.
+        for pair in (kinds, (rng.KIND_SIGNAL, rng.KIND_RULE), (rng.KIND_RULE,)):
+            stacked = rng.uniform(seed, streams, steps, pair)
+            assert stacked.shape == (len(pair), 5, 5)
+            for block, kind in zip(stacked, pair):
+                assert np.array_equal(block, rng.uniform(seed, streams, steps, kind))
+            scalars = rng.uniform(seed, 7, 999, pair)
+            assert scalars.tolist() == [rng.uniform(seed, 7, 999, kind) for kind in pair]
     # Draws of the hash as first defined, so neither path can drift.
     assert rng.uniform(0, 0, 0, 0) == 0.7141855929184249
     assert rng.uniform(7, 3, 12345, 1) == 0.5969638276693716
@@ -163,11 +172,12 @@ def _entry(gen, K, kind):
 
 
 STREAMS = 37
-_EDGE = montecarlo._chunk_agents(STREAMS, 2)  # last agent of the first K=2 chunk
+_EDGE = 45  # agents per K=2 table chunk under _SMALL_TABLES
+_SMALL_TABLES = _EDGE * (montecarlo._WINDOW_BYTES << 2)
 
 
 def _straddling_json(m37):
-    """K=2 overrides on both sides of the first two chunk ends."""
+    """K=2 overrides on both sides of the first two small-chunk ends."""
     gen = np.random.default_rng(5)
     agents = [_EDGE - 1, _EDGE, _EDGE + 1, 2 * _EDGE, 2 * _EDGE + 1]
     kinds = ["fixed", "blind", "mixed", "mixed", "fixed"]
@@ -200,51 +210,95 @@ PROFILES = {
 }
 
 
-@pytest.mark.parametrize("block", [None, 8 * STREAMS * 5, 8 * 16])
+def _inside_a_jump(profile, N):
+    """The middle agent of the longest run of agents in 2..N whose rows at
+    the all-zero and all-one windows draw nothing and start no search: a
+    stream at either window passes it inside one jump."""
+    tables = profile.rule_table_chunk(1, N)[:, [0, -1]]
+    search = profile.search_table_chunk(1, N)[:, [0, -1]]
+    fixed = np.isin(tables, (0.0, 1.0)) & (tables[..., :1] == tables[..., 1:])
+    quiet = fixed.all(axis=(1, 2)) & ~search.any(axis=(1, 2))
+    best, run, best_end = 0, 0, 0
+    for n in range(2, N + 1):
+        run = run + 1 if quiet[n - 1] else 0
+        if run > best:
+            best, best_end = run, n
+    return best_end - best // 2
+
+
+@pytest.mark.parametrize("table_bytes", [None, _SMALL_TABLES, 1480, 128])
 @pytest.mark.parametrize("name", sorted(PROFILES))
-def test_run_matches_reference_run(name, block, m37, monkeypatch):
-    """Default chunks, five-agent chunks, and stream groups of 16 with
-    one agent per chunk; checkpoints at agent 1 and both sides of every
-    chunk end."""
-    if block is not None:
-        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block)
+def test_run_matches_reference_run(name, table_bytes, m37, monkeypatch):
+    """Table chunks of the default size, of _EDGE agents at K=2, of at
+    most five agents (1480 bytes) and of one agent with 16-stream groups
+    (128 bytes).  Checkpoints at agent 1, inside a deterministic jump, and
+    on both sides of every second chunk end, so that other chunk ends fall
+    where no checkpoint cuts the walk."""
+    if table_bytes is not None:
+        monkeypatch.setattr(montecarlo, "_TABLE_BYTES", table_bytes)
+    if table_bytes == 128:
+        monkeypatch.setattr(montecarlo, "_GROUP", 16)
     profile, N = PROFILES[name](m37)
-    size = montecarlo._chunk_agents(min(STREAMS, montecarlo._BLOCK_BYTES // 8), profile.K)
-    cps = {1, N} | {e + d for e in range(size, N, size) for d in (0, 1)}
+    size = montecarlo._chunk_agents(profile.K)
+    cps = {1, N, _inside_a_jump(profile, N)}
+    cps |= {e + d for e in range(size, N, 2 * size) for d in (0, 1)}
     cfg = SimConfig(profile=profile, model=m37, N=N, reps=STREAMS, seed=11, checkpoints=tuple(cps))
     streams = np.arange(STREAMS)
     _assert_same_run(montecarlo._run(cfg, streams), reference_run(cfg, streams))
 
 
+def test_checkpoint_inside_a_jump_cuts_it(m37):
+    """The designed profile's longest quiet stretch holds a checkpoint that
+    streams at a consensus window reach inside a jump, and the walk stops
+    there with the reference's decisions."""
+    profile, N = PROFILES["designed"](m37)
+    n = _inside_a_jump(profile, N)
+    cfg = SimConfig(profile=profile, model=m37, N=N, reps=STREAMS, seed=11,
+                    checkpoints=(n - 2, n - 1, n, N))
+    streams = np.arange(STREAMS)
+    got = montecarlo._run(cfg, streams)
+    _assert_same_run(got, reference_run(cfg, streams))
+    assert (got[1][n - 2] == got[1][n - 1]).any()  # some window before agent n is 00 or 11
+
+
 @pytest.mark.parametrize("theta, offset", [(1, 1000), (0, 5), (None, 2**40)])
-def test_run_matches_reference_with_offset_and_forced_state(theta, offset, m46):
+def test_run_matches_reference_with_offset_and_forced_state(theta, offset, m46, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_TABLE_BYTES", _SMALL_TABLES)
     profile = designed_profile(m46)
     cfg = SimConfig(profile=profile, model=m46, N=1500, reps=STREAMS, seed=3, theta=theta,
                     stream_offset=offset, checkpoints=(1, _EDGE, _EDGE + 1, 1500))
     streams = offset + np.arange(STREAMS)
     got = montecarlo._run(cfg, streams)
     _assert_same_run(got, reference_run(cfg, streams))
-    record = simulate_path(cfg, 4)  # one stream: one chunk of 1500 agents
+    record = simulate_path(cfg, 4)  # one stream through the same chunks
     assert record.stream == offset + 4
     assert record.decisions == {n: int(x[4]) for n, x in got[1].items()}
 
 
-@pytest.mark.parametrize("reps, block", [(1, None), (1000, None), (10**4, None), (40, 8 * 16)])
-def test_draw_blocks_stay_within_the_bound(reps, block, m37, monkeypatch):
-    if block is not None:
-        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block)
-    sizes = []
+@pytest.mark.parametrize("reps, group", [(1, None), (1000, None), (10**4, None), (40, 16)])
+def test_draws_stay_within_the_group_bound(reps, group, m37, monkeypatch):
+    """Every draw array holds at most one entry per kind and stream of a
+    group, and the designed profile at N=2500, R=1000 draws at most 0.25
+    uniforms per agent-replication (its stops are about 9% of them)."""
+    if group is not None:
+        monkeypatch.setattr(montecarlo, "_GROUP", group)
+    shapes = []
     real = rng.uniform
 
     def counted(*args):
         out = real(*args)
-        sizes.append(np.size(out))
+        shapes.append(np.shape(out))
         return out
 
     monkeypatch.setattr(rng, "uniform", counted)
-    cfg = SimConfig(profile=designed_profile(m37), model=m37, N=300, reps=reps, seed=2)
+    N = 2500
+    cfg = SimConfig(profile=designed_profile(m37), model=m37, N=N, reps=reps, seed=2,
+                    checkpoints=(1000, N))
     montecarlo._run(cfg, np.arange(reps))
-    assert sizes and 8 * max(sizes) <= montecarlo._BLOCK_BYTES
+    assert shapes and max(shape[-1] for shape in shapes) <= montecarlo._GROUP
+    assert max(np.prod(shape) for shape in shapes) <= 2 * montecarlo._GROUP
+    if reps == 1000:
+        assert sum(np.prod(shape) for shape in shapes) / (N * reps) <= 0.25
 
 
 # ---------------------------------------------------------------------------
