@@ -96,12 +96,6 @@ def propagate(dist: WindowDistribution, rule, model) -> WindowDistribution:
     )
 
 
-def _rule_tables(profile, n0: int, n1: int) -> np.ndarray:
-    if hasattr(profile, "rule_table_chunk"):
-        return profile.rule_table_chunk(n0, n1)
-    return np.stack([profile.rule(n).table for n in range(n0, n1 + 1)])
-
-
 def _signal_laws(model) -> np.ndarray:
     """sig[theta, s]: the signal law under each state of the world."""
     return np.array([model.signal_probs(0), model.signal_probs(1)], dtype=np.float64)
@@ -226,7 +220,7 @@ def sweep(profile, model, N: int, record_after=()) -> dict:
     step = 0
     while step < end:
         hi = min(step + chunk, end)
-        p_one = _step_probs(_rule_tables(profile, step + 1, hi), sig)
+        p_one = _step_probs(profile.rule_table_chunk(step + 1, hi), sig)
         ops = _transition_operators(p_one) if scan else None
         done = step
         while done < hi:
@@ -451,7 +445,7 @@ def k1_diagnostics(profile, model, N: int) -> K1Diagnostics:
         raise ValueError("k1_diagnostics requires a K=1 profile")
     m_blr, M_blr = blr_bounds(model)
     sig = _signal_laws(model)
-    tables = _rule_tables(profile, 1, N)
+    tables = profile.rule_table_chunk(1, N)
     start = np.array([[1.0, 0.0], [1.0, 0.0]])  # x_0 is the zero padding
     seen = _advance(start, _step_probs(tables, sig))[0] > 0.0  # [theta, n, i]
     # The entries are the signal average even where a rule ignores the signal.

@@ -8,7 +8,8 @@ compared byte for byte.
 
 Exit codes: 0 success, 2 invalid model, 3 zero-probability conditioning,
 4 invalid arguments (a flag outside the range its subcommand accepts, an
-unknown profile, a profile whose window length the subcommand cannot
+unknown, unreadable or malformed profile, a myopic horizon whose tables
+cannot be allocated, a profile whose window length the subcommand cannot
 use, or a ``--config`` file that cannot be read or holds a value its
 flag rejects).  Codes 2-4 print a JSON object with ``error`` and ``reason``.
 """
@@ -32,14 +33,13 @@ from .chain import (
 )
 from .game import CheckArgumentError, certified_tail, check_equilibrium
 from .montecarlo import SimConfig, estimate_error
-from .profiles import baseline_profile, designed_profile, myopic_profile, profile_from_json
+from .profiles import MAX_K, baseline_profile, designed_profile, myopic_profile, profile_from_json
 from .schedule import segment_table
 from .signals import ModelError, SignalModel, model_from_dict, quantize
 
 EXIT_MODEL_ERROR = 2
 EXIT_ZERO_PROBABILITY = 3
 EXIT_USAGE_ERROR = 4
-MAX_K = 16  # widest window --k may ask for; a rule table has 2^K x 2 entries
 
 
 class UsageError(ValueError):
@@ -124,7 +124,7 @@ def parse_profile(spec: str, model, K: int, horizon: int):
         if spec == "myopic":
             return myopic_profile(model, K=K, horizon=horizon)
         return baseline_profile(spec, K=K)
-    except (OSError, ValueError) as exc:  # unknown name, bad table or unreadable file
+    except (OSError, ValueError, MemoryError) as exc:  # bad name or file, tables too large
         raise UsageError(f"--profile {spec}: {exc}") from None
 
 

@@ -110,7 +110,7 @@ def _continuation_values(profile, model, n1: int, n2: int, delta: float, horizon
     g = np.zeros((2, count, n_states))
     if delta == 0.0 or horizon == 0:
         return g
-    tables = chain._rule_tables(profile, n1 + 1, n2 + horizon)
+    tables = profile.rule_table_chunk(n1 + 1, n2 + horizon)
     p_one = chain._step_probs(tables, chain._signal_laws(model))
     p_zero = 1.0 - p_one
     newest = np.eye(2)[:, :, None, None]  # [theta, newest decision]
@@ -188,7 +188,7 @@ def check_equilibrium(
     violations, checked, lo = [], 0, n1
     while lo <= n2:
         hi = min(lo + step - 1, n2)
-        tables = chain._rule_tables(profile, lo, hi)
+        tables = profile.rule_table_chunk(lo, hi)
         dists, d = chain._advance(d, chain._step_probs(tables, sig))
         _, valid, value = _values(profile, model, dists, lo, hi, delta, horizon)
         sigma_value = tables * value[..., 1] + (1.0 - tables) * value[..., 0]
@@ -238,7 +238,7 @@ def posterior_sequence(profile, model, n_range: tuple, window=None) -> Posterior
     e = window_code(window, profile.K)
     _, M = blr_bounds(model)
     sig = chain._signal_laws(model)
-    tables = chain._rule_tables(profile, n1, n2)
+    tables = profile.rule_table_chunk(n1, n2)
     dists = chain._advance(_law_before(profile, model, n1), chain._step_probs(tables, sig))[0]
     mass0, mass1 = dists[:, :, e]
     seen = (mass0 != 0.0) | (mass1 != 0.0)

@@ -18,6 +18,8 @@ import numpy as np
 
 from .schedule import RoleKind, segment_table
 
+MAX_K = 16  # widest window a profile may have; a rule table has 2^K x 2 entries
+
 
 def window_code(window, K: int) -> int:
     """Integer code of a window tuple (oldest decision first)."""
@@ -45,7 +47,7 @@ class DecisionRule:
         n_states = table.shape[0]
         if table.ndim != 2 or table.shape[1] != 2 or n_states & (n_states - 1):
             raise ValueError("rule table must have shape (2**K, 2)")
-        if np.any(table < 0.0) or np.any(table > 1.0):
+        if not np.all((table >= 0.0) & (table <= 1.0)):
             raise ValueError("rule entries must be probabilities")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
@@ -54,24 +56,22 @@ class DecisionRule:
     def K(self) -> int:
         return int(self.table.shape[0]).bit_length() - 1
 
-    def prob_one(self, window, s) -> float:
-        return float(self.table[window_code(window, self.K), s])
-
 
 class Profile:
-    """An indexed sequence of decision rules over a window of length K."""
+    """An indexed sequence of decision rules over a window of length K, given
+    as ``rule_table_chunk(n0, n1)``: the tables of agents n0..n1, shape (n,
+    2^K, 2), of which ``rule(n)`` is one row."""
 
-    def __init__(self, K: int, rule_fn, descriptor: str):
+    def __init__(self, K: int, descriptor: str):
         if K < 1:
             raise ValueError("window length K must be >= 1")
         self.K = K
         self.descriptor = descriptor
-        self._rule_fn = rule_fn
 
     def rule(self, n: int) -> DecisionRule:
         if n < 1:
             raise ValueError("agent index must be >= 1")
-        return self._rule_fn(n)
+        return DecisionRule(self.rule_table_chunk(n, n)[0])
 
     def search_table_chunk(self, n0: int, n1: int) -> np.ndarray:
         """Which (window, decision) pairs start a searching phase, for
@@ -105,7 +105,7 @@ class _DefaultRuleProfile(Profile):
         self._default = default.table
         self._overrides = overrides
         self._agents = np.array(sorted(overrides), dtype=np.int64)
-        super().__init__(K, lambda n: overrides.get(n, default), descriptor)
+        super().__init__(K, descriptor)
 
     def rule_table_chunk(self, n0: int, n1: int) -> np.ndarray:
         """Per-agent rule tables for agents n0..n1, shape (n, 2^K, 2): a
@@ -168,18 +168,7 @@ class DesignedProfile(Profile):
     def __init__(self, model):
         self.model = model
         self.segments = segment_table(model)
-        self._cache: dict = {}
-        super().__init__(K=2, rule_fn=self._rule, descriptor="designed")
-
-    def _rule(self, n: int) -> DecisionRule:
-        role = self.segments.role_of(n)
-        key = (role.kind, role.m if role.kind in (RoleKind.S_FIRST, RoleKind.R_FIRST) else None)
-        rule = self._cache.get(key)
-        if rule is None:
-            inv_m = 1.0 / role.m if key[1] is not None else 0.0
-            rule = DecisionRule(DESIGNED_BASE[role.kind] + inv_m * DESIGNED_DELTA[role.kind])
-            self._cache[key] = rule
-        return rule
+        super().__init__(K=2, descriptor="designed")
 
     def rule_table_chunk(self, n0: int, n1: int) -> np.ndarray:
         """Per-agent rule tables for agents n0..n1, shape (n, 4, 2)."""
@@ -218,14 +207,11 @@ class MyopicProfile(Profile):
         self.model = model
         self.horizon = horizon
         self._tables = _myopic_induction(model, K, horizon)
-        super().__init__(K=K, rule_fn=self._rule, descriptor=f"myopic(K={K})")
-
-    def _rule(self, n: int) -> DecisionRule:
-        return DecisionRule(self._tables[min(n, self.horizon) - 1])
+        super().__init__(K=K, descriptor=f"myopic(K={K})")
 
     def rule_table_chunk(self, n0: int, n1: int) -> np.ndarray:
         """Per-agent rule tables for agents n0..n1, shape (n, 2^K, 2);
-        agents past the horizon get the horizon rule, as in ``rule``."""
+        agents past the horizon get the horizon rule."""
         return self._tables[np.minimum(np.arange(n0, n1 + 1), self.horizon) - 1]
 
     def cascade_onset(self) -> int | None:
@@ -271,28 +257,40 @@ def myopic_profile(model, K: int, horizon: int) -> MyopicProfile:
 # ---------------------------------------------------------------------------
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def profile_from_dict(obj: dict) -> Profile:
     """Profile from a JSON-style dict.
 
     Schema: ``{"K": 2, "default": {window: {signal: prob}}, "agents":
     {"5": {...}}}`` where windows are bitstrings, oldest decision first.
-    Missing entries default to deciding 0.
+    Missing entries default to deciding 0.  Any other shape, or K outside
+    [1, MAX_K], raises ``ValueError``.
     """
-    K = int(obj["K"])
+    K = _object(obj, "a profile").get("K")
+    if type(K) is not int or not 1 <= K <= MAX_K:
+        raise ValueError(f"profile K must be an integer in [1, {MAX_K}], got {K!r}")
     n_states = 1 << K
 
-    def build(entry) -> DecisionRule:
+    def build(entry, what) -> DecisionRule:
         table = np.zeros((n_states, 2))
-        for win, by_signal in entry.items():
+        for win, by_signal in _object(entry, what).items():
             code = int(win, 2)
             if not 0 <= code < n_states or len(win) != K:
                 raise ValueError(f"bad window key {win!r} for K={K}")
-            for s, prob in by_signal.items():
-                table[code, int(s)] = float(prob)
+            for s, prob in _object(by_signal, f"window {win!r}").items():
+                if s not in ("0", "1") or type(prob) not in (int, float):
+                    raise ValueError(f"bad entry {s!r}: {prob!r} in window {win!r}")
+                table[code, int(s)] = prob
         return DecisionRule(table)
 
-    default = build(obj.get("default", {}))
-    per_agent = {int(n): build(entry) for n, entry in obj.get("agents", {}).items()}
+    default = build(obj.get("default", {}), "default")
+    agents = _object(obj.get("agents", {}), "agents")
+    per_agent = {int(n): build(entry, f"agent {n}") for n, entry in agents.items()}
     return _DefaultRuleProfile(K, default, per_agent, "custom")
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tandemlearn import RoleKind, SignalModel, rng
+from tandemlearn.profiles import DESIGNED_BASE, DESIGNED_DELTA
 
 
 class TableProfile:
@@ -24,6 +25,19 @@ class TableProfile:
 
     def rule(self, n):
         return self._Rule(self.tables[min(n, len(self.tables)) - 1])
+
+    def rule_table_chunk(self, n0, n1):
+        # Stacked as given, unvalidated: tests may hold entries outside [0, 1].
+        return np.stack([self.rule(n).table for n in range(n0, n1 + 1)])
+
+
+def reference_designed_table(segments, n):
+    """Agent n's designed rule table from its role alone: the base table of
+    its kind plus 1/m times the kind's searching delta at block-first
+    agents.  The reference for ``DesignedProfile.rule_table_chunk``."""
+    role = segments.role_of(n)
+    inv_m = 1.0 / role.m if role.kind in (RoleKind.S_FIRST, RoleKind.R_FIRST) else 0.0
+    return DESIGNED_BASE[role.kind] + inv_m * DESIGNED_DELTA[role.kind]
 
 
 def reference_step(dist, table, sig):

@@ -174,9 +174,24 @@ def test_invalid_model_exit_code():
         ["--profile", "bogus"],
         ["--profile", "copy", "--k", "17"],
         ["--profile", "myopic", "--k", str(10**30)],
+        # Myopic tables of 10^12 x 4 x 2 floats (58 TiB): the allocation fails.
+        ["--profile", "myopic", "--n", "1000000000000", "--checkpoints", "5"],
+        # Profile files that are not well-formed profiles.
+        ["--n", "10", "--profile", {}],
+        ["--n", "10", "--profile", [1, 2]],
+        ["--n", "10", "--profile", {"K": 40}],
+        ["--n", "10", "--profile", {"K": 2, "default": [1]}],
+        ["--n", "10", "--profile", {"K": 2.5}],
+        ["--n", "10", "--profile", {"K": 2, "default": {"00": 1}}],
+        ["--n", "10", "--profile", {"K": 2, "agents": {"3": [0]}}],
+        ["--n", "10", "--profile", {"K": 1, "default": {"0": {"1": None}}}],
     ],
 )
-def test_exact_rejects_bad_range_with_usage_error(flags, capsys):
+def test_exact_rejects_bad_range_with_usage_error(flags, tmp_path, capsys):
+    if not isinstance(flags[-1], str):  # a JSON value: written to a file, passed by path
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(flags[-1]))
+        flags = [*flags[:-1], str(path)]
     rc = main(["exact", "--model", "0.3,0.7", "--profile", "designed", *flags])
     assert rc == EXIT_USAGE_ERROR
     payload = json.loads(capsys.readouterr().out)

@@ -15,7 +15,7 @@ from tandemlearn import (
     role_of,
 )
 from tandemlearn.profiles import code_window, window_code
-from conftest import reference_step
+from conftest import reference_designed_table, reference_step
 
 
 def test_window_code_roundtrip():
@@ -36,6 +36,8 @@ def test_decision_rule_validation():
         DecisionRule(np.ones((3, 2)))  # rows must be a power of two
     with pytest.raises(ValueError):
         DecisionRule(np.full((2, 2), 1.5))  # probabilities only
+    with pytest.raises(ValueError):
+        DecisionRule(np.full((2, 2), np.nan))
     rule = DecisionRule(np.zeros((4, 2)))
     assert rule.K == 2
     with pytest.raises(ValueError):
@@ -123,32 +125,50 @@ def test_designed_block_switch_mass(m37):
 
 def test_designed_rule_chunk_matches_per_agent(m37):
     dp = designed_profile(m37)
-    chunk = dp.rule_table_chunk(1, 60)
-    for n in range(1, 61):
-        assert np.array_equal(chunk[n - 1], dp.rule(n).table)
+    for n0, n1 in [(1, 60), (7, 7), (500, 700)]:
+        chunk = dp.rule_table_chunk(n0, n1)
+        for n in range(n0, n1 + 1):
+            assert np.array_equal(chunk[n - n0], reference_designed_table(dp.segments, n))
 
 
-def _json_profile(K, agents, seed):
+def _json_spec(K, agents, seed):
     rng = np.random.default_rng(seed)
 
     def entry():
         return {format(u, f"0{K}b"): {"0": rng.random(), "1": rng.random()} for u in range(1 << K)}
 
-    return profile_from_dict({"K": K, "default": entry(), "agents": {str(n): entry() for n in agents}})
+    return {"K": K, "default": entry(), "agents": {str(n): entry() for n in agents}}
+
+
+def _spec_table(spec, n):
+    """Agent n's table as its JSON entry spells it out, window by window."""
+    entry = spec["agents"].get(str(n), spec["default"])
+    return np.array([[entry[format(u, f"0{spec['K']}b")][s] for s in "01"]
+                     for u in range(1 << spec["K"])])
 
 
 @pytest.mark.parametrize("K", [1, 3])
 def test_myopic_and_baseline_rule_chunks_match_per_agent(K, m46):
+    """Each chunk row equals an independent reference table: myopic
+    induction's Python loop, clamped at the horizon; the closed forms 0, 1
+    and the predecessor bit; and the JSON spec itself."""
     horizon = 40
-    profiles = [myopic_profile(m46, K, horizon)]
-    profiles += [baseline_profile(kind, K) for kind in ("constant0", "constant1", "copy")]
+    myopic = _myopic_loop(m46, K, horizon)[0]
+    copy = np.repeat(np.arange(1 << K)[:, None] & 1, 2, axis=1).astype(float)
     # Overrides just inside and just outside the ends of each range below.
-    profiles.append(_json_profile(K, [1, 2, 36, 37, 41, 45, 46, 90, 91], seed=K))
-    for prof in profiles:
+    spec = _json_spec(K, [1, 2, 36, 37, 41, 45, 46, 90, 91], seed=K)
+    references = [
+        (myopic_profile(m46, K, horizon), lambda n: myopic[min(n, horizon) - 1]),
+        (baseline_profile("constant0", K), lambda n: np.zeros((1 << K, 2))),
+        (baseline_profile("constant1", K), lambda n: np.ones((1 << K, 2))),
+        (baseline_profile("copy", K), lambda n: copy),
+        (profile_from_dict(spec), lambda n: _spec_table(spec, n)),
+    ]
+    for prof, table in references:
         for n0, n1 in [(1, 1), (1, horizon), (horizon - 3, horizon + 5), (horizon + 2, 90)]:
             chunk = prof.rule_table_chunk(n0, n1)
             assert chunk.shape == (n1 - n0 + 1, 1 << K, 2)
-            expect = np.stack([prof.rule(n).table for n in range(n0, n1 + 1)])
+            expect = np.stack([table(n) for n in range(n0, n1 + 1)])
             assert np.array_equal(chunk, expect), (prof.descriptor, n0, n1)
 
 
