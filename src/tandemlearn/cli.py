@@ -17,6 +17,7 @@ flag rejects).  Codes 2-4 print a JSON object with ``error`` and ``reason``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,6 +41,7 @@ from .signals import ModelError, SignalModel, model_from_dict, quantize
 EXIT_MODEL_ERROR = 2
 EXIT_ZERO_PROBABILITY = 3
 EXIT_USAGE_ERROR = 4
+MAX_N = (1 << 63) - 1  # the largest agent index an int64 agent array holds
 
 
 class UsageError(ValueError):
@@ -149,6 +151,11 @@ def _resolved(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys}
 
 
+def _check_n(n: int) -> None:
+    if not 1 <= n <= MAX_N:
+        raise UsageError(f"--n must lie in [1, 2^63 - 1], got {n}")
+
+
 def cmd_schedule(args) -> int:
     if args.m < 1:
         raise UsageError(f"--m must be >= 1, got {args.m}")
@@ -168,8 +175,7 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
+    _check_n(args.n)
     cps = _checkpoints(args.checkpoints, args.n)
     model = quantize(parse_model(args.model))
     profile = parse_profile(args.profile, model, K=args.k, horizon=args.n)
@@ -178,12 +184,9 @@ def cmd_exact(args) -> int:
     except CheckpointRangeError as exc:
         raise UsageError(str(exc)) from None
     rows = zip(traj.ns, traj.p0_correct, traj.p1_correct, traj.p_correct)
-    _write_csv(
-        args.out,
-        ["n", "p0_correct", "p1_correct", "p_correct"],
-        rows,
-        _resolved(args, ["model", "profile", "n", "k", "checkpoints"]),
-    )
+    # "k" records the window that ran, which a JSON profile sets itself.
+    config = {**_resolved(args, ["model", "profile", "n", "checkpoints"]), "k": profile.K}
+    _write_csv(args.out, ["n", "p0_correct", "p1_correct", "p_correct"], rows, config)
     return 0
 
 
@@ -215,6 +218,7 @@ def cmd_simulate(args) -> int:
             args.seed = int(seed)
         except ValueError:
             raise UsageError(f"TANDEMLEARN_SEED must be an integer, got {seed!r}") from None
+    _check_n(args.n)
     model = quantize(parse_model(args.model))
     cps = _checkpoints(args.checkpoints, args.n)
     profile = parse_profile(args.profile, model, K=args.k, horizon=args.n)
@@ -231,8 +235,8 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:  # no agent, no replication or a checkpoint outside [1, N]
         raise UsageError(str(exc)) from None
     stats = estimate_error(config)
-    resolved = _resolved(args, ["model", "profile", "n", "k", "reps", "seed", "theta"])
-    resolved["checkpoints"] = list(stats.ns)
+    resolved = _resolved(args, ["model", "profile", "n", "reps", "seed", "theta"])
+    resolved.update(k=profile.K, checkpoints=list(stats.ns))
     _write_csv(args.out, ["n", "mean", "se"], zip(stats.ns, stats.mean, stats.se), resolved)
     if args.out_json:
         _write_json(
@@ -282,14 +286,14 @@ def cmd_equilibrium(args) -> int:
                 for v in report.violations
             ],
         },
-        _resolved(args, ["model", "profile", "delta", "eps", "range", "horizon", "k"]),
+        {**_resolved(args, ["model", "profile", "delta", "eps", "range", "horizon"]),
+         "k": profile.K},
     )
     return 0
 
 
 def cmd_k1diag(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
+    _check_n(args.n)
     model = quantize(parse_model(args.model))
     profile = parse_profile(args.profile, model, K=1, horizon=args.n)
     if profile.K != 1:
@@ -357,7 +361,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after."""
     parser = argparse.ArgumentParser(
         prog="tandemlearn", description="Tandem social-learning laboratory"
     )

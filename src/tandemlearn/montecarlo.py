@@ -77,7 +77,7 @@ class PathStats:
 _GROUP = 1 << 15  # streams run together; bounds every per-stream array and draw block
 _TABLE_BYTES = 1 << 21  # bound on one chunk's per-(agent, window) tables
 _WINDOW_BYTES = 128  # bytes of those tables per (agent, window)
-_DRAWS = (rng.KIND_SIGNAL, rng.KIND_RULE)  # drawn together at every random row
+_DRAWS = (rng.KIND_SIGNAL, rng.KIND_RULE)  # drawn together at every stop
 
 
 def _chunk_agents(K: int) -> int:
@@ -92,13 +92,11 @@ class _Jumps:
     i = count is the chunk end) and edges ``(state << 1) | x`` (that agent
     decides x, or sees signal x).  A stop is a state whose row reads the
     signal, has an entry strictly inside (0, 1) or can start a search;
-    every other state takes its ``fixed`` edge without a draw.  Counts run
+    every other state has one edge, which it takes without a draw.  Counts run
     from the chunk start, and a last switch at agent n0 + i reads i + 1."""
 
     n0: int
     end: int  # the first chunk-end state
-    random: np.ndarray  # per state: the row needs the signal and rule draws
-    fixed: np.ndarray  # per state: its edge where the row draws nothing
     entry: np.ndarray  # per edge: the rule entry under that signal
     start: tuple  # per window u: (next stop, switches, last switch) from state u
     edge: tuple  # per edge: (next stop, switches, last switch) from that decision on
@@ -140,8 +138,6 @@ def _jump_tables(tables: np.ndarray, search: np.ndarray, n0: int) -> _Jumps:
     return _Jumps(
         n0=n0,
         end=end,
-        random=random,
-        fixed=fixed,
         entry=entry,
         start=(nxt[:n_states], sw[:n_states], lst[:n_states]),
         edge=(nxt.take(succ), sw.take(succ) + (last > 0), np.maximum(last, lst.take(succ))),
@@ -149,17 +145,19 @@ def _jump_tables(tables: np.ndarray, search: np.ndarray, n0: int) -> _Jumps:
     )
 
 
-def _walk(jumps: _Jumps, config: SimConfig, streams, p_sig, win, switches, last_switch,
-          searching):
+def _walk(jumps: _Jumps, keys, p_sig, win, switches, last_switch, searching):
     """Move every stream through one chunk, stop to stop, adding the
-    chunk's counts to the per-stream arrays.  Each pass moves each stream
-    still inside the chunk through its own next stop and on to the one
-    after."""
-    K = config.profile.K
+    chunk's counts to the per-stream arrays.  Each pass draws for every
+    stream still inside the chunk at its own next stop, from its key (see
+    ``rng.stream_key``) and its agent's step key, and moves it on to the
+    stop after.  A stop whose row draws nothing (it can start a search)
+    has entries of 0 or 1, which every draw in [0, 1) reads alike."""
+    K = len(jumps.start[0]).bit_length() - 1  # start holds one entry per window
+    steps = rng.step_key(np.arange(jumps.n0, jumps.n0 + (jumps.end >> K), dtype=np.uint64))
     stop, sw, last = jumps.start
-    live = np.arange(len(streams))
+    live = np.arange(len(keys))
     at, sw, last = stop.take(win), sw.take(win), last.take(win)
-    srch = np.zeros(len(streams), dtype=np.int32)
+    srch = np.zeros(len(keys), dtype=np.int32)
     stop, more, later = jumps.edge
     while True:
         done = at >= jumps.end
@@ -171,19 +169,15 @@ def _walk(jumps: _Jumps, config: SimConfig, streams, p_sig, win, switches, last_
             last_switch[out] = np.where(since > 0, since + np.int64(jumps.n0 - 1), last_switch[out])
             keep = ~done
             live, at, sw, last, srch = live[keep], at[keep], sw[keep], last[keep], srch[keep]
+            keys, p_sig = keys[keep], p_sig[keep]
             if not len(live):
                 return
-        edge = jumps.fixed.take(at)
-        draw = jumps.random.take(at).nonzero()[0]
-        if len(draw):
-            who, where = live.take(draw), at.take(draw) << 1
-            agents = (where >> (K + 1)) + jumps.n0
-            u = rng.uniform(config.seed, streams.take(who), agents, _DRAWS)
-            signal = u[0] < p_sig.take(who)
-            edge[draw] = where | (u[1] < jumps.entry.take(where | signal))
-        srch = srch + jumps.search.take(edge)
-        sw = sw + more.take(edge)
-        last = np.maximum(last, later.take(edge))
+        u = rng.finish(keys, steps.take(at >> K), _DRAWS)
+        edge = at << 1
+        edge |= u[1] < jumps.entry.take(edge | (u[0] < p_sig))
+        srch += jumps.search.take(edge)
+        sw += more.take(edge)
+        np.maximum(last, later.take(edge), out=last)
         at = stop.take(edge)
 
 
@@ -216,6 +210,7 @@ def _run(config: SimConfig, streams: np.ndarray):
     else:
         theta = np.full(R, int(config.theta), dtype=np.int64)
     p_sig = np.where(theta == 1, model.p1, model.p0)
+    keys = rng.stream_key(config.seed, streams)
     win = np.zeros(R, dtype=np.int64)  # the window before agent 1 is zero
     switches = np.zeros(R, dtype=np.int64)
     searching = np.zeros(R, dtype=np.int64)
@@ -229,7 +224,7 @@ def _run(config: SimConfig, streams: np.ndarray):
             n1 = min(n0 + size - 1, end)
             tables = profile.rule_table_chunk(n0, n1)
             jumps = _jump_tables(tables, profile.search_table_chunk(n0, n1), n0)
-            _walk(jumps, config, streams, p_sig, win, switches, last_switch, searching)
+            _walk(jumps, keys, p_sig, win, switches, last_switch, searching)
             n0 = n1 + 1
         if end in config.checkpoints:
             decisions[end] = win & 1  # the low bit of the window is the last decision

@@ -268,8 +268,8 @@ def profile_from_dict(obj: dict) -> Profile:
 
     Schema: ``{"K": 2, "default": {window: {signal: prob}}, "agents":
     {"5": {...}}}`` where windows are bitstrings, oldest decision first.
-    Missing entries default to deciding 0.  Any other shape, or K outside
-    [1, MAX_K], raises ``ValueError``.
+    Missing entries default to deciding 0.  Any other shape, K outside
+    [1, MAX_K] or an agent key below 1 raises ``ValueError``.
     """
     K = _object(obj, "a profile").get("K")
     if type(K) is not int or not 1 <= K <= MAX_K:
@@ -291,6 +291,9 @@ def profile_from_dict(obj: dict) -> Profile:
     default = build(obj.get("default", {}), "default")
     agents = _object(obj.get("agents", {}), "agents")
     per_agent = {int(n): build(entry, f"agent {n}") for n, entry in agents.items()}
+    low = sorted(n for n in per_agent if n < 1)
+    if low:
+        raise ValueError(f"agent keys must be >= 1, got {low}")
     return _DefaultRuleProfile(K, default, per_agent, "custom")
 
 

@@ -71,14 +71,18 @@ def test_exact_command_matches_library(tmp_path, m37):
 
 
 def test_simulate_command_reproducible(tmp_path):
+    """Two identical calls in one process, which share the parser built by
+    the first, write the same artifacts byte for byte."""
     args = [
         "simulate", "--model", "0.3,0.7", "--profile", "designed",
         "--n", "300", "--reps", "50", "--seed", "9", "--checkpoints", "100,300",
     ]
-    out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(args + ["--out", str(out_a)]) == 0
-    assert main(args + ["--out", str(out_b)]) == 0
-    assert _read_csv(out_a) == _read_csv(out_b)
+    written = []
+    for name in ("a", "b"):
+        out, out_json = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        assert main(args + ["--out", str(out), "--out-json", str(out_json)]) == 0
+        written.append((out.read_bytes(), out_json.read_bytes()))
+    assert written[0] == written[1]
 
 
 def test_simulate_json_summary(tmp_path):
@@ -92,6 +96,31 @@ def test_simulate_json_summary(tmp_path):
     assert payload["reps"] == 20
     assert "census_median" in payload and "switches_quantiles" in payload
     assert payload["config"]["seed"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, k",
+    [
+        (["exact", "--n", "10"], 1),
+        (["simulate", "--n", "10", "--reps", "3", "--seed", "0"], 1),
+        (["equilibrium", "--range", "1..5"], 1),
+        (["exact", "--profile", "designed", "--k", "3", "--n", "10"], 2),
+    ],
+)
+def test_config_records_the_window_that_ran(argv, k, tmp_path, capsys):
+    """``k`` in an artifact's config is the profile's own window length,
+    not the --k flag it did not use."""
+    path = tmp_path / "k1.json"
+    path.write_text(json.dumps({"K": 1, "default": {"0": {"1": 1.0}, "1": {"0": 1.0, "1": 1.0}}}))
+    if "--profile" not in argv:
+        argv = [*argv, "--profile", str(path)]
+    assert main([*argv, "--model", "0.3,0.7"]) == 0
+    text = capsys.readouterr().out
+    if argv[0] == "equilibrium":
+        config = json.loads(text)["config"]
+    else:
+        config = json.loads(text.splitlines()[1].removeprefix("# config: "))
+    assert config["k"] == k
 
 
 def test_series_command(tmp_path):
@@ -185,6 +214,11 @@ def test_invalid_model_exit_code():
         ["--n", "10", "--profile", {"K": 2, "default": {"00": 1}}],
         ["--n", "10", "--profile", {"K": 2, "agents": {"3": [0]}}],
         ["--n", "10", "--profile", {"K": 1, "default": {"0": {"1": None}}}],
+        # Per-agent overrides must name agents 1, 2, ...
+        ["--n", "10", "--profile", {"K": 1, "agents": {"0": {}, "-4": {}}}],
+        # Agent indices beyond int64 (the simulate case is in the test below).
+        ["--n", str(2**63), "--checkpoints", "5"],
+        ["--n", str(10**30), "--checkpoints", "5"],
     ],
 )
 def test_exact_rejects_bad_range_with_usage_error(flags, tmp_path, capsys):
@@ -229,6 +263,8 @@ def test_equilibrium_rejects_bad_arguments_with_usage_error(flags, capsys):
         ["simulate", "--n", "10", "--seed", str(2**64)],
         ["schedule", "--m", "0"],
         ["schedule", "--m", "-3"],
+        ["simulate", "--profile", "copy", "--n", str(10**30), "--reps", "1", "--checkpoints", "5"],
+        ["simulate", "--profile", "copy", "--n", str(2**63), "--reps", "1", "--checkpoints", "5"],
     ],
 )
 def test_bad_arguments_exit_with_usage_error(argv, capsys):

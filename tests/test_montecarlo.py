@@ -279,24 +279,26 @@ def test_run_matches_reference_with_offset_and_forced_state(theta, offset, m46, 
 def test_draws_stay_within_the_group_bound(reps, group, m37, monkeypatch):
     """Every draw array holds at most one entry per kind and stream of a
     group, and the designed profile at N=2500, R=1000 draws at most 0.25
-    uniforms per agent-replication (its stops are about 9% of them)."""
+    uniforms per agent-replication (its stops are about 9% of them).
+    Every draw, the walk's and the world's, is finished by ``rng.finish``."""
     if group is not None:
         monkeypatch.setattr(montecarlo, "_GROUP", group)
     shapes = []
-    real = rng.uniform
+    real = rng.finish
 
     def counted(*args):
         out = real(*args)
         shapes.append(np.shape(out))
         return out
 
-    monkeypatch.setattr(rng, "uniform", counted)
+    monkeypatch.setattr(rng, "finish", counted)
     N = 2500
     cfg = SimConfig(profile=designed_profile(m37), model=m37, N=N, reps=reps, seed=2,
                     checkpoints=(1000, N))
     montecarlo._run(cfg, np.arange(reps))
     assert shapes and max(shape[-1] for shape in shapes) <= montecarlo._GROUP
     assert max(np.prod(shape) for shape in shapes) <= 2 * montecarlo._GROUP
+    assert sum(len(shape) == 2 for shape in shapes) > 1  # the walk's (kind, stream) blocks
     if reps == 1000:
         assert sum(np.prod(shape) for shape in shapes) / (N * reps) <= 0.25
 

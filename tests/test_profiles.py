@@ -267,3 +267,12 @@ def test_profile_from_dict_and_json(tmp_path):
 def test_profile_from_dict_rejects_bad_probability():
     with pytest.raises(ValueError):
         profile_from_dict({"K": 1, "default": {"0": {"0": 2.0, "1": 1.0}, "1": {"0": 0.0, "1": 1.0}}})
+
+
+@pytest.mark.parametrize("key", ["0", "-4"])
+def test_profile_from_dict_rejects_agent_keys_below_one(key):
+    """Agents are numbered from 1: an override keyed 0 or below would never
+    be read, so it is an error rather than silently dropped."""
+    spec = {"K": 1, "agents": {"3": {"0": {"0": 1.0}}, key: {"0": {"0": 1.0}}}}
+    with pytest.raises(ValueError, match="agent keys"):
+        profile_from_dict(spec)

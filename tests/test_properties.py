@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from tandemlearn import SignalModel, blr_bounds, designed_profile
 from tandemlearn.chain import WindowDistribution, block_start_masses, propagate
-from tandemlearn.rng import KIND_RULE, KIND_SIGNAL, KIND_WORLD, uniform
+from tandemlearn.rng import (
+    KIND_RULE, KIND_SIGNAL, KIND_WORLD, finish, step_key, stream_key, uniform,
+)
 from tandemlearn.schedule import segment_table
 from conftest import TableProfile
 
@@ -116,3 +118,24 @@ def test_rng_reproducibility_invariant(seed, stream, step, kind):
     vec = uniform(seed, np.array([stream, stream + 1]), step, kind)
     assert vec[0] == u
     assert vec.shape == (2,)
+
+
+@CASES
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    streams=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    agents=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=4),
+)
+def test_split_draw_invariant(seed, streams, agents):
+    """The Monte Carlo walk's draw, a key per stream and a step key per
+    agent finished for both kinds in one call, equals the scalar draw of
+    every (seed, stream, agent, kind)."""
+    keys = stream_key(seed, np.array(streams, dtype=np.uint64))
+    steps = step_key(np.array(agents, dtype=np.int64))
+    kinds = (KIND_SIGNAL, KIND_RULE)
+    block = finish(keys, steps[:, None], kinds)
+    assert block.shape == (2, len(agents), len(streams))
+    for k, kind in enumerate(kinds):
+        for i, agent in enumerate(agents):
+            for j, stream in enumerate(streams):
+                assert block[k, i, j] == uniform(seed, stream, agent, kind)
