@@ -29,7 +29,7 @@ HAVE_NUMBA = False
 
 DRIFT_TOLERANCE = 1e-9
 _CHUNK = 1 << 12  # agents per chunk of rule tables
-_SCAN_MAX_K = 5  # widest window whose stretches are composed as matrices
+_SCAN_MAX_K = 5  # widest window whose chunks are composed as matrices
 _CHUNK_BYTES = 1 << 20  # bound on one chunk's per-agent arrays
 
 
@@ -189,54 +189,73 @@ def _chunk_agents(K: int) -> int:
     return max(1, min(_CHUNK, _CHUNK_BYTES // per_agent))
 
 
+def agent_chunks(n0: int, n1: int, size: int, cuts=()):
+    """The agents n0..n1 as ranges (lo, hi), in order.
+
+    A range ends at every cut in [n0, n1), at n1, and otherwise on the
+    grid n0 + k * size - 1, so no range holds more than ``size`` agents
+    and a cut moves no other range end.
+    """
+    lo = n0
+    for cut in sorted({c for c in cuts if n0 <= c < n1} | {n1}):
+        while lo <= cut:
+            hi = min(cut, lo + size - 1 - (lo - n0) % size)
+            yield lo, hi
+            lo = hi + 1
+
+
 def sweep(profile, model, N: int, record_after=()) -> dict:
     """Run the exact window chain through agents 1..N.
 
-    Returns {step: (d0, d1)} snapshots of the window distribution taken
-    after the decision of agent ``step`` (step 0 is the initial
-    zero-padded point mass, i.e. the distribution of v_1).
+    Returns {step: laws}, where laws (2, S) holds the window distribution
+    under each state of the world after the decision of agent ``step``
+    (step 0 is the initial zero-padded point mass, i.e. the law of v_1).
 
-    Each chunk of agents is turned into transition matrices once, and the
-    stretch between consecutive record points (or chunk ends) is applied
-    as one composed product.  Composing costs O(S^3) per agent, so for
-    K > _SCAN_MAX_K agents are applied one at a time in O(S) instead.
+    The agents up to the last record point are taken in chunks cut at
+    every record point, and each chunk is turned into transition matrices
+    and applied as one composed product.  Composing costs O(S^3) per
+    agent, so for K > _SCAN_MAX_K agents are applied one at a time in
+    O(S) instead.
     """
-    points = sorted(set(int(s) for s in record_after))
-    if points and (points[0] < 0 or points[-1] > N):
+    points = set(int(s) for s in record_after)
+    if points and (min(points) < 0 or max(points) > N):
         raise ValueError("record points must lie in [0, N]")
-    n_states = 1 << profile.K
-    scan = profile.K <= _SCAN_MAX_K
-    d = np.zeros((2, n_states))
+    d = np.zeros((2, 1 << profile.K))
     d[:, 0] = 1.0
     sig = _signal_laws(model)
-    snapshots = {}
-    if points and points[0] == 0:
-        snapshots[0] = (d[0].copy(), d[1].copy())
-        points = points[1:]
-    chunk = _chunk_agents(profile.K)
-    end = points[-1] if points else 0
-    pending = iter(points)
-    target = next(pending, None)
-    step = 0
-    while step < end:
-        hi = min(step + chunk, end)
-        p_one = _step_probs(profile.rule_table_chunk(step + 1, hi), sig)
-        ops = _transition_operators(p_one) if scan else None
-        done = step
-        while done < hi:
-            stop = min(target, hi)
-            a, b = done - step, stop - step
-            if scan:
-                d = np.matmul(d[:, None, :], _compose(ops[:, a:b]))[:, 0]
-            else:
-                d = _advance(d, p_one[:, a:b])[1]
-            d /= _mass(d)
-            if stop == target:
-                snapshots[target] = (d[0].copy(), d[1].copy())
-                target = next(pending, None)
-            done = stop
-        step = hi
-    return snapshots
+    laws = {0: d.copy()} if 0 in points else {}
+    for lo, hi in agent_chunks(1, max(points, default=0), _chunk_agents(profile.K), points):
+        p_one = _step_probs(profile.rule_table_chunk(lo, hi), sig)
+        if profile.K <= _SCAN_MAX_K:
+            d = np.matmul(d[:, None, :], _compose(_transition_operators(p_one)))[:, 0]
+        else:
+            d = _advance(d, p_one)[1]
+        d /= _mass(d)
+        if hi in points:
+            laws[hi] = d.copy()
+    return laws
+
+
+def law_walk(profile, model, n0: int, n1: int, horizon: int = 0):
+    """Walk the window laws through agents n0..n1, chunk by chunk.
+
+    Yields (lo, tables, p_one, before) for each chunk lo..hi: the rule
+    tables (n, S, 2) and step probabilities (2, n, S) of agents lo..hi +
+    horizon, and the per-theta laws (2, hi - lo + 1, S) of the window
+    before each agent lo..hi.  The law before n0 comes from ``sweep``;
+    from there the laws advance one agent at a time with nothing
+    rescaled, so no value depends on the chunks.  A chunk and its horizon
+    hold at most _CHUNK_BYTES / (32 S) agents, so the step probabilities
+    and a caller's [n, u, s, y] arrays stay within _CHUNK_BYTES.
+    """
+    sig = _signal_laws(model)
+    d = sweep(profile, model, n0 - 1, [n0 - 1])[n0 - 1]
+    size = max(1, _CHUNK_BYTES // (32 << profile.K) - horizon)
+    for lo, hi in agent_chunks(n0, n1, size):
+        tables = profile.rule_table_chunk(lo, hi + horizon)
+        p_one = _step_probs(tables, sig)
+        before, d = _advance(d, p_one[:, : hi - lo + 1])
+        yield lo, tables, p_one, before
 
 
 def window_distributions(profile, model, ns) -> dict:
@@ -264,11 +283,9 @@ class Trajectory:
         return 0.5 * (self.p0_correct + self.p1_correct)
 
 
-def _correct_probs(d0: np.ndarray, d1: np.ndarray) -> tuple[float, float]:
+def _correct_probs(laws: np.ndarray) -> tuple[float, float]:
     # After agent n acts, the low bit of the window code is x_n.
-    even = slice(0, None, 2)
-    odd = slice(1, None, 2)
-    return float(d0[even].sum()), float(d1[odd].sum())
+    return float(laws[0, 0::2].sum()), float(laws[1, 1::2].sum())
 
 
 def error_trajectory(profile, model, N: int, checkpoints=None) -> Trajectory:
@@ -282,7 +299,7 @@ def error_trajectory(profile, model, N: int, checkpoints=None) -> Trajectory:
     p0 = np.empty(len(ns))
     p1 = np.empty(len(ns))
     for i, n in enumerate(ns):
-        p0[i], p1[i] = _correct_probs(*snaps[n])
+        p0[i], p1[i] = _correct_probs(snaps[n])
     return Trajectory(ns=np.asarray(ns), p0_correct=p0, p1_correct=p1)
 
 
@@ -351,13 +368,10 @@ def block_start_masses(profile, model, segments: int):
     forces to zero at block starts).
     """
     tab = segment_table(model)
-    agents = [tab.block_start_agent(i) for i in range(1, 2 * segments + 1)]
-    dists = window_distributions(profile, model, agents)
-    pi0 = np.array([dists[a].d0[3] for a in agents])
-    pi1 = np.array([dists[a].d1[3] for a in agents])
-    imp0 = np.array([dists[a].d0[1] + dists[a].d0[2] for a in agents])
-    imp1 = np.array([dists[a].d1[1] + dists[a].d1[2] for a in agents])
-    return (pi0, pi1), (imp0, imp1)
+    before = [tab.block_start_agent(i) - 1 for i in range(1, 2 * segments + 1)]
+    laws = sweep(profile, model, before[-1], before)
+    d = np.array([laws[n] for n in before])  # [block, theta, window]
+    return (d[:, 0, 3], d[:, 1, 3]), (d[:, 0, 1] + d[:, 0, 2], d[:, 1, 1] + d[:, 1, 2])
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ compared byte for byte.
 
 Exit codes: 0 success, 2 invalid model, 3 zero-probability conditioning,
 4 invalid arguments (a flag outside the range its subcommand accepts, an
-unknown, unreadable or malformed profile, a myopic horizon whose tables
-cannot be allocated, a profile whose window length the subcommand cannot
-use, or a ``--config`` file that cannot be read or holds a value its
-flag rejects).  Codes 2-4 print a JSON object with ``error`` and ``reason``.
+unknown, unreadable or malformed profile, a myopic horizon or a series
+length whose tables cannot be allocated, a profile whose window length
+the subcommand cannot use, or a ``--config`` file that cannot be read or
+holds a value its flag rejects).  Codes 2-4 print a JSON object with
+``error`` and ``reason``.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def cmd_series(args) -> int:
     cps = _checkpoints(args.checkpoints, args.m)
     try:
         diag = series_diagnostics(model, args.m, cps)
-    except ValueError as exc:  # M < 2 or a checkpoint outside [1, M]
+    except (ValueError, MemoryError) as exc:  # M < 2, a checkpoint outside [1, M], no memory
         raise UsageError(str(exc)) from None
     rows = zip(diag.checkpoints, diag.sum_p1k, diag.sum_q1r, diag.sum_p0k, diag.sum_q0r)
     _write_csv(
@@ -361,19 +362,23 @@ _COMMANDS = {
 }
 
 
+def _add_flags(parser, command: str) -> None:
+    """Add the flags of ``command`` to ``parser``, without their defaults."""
+    for flag, kwargs in {**_COMMON_FLAGS, **_COMMANDS[command][1]}.items():
+        parser.add_argument(flag, **{k: v for k, v in kwargs.items() if k != "default"})
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared after."""
+    """The command-line parser, built on the first call and shared after.
+    A subcommand's namespace holds only the flags given on the command line."""
     parser = argparse.ArgumentParser(
         prog="tandemlearn", description="Tandem social-learning laboratory"
     )
     parser.add_argument("--config", help="JSON file with default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, flags) in _COMMANDS.items():
-        p = sub.add_parser(name)
-        p.set_defaults(func=fn)
-        for flag, kwargs in {**_COMMON_FLAGS, **flags}.items():
-            p.add_argument(flag, **kwargs)
+    for name in _COMMANDS:
+        _add_flags(sub.add_parser(name, argument_default=argparse.SUPPRESS), name)
     return parser
 
 
@@ -394,8 +399,7 @@ def _config_values(path, command: str, given: set) -> dict:
         add_help=False, allow_abbrev=False, exit_on_error=False,
         argument_default=argparse.SUPPRESS,
     )
-    for flag, kwargs in {**_COMMON_FLAGS, **_COMMANDS[command][1]}.items():
-        parser.add_argument(flag, **{k: v for k, v in kwargs.items() if k != "default"})
+    _add_flags(parser, command)
     tokens = [
         f"--{key.replace('_', '-')}={value}"
         for key, value in config.items()
@@ -409,21 +413,15 @@ def _config_values(path, command: str, given: set) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    tokens = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(tokens)
+    given = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        if args.config:
-            # JSON config supplies values for flags not given on the command
-            # line; explicit flags always win.
-            given = {
-                tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-                for tok in tokens
-                if tok.startswith("--")
-            }
-            for attr, value in _config_values(args.config, args.command, given).items():
-                setattr(args, attr, value)
-        rc = args.func(args)
+        # Explicit flags beat the --config file, which beats the defaults.
+        flags = {**_COMMON_FLAGS, **_COMMANDS[given.command][1]}
+        values = {flag[2:].replace("-", "_"): kw.get("default") for flag, kw in flags.items()}
+        if given.config:
+            values.update(_config_values(given.config, given.command, set(vars(given))))
+        args = argparse.Namespace(**{**values, **vars(given)})
+        rc = _COMMANDS[args.command][0](args)
     except ModelError as exc:
         _write_json(None, {"error": "model", "reason": str(exc)}, {})
         return EXIT_MODEL_ERROR

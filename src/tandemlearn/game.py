@@ -97,47 +97,45 @@ def certified_tail(n_range: tuple, delta: float, eps: float, horizon: int) -> fl
     return tail
 
 
-def _continuation_values(profile, model, n1: int, n2: int, delta: float, horizon: int):
-    """G[theta, n - n1, w]: the sum over t = 1..T of delta^t P^theta(x_{n+t}
-    = theta | v_{n+1} = w), for the agents n = n1..n2 and every window w.
+def _continuation_values(p_one: np.ndarray, delta: float, horizon: int):
+    """G[theta, i, w]: the sum over t = 1..T of delta^t P^theta(x_{n+t} =
+    theta | v_{n+1} = w), for the i-th agent n of a run n1..n2 and every
+    window w.  ``p_one`` (2, n2 - n1 + 1 + T, S) holds the step
+    probabilities of agents n1..n2 + T.
 
     One backward (Horner) recursion over depth t = T..1 serves all n:
     g <- delta P_{n+t}(e_theta + g), where e_theta marks the windows whose
     newest decision is theta and (P_k f)(u) = p_k(u) f(2r + 1) + (1 -
     p_k(u)) f(2r) for r = u mod S/2, the two windows that follow u.
     """
-    count, n_states = n2 - n1 + 1, 1 << profile.K
+    _, count, n_states = p_one.shape
+    count -= horizon
     g = np.zeros((2, count, n_states))
     if delta == 0.0 or horizon == 0:
         return g
-    tables = profile.rule_table_chunk(n1 + 1, n2 + horizon)
-    p_one = chain._step_probs(tables, chain._signal_laws(model))
     p_zero = 1.0 - p_one
     newest = np.eye(2)[:, :, None, None]  # [theta, newest decision]
     for t in range(horizon, 0, -1):
-        p = p_one[:, t - 1 : t - 1 + count].reshape(2, count, 2, -1)
-        q = p_zero[:, t - 1 : t - 1 + count].reshape(2, count, 2, -1)
+        p = p_one[:, t : t + count].reshape(2, count, 2, -1)
+        q = p_zero[:, t : t + count].reshape(2, count, 2, -1)
         f_lo = (g[:, :, 0::2] + newest[:, 0])[:, :, None]
         f_hi = (g[:, :, 1::2] + newest[:, 1])[:, :, None]
         g = (delta * (p * f_hi + q * f_lo)).reshape(2, count, n_states)
     return g
 
 
-def _law_before(profile, model, n: int) -> np.ndarray:
-    """Per-theta law of the window v_n, shape (2, S)."""
-    return np.stack(chain.sweep(profile, model, n - 1, [n - 1])[n - 1])
+def _values(dists, p_one, sig, delta: float, horizon: int):
+    """(post1, valid, value) over the triples (n, u, s) of a run of agents.
 
-
-def _values(profile, model, dists, n1: int, n2: int, delta: float, horizon: int):
-    """(post1, valid, value) over the triples (n, u, s) of agents n1..n2.
-
-    ``dists[theta, n - n1]`` is the law of v_n.  post1 is P(theta=1 | v_n
-    = u, s_n = s), valid marks the triples of positive probability, and
-    value[n, u, s, y] is the truncated payoff of playing y there.
+    ``dists[theta, i]`` is the law of v_n for the i-th agent n of the run,
+    ``p_one`` the step probabilities of the run and the T agents after it
+    and ``sig[theta]`` the signal law.  post1 is P(theta=1 | v_n = u, s_n
+    = s), valid marks the triples of positive probability, and value[n,
+    u, s, y] is the truncated payoff of playing y there.
     """
-    K, sig = profile.K, chain._signal_laws(model)
-    start = ((np.arange(1 << K)[:, None] << 1) | np.arange(2)) & ((1 << K) - 1)  # [u, y]
-    cont = _continuation_values(profile, model, n1, n2, delta, horizon)[:, :, start]
+    n_states = dists.shape[-1]
+    start = ((np.arange(n_states)[:, None] << 1) | np.arange(2)) & (n_states - 1)  # [u, y]
+    cont = _continuation_values(p_one, delta, horizon)[:, :, start]
     w = dists[:, :, :, None] * sig[:, None, None, :]  # [theta, n, u, s]
     valid = w[0] + w[1] != 0.0
     with np.errstate(invalid="ignore"):
@@ -150,8 +148,10 @@ def _values(profile, model, dists, n1: int, n2: int, delta: float, horizon: int)
 def payoff(profile, model, query: PayoffQuery) -> PayoffResult:
     """Truncated conditional expected payoff U_n(action; window, signal)."""
     n, u, s = query.n, window_code(query.window, profile.K), query.s
-    dists = _law_before(profile, model, n)[:, None]
-    post1, valid, value = _values(profile, model, dists, n, n, query.delta, query.horizon)
+    _, _, p_one, dists = next(chain.law_walk(profile, model, n, n, query.horizon))
+    post1, valid, value = _values(
+        dists, p_one, chain._signal_laws(model), query.delta, query.horizon
+    )
     if not valid[0, u, s]:
         raise ZeroProbabilityError(
             f"window {u:0{profile.K}b} with signal {s} has probability zero at n={n}"
@@ -171,26 +171,17 @@ def check_equilibrium(
 
     A violation is recorded only when the alternative action beats the
     profile's (possibly randomized) action by more than eps plus twice
-    the truncation tail, so it survives un-truncation.  Agents go in
-    chunks; in each the window laws advance one agent at a time and the
-    argmax runs on arrays over the (n, u, s) triples.
+    the truncation tail, so it survives un-truncation.  Agents go in the
+    chunks of ``chain.law_walk``, and in each the argmax runs on arrays
+    over the (n, u, s) triples.
     """
     tail = certified_tail(n_range, delta, eps, horizon)
     n1, n2 = n_range
     K, sig = profile.K, chain._signal_laws(model)
-    d = _law_before(profile, model, n1)
-    # A chunk and its horizon hold at most _CHUNK_BYTES / (32 S) agents, so the
-    # step probabilities and [n, u, s, y] values stay within _CHUNK_BYTES; with
-    # stop_after, chunks start at one agent and double, so an early stop does
-    # about twice the work up to it.
-    size = max(1, chain._CHUNK_BYTES // (32 << K) - horizon)
-    step = size if stop_after is None else 1
-    violations, checked, lo = [], 0, n1
-    while lo <= n2:
-        hi = min(lo + step - 1, n2)
-        tables = profile.rule_table_chunk(lo, hi)
-        dists, d = chain._advance(d, chain._step_probs(tables, sig))
-        _, valid, value = _values(profile, model, dists, lo, hi, delta, horizon)
+    violations, checked = [], 0
+    for lo, tables, p_one, dists in chain.law_walk(profile, model, n1, n2, horizon):
+        _, valid, value = _values(dists, p_one, sig, delta, horizon)
+        tables = tables[: dists.shape[1]]
         sigma_value = tables * value[..., 1] + (1.0 - tables) * value[..., 0]
         best_action = (value[..., 1] >= value[..., 0]).astype(int)
         best_value = np.where(best_action == 1, value[..., 1], value[..., 0])
@@ -209,7 +200,6 @@ def check_equilibrium(
             ))
         if stop:
             break
-        lo, step = hi + 1, min(2 * step, size)
     return EquilibriumReport(violations, (n1, n2), eps, delta, horizon, tail, checked)
 
 
@@ -238,9 +228,9 @@ def posterior_sequence(profile, model, n_range: tuple, window=None) -> Posterior
     e = window_code(window, profile.K)
     _, M = blr_bounds(model)
     sig = chain._signal_laws(model)
-    tables = profile.rule_table_chunk(n1, n2)
-    dists = chain._advance(_law_before(profile, model, n1), chain._step_probs(tables, sig))[0]
-    mass0, mass1 = dists[:, :, e]
+    walk = list(chain.law_walk(profile, model, n1, n2))
+    mass0, mass1 = np.concatenate([dists[:, :, e] for _, _, _, dists in walk], axis=1)
+    rows = np.concatenate([tables[:, e] for _, tables, _, _ in walk])
     seen = (mass0 != 0.0) | (mass1 != 0.0)
     keep = lambda x: np.where(seen, x, np.nan)  # noqa: E731 - NaN where v_n = window is impossible
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -248,7 +238,7 @@ def posterior_sequence(profile, model, n_range: tuple, window=None) -> Posterior
         ratio = (mass1 / mass0) / M
         f_lower = np.where(mass0 > 0.0, ratio / (1.0 + ratio), 1.0)
         pi = mass1 / (mass0 + mass1)
-    gamma = sig[1, 0] * (1.0 - tables[:, e, 0]) + sig[1, 1] * (1.0 - tables[:, e, 1])
+    gamma = sig[1, 0] * (1.0 - rows[:, 0]) + sig[1, 1] * (1.0 - rows[:, 1])
     return PosteriorSequence(
         np.arange(n1, n2 + 1), tuple(window), keep(pi), {0: keep(f[:, 0]), 1: keep(f[:, 1])},
         keep(f_lower), keep(gamma),

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .chain import agent_chunks
 
 
 @dataclass(frozen=True)
@@ -184,13 +185,14 @@ def _walk(jumps: _Jumps, keys, p_sig, win, switches, last_switch, searching):
 def _run(config: SimConfig, streams: np.ndarray):
     """Vectorized simulation of one path per stream id, stop to stop.
 
-    Agents are taken in table chunks, cut at every checkpoint.  Within a
-    chunk each stream jumps from one stop (a row that draws or can start a
-    search, see ``_Jumps``) to the next by one table lookup, and the
-    signal and the rule are drawn only at stops, both in one call.  A row
-    passed without a draw decides alike for every draw, and since each
-    draw is a pure function of its key, skipping it leaves every output
-    bit as it was.  More streams than ``_GROUP`` run in groups.
+    Agents are taken in table chunks (``chain.agent_chunks``), cut at
+    every checkpoint.  Within a chunk each stream jumps from one stop (a
+    row that draws or can start a search, see ``_Jumps``) to the next by
+    one table lookup, and the signal and the rule are drawn only at stops,
+    both in one call.  A row passed without a draw decides alike for every
+    draw, and since each draw is a pure function of its key, skipping it
+    leaves every output bit as it was.  More streams than ``_GROUP`` run
+    in groups.
     """
     if len(streams) > _GROUP:
         parts = [_run(config, streams[i : i + _GROUP]) for i in range(0, len(streams), _GROUP)]
@@ -217,18 +219,13 @@ def _run(config: SimConfig, streams: np.ndarray):
     last_switch = np.zeros(R, dtype=np.int64)
     decisions = {}
     census = {}
-    size = _chunk_agents(profile.K)
-    n0 = 1
-    for end in sorted({*config.checkpoints, config.N}):
-        while n0 <= end:
-            n1 = min(n0 + size - 1, end)
-            tables = profile.rule_table_chunk(n0, n1)
-            jumps = _jump_tables(tables, profile.search_table_chunk(n0, n1), n0)
-            _walk(jumps, keys, p_sig, win, switches, last_switch, searching)
-            n0 = n1 + 1
-        if end in config.checkpoints:
-            decisions[end] = win & 1  # the low bit of the window is the last decision
-            census[end] = searching.copy()
+    for n0, n1 in agent_chunks(1, config.N, _chunk_agents(profile.K), config.checkpoints):
+        tables = profile.rule_table_chunk(n0, n1)
+        jumps = _jump_tables(tables, profile.search_table_chunk(n0, n1), n0)
+        _walk(jumps, keys, p_sig, win, switches, last_switch, searching)
+        if n1 in config.checkpoints:
+            decisions[n1] = win & 1  # the low bit of the window is the last decision
+            census[n1] = searching.copy()
     return theta, decisions, census, switches, searching, last_switch
 
 

@@ -267,9 +267,10 @@ def profile_from_dict(obj: dict) -> Profile:
     """Profile from a JSON-style dict.
 
     Schema: ``{"K": 2, "default": {window: {signal: prob}}, "agents":
-    {"5": {...}}}`` where windows are bitstrings, oldest decision first.
-    Missing entries default to deciding 0.  Any other shape, K outside
-    [1, MAX_K] or an agent key below 1 raises ``ValueError``.
+    {"5": {...}}}`` where windows are K-character bitstrings, oldest
+    decision first, and agents are integers >= 1 without sign or leading
+    zeros.  Missing entries default to deciding 0.  Any other shape or
+    key, or K outside [1, MAX_K], raises ``ValueError``.
     """
     K = _object(obj, "a profile").get("K")
     if type(K) is not int or not 1 <= K <= MAX_K:
@@ -279,9 +280,9 @@ def profile_from_dict(obj: dict) -> Profile:
     def build(entry, what) -> DecisionRule:
         table = np.zeros((n_states, 2))
         for win, by_signal in _object(entry, what).items():
-            code = int(win, 2)
-            if not 0 <= code < n_states or len(win) != K:
+            if len(win) != K or set(win) - {"0", "1"}:  # one key per window, no aliases
                 raise ValueError(f"bad window key {win!r} for K={K}")
+            code = int(win, 2)
             for s, prob in _object(by_signal, f"window {win!r}").items():
                 if s not in ("0", "1") or type(prob) not in (int, float):
                     raise ValueError(f"bad entry {s!r}: {prob!r} in window {win!r}")
@@ -290,10 +291,10 @@ def profile_from_dict(obj: dict) -> Profile:
 
     default = build(obj.get("default", {}), "default")
     agents = _object(obj.get("agents", {}), "agents")
+    bad = [n for n in agents if not (n.isascii() and n.isdigit() and n[0] != "0")]
+    if bad:  # "01" or "+1" would alias agent 1
+        raise ValueError(f"agent keys must be integers >= 1 written plainly, got {bad}")
     per_agent = {int(n): build(entry, f"agent {n}") for n, entry in agents.items()}
-    low = sorted(n for n in per_agent if n < 1)
-    if low:
-        raise ValueError(f"agent keys must be >= 1, got {low}")
     return _DefaultRuleProfile(K, default, per_agent, "custom")
 
 

@@ -46,30 +46,26 @@ def _cutoff(model) -> float:
     return max(1.0 / model.pbar, 1.0 / model.qbar)
 
 
+def _sizes(m: np.ndarray, model) -> tuple[np.ndarray, np.ndarray]:
+    """(k_m, r_m) for the float64 segment indices m >= 1, as int64 arrays."""
+    lnm = np.log(m)
+    loglog = np.log(lnm, where=lnm > _cutoff(model), out=np.zeros_like(lnm))  # 0: sizes 1
+    k = np.maximum(np.ceil(loglog / math.log(1.0 / model.pbar)), 1).astype(np.int64)
+    r = np.maximum(np.ceil(loglog / math.log(1.0 / model.qbar)), 1).astype(np.int64)
+    return k, r
+
+
 def block_sizes(m: int, model) -> BlockSizes:
     """Block sizes (k_m, r_m) for segment ``m``."""
     if m < 1:
         raise ValueError("segment index must be >= 1")
-    lnm = math.log(m) if m > 1 else 0.0
-    if lnm > _cutoff(model):
-        k = math.ceil(math.log(lnm) / math.log(1.0 / model.pbar))
-        r = math.ceil(math.log(lnm) / math.log(1.0 / model.qbar))
-        return BlockSizes(k=max(k, 1), r=max(r, 1))
-    return BlockSizes(k=1, r=1)
+    k, r = _sizes(np.array([m], dtype=np.float64), model)
+    return BlockSizes(k=int(k[0]), r=int(r[0]))
 
 
 def block_sizes_arrays(m_max: int, model) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (k_m, r_m) for m = 1..m_max, as int64 arrays."""
-    m = np.arange(1, m_max + 1, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        lnm = np.log(m)
-    big = lnm > _cutoff(model)
-    k = np.ones(m_max, dtype=np.int64)
-    r = np.ones(m_max, dtype=np.int64)
-    loglog = np.log(lnm, where=big, out=np.zeros_like(lnm))
-    k[big] = np.maximum(np.ceil(loglog[big] / math.log(1.0 / model.pbar)), 1).astype(np.int64)
-    r[big] = np.maximum(np.ceil(loglog[big] / math.log(1.0 / model.qbar)), 1).astype(np.int64)
-    return k, r
+    return _sizes(np.arange(1, m_max + 1, dtype=np.float64), model)
 
 
 class SegmentTable:

@@ -185,6 +185,19 @@ def test_explicit_flags_beat_config(tmp_path):
     assert rows[0][0] == "7"
 
 
+@pytest.mark.parametrize("flag", [["--reps", "3"], ["--rep", "3"], ["--reps=3"], ["--rep=3"]])
+def test_explicit_flags_beat_config_in_every_spelling(flag, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"reps": 7}))
+    out = tmp_path / "sim.json"
+    rc = main([
+        "--config", str(cfg), "simulate", "--model", "0.3,0.7", "--n", "20", *flag,
+        "--out", str(tmp_path / "sim.csv"), "--out-json", str(out),
+    ])
+    assert rc == 0
+    assert json.loads(out.read_text())["reps"] == 3
+
+
 def test_invalid_model_exit_code():
     assert main(["exact", "--model", "0.5,0.5", "--profile", "copy", "--n", "3"]) == EXIT_MODEL_ERROR
 
@@ -219,6 +232,11 @@ def test_invalid_model_exit_code():
         # Agent indices beyond int64 (the simulate case is in the test below).
         ["--n", str(2**63), "--checkpoints", "5"],
         ["--n", str(10**30), "--checkpoints", "5"],
+        # Keys that alias another agent or window would silently override it.
+        ["--n", "10", "--profile", {"K": 1, "agents": {
+            "1": {"0": {"0": 1, "1": 1}, "1": {"0": 1, "1": 1}}, "01": {"0": {"0": 0}}}}],
+        ["--n", "10", "--profile", {"K": 2, "default": {"01": {"0": 1}, "+1": {"0": 0}}}],
+        ["--n", "10", "--profile", {"K": 3, "default": {"001": {"0": 1}, "0_1": {"0": 0}}}],
     ],
 )
 def test_exact_rejects_bad_range_with_usage_error(flags, tmp_path, capsys):
@@ -265,6 +283,8 @@ def test_equilibrium_rejects_bad_arguments_with_usage_error(flags, capsys):
         ["schedule", "--m", "-3"],
         ["simulate", "--profile", "copy", "--n", str(10**30), "--reps", "1", "--checkpoints", "5"],
         ["simulate", "--profile", "copy", "--n", str(2**63), "--reps", "1", "--checkpoints", "5"],
+        # 10^12 segments: the system refuses the block-size arrays.
+        ["series", "--m", "1000000000000"],
     ],
 )
 def test_bad_arguments_exit_with_usage_error(argv, capsys):

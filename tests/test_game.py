@@ -201,7 +201,9 @@ CASES = ["designed", "myopic1", "myopic3", "copy", "custom", "random6"]
 def test_continuation_values_match_forward_walk(name, m37, m46, tmp_path):
     prof, model, (n1, n2), horizon = _case(name, m37, m46, tmp_path)
     for delta in (0.0, 0.5, 0.9):
-        got = game._continuation_values(prof, model, n1, n2, delta, horizon)
+        p_one = chain._step_probs(prof.rule_table_chunk(n1, n2 + horizon),
+                                  chain._signal_laws(model))
+        got = game._continuation_values(p_one, delta, horizon)
         assert got.shape == (2, n2 - n1 + 1, 1 << prof.K)
         for n in range(n1, n2 + 1):
             for start in range(1 << prof.K):
@@ -286,9 +288,9 @@ def test_check_chunks_stay_within_the_byte_bound(m37, monkeypatch):
     chunks = []
     continuation_values = game._continuation_values
 
-    def recording(profile, model, n1, n2, delta, horizon):
-        chunks.append(n2 - n1 + 1)
-        return continuation_values(profile, model, n1, n2, delta, horizon)
+    def recording(p_one, delta, horizon):
+        chunks.append(p_one.shape[1] - horizon)
+        return continuation_values(p_one, delta, horizon)
 
     monkeypatch.setattr(game, "_continuation_values", recording)
     for stop_after in (None, 10**6):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tandemlearn import SignalModel, blr_bounds, designed_profile
-from tandemlearn.chain import WindowDistribution, block_start_masses, propagate
+from tandemlearn.chain import WindowDistribution, agent_chunks, block_start_masses, propagate
 from tandemlearn.rng import (
     KIND_RULE, KIND_SIGNAL, KIND_WORLD, finish, step_key, stream_key, uniform,
 )
@@ -139,3 +139,23 @@ def test_split_draw_invariant(seed, streams, agents):
         for i, agent in enumerate(agents):
             for j, stream in enumerate(streams):
                 assert block[k, i, j] == uniform(seed, stream, agent, kind)
+
+
+@CASES
+@given(
+    n0=st.integers(1, 50), length=st.integers(0, 200), size=st.integers(1, 40),
+    cuts=st.lists(st.integers(-5, 260), max_size=12),
+)
+def test_agent_chunks_invariant(n0, length, size, cuts):
+    """The chunks cover n0..n1 in order with no gap or overlap, none holds
+    more than ``size`` agents, every cut in [n0, n1) ends a chunk, and
+    every other chunk end but n1 lies on the grid n0 + k * size - 1."""
+    n1 = n0 + length - 1
+    chunks = list(agent_chunks(n0, n1, size, cuts))
+    agents = [n for lo, hi in chunks for n in range(lo, hi + 1)]
+    assert agents == list(range(n0, n1 + 1))
+    assert all(1 <= hi - lo + 1 <= size for lo, hi in chunks)
+    ends = {hi for _, hi in chunks}
+    assert {c for c in cuts if n0 <= c < n1} <= ends
+    for end in ends - set(cuts) - {n1}:
+        assert (end - n0 + 1) % size == 0
