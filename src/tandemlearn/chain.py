@@ -31,6 +31,8 @@ DRIFT_TOLERANCE = 1e-9
 _CHUNK = 1 << 12  # agents per chunk of rule tables
 _SCAN_MAX_K = 5  # widest window whose chunks are composed as matrices
 _CHUNK_BYTES = 1 << 20  # bound on one chunk's per-agent arrays
+_BLOCK = 16  # agents per block of the composed law walk
+_WALK_MAX_K = 4  # widest window whose law walk composes blocks (K = 5 measured no faster)
 
 
 class ChainDriftError(RuntimeError):
@@ -138,19 +140,20 @@ def _transition_operators(p_one: np.ndarray) -> np.ndarray:
 
 
 def _compose(ops: np.ndarray) -> np.ndarray:
-    """Ordered product of ``ops[:, 0] @ ops[:, 1] @ ...``, shape (2, S, S).
+    """Ordered product ``ops[..., 0, :, :] @ ops[..., 1, :, :] @ ...`` over axis
+    -3: (2, n, S, S) gives (2, S, S) and (2, b, n, S, S) gives b products.
 
     Adjacent pairs are multiplied in one batched matmul per round, which
     halves the count (an odd last factor carries over), so the product
     takes log2(n) rounds of numpy work instead of n Python steps.
     """
-    while ops.shape[1] > 1:
-        even = ops.shape[1] & ~1
-        paired = np.matmul(ops[:, 0:even:2], ops[:, 1:even:2])
-        if even < ops.shape[1]:
-            paired = np.concatenate([paired, ops[:, even:]], axis=1)
+    while ops.shape[-3] > 1:
+        even = ops.shape[-3] & ~1
+        paired = np.matmul(ops[..., 0:even:2, :, :], ops[..., 1:even:2, :, :])
+        if even < ops.shape[-3]:
+            paired = np.concatenate([paired, ops[..., even:, :, :]], axis=-3)
         ops = paired
-    return ops[:, 0]
+    return ops[..., 0, :, :]
 
 
 def _step(d: np.ndarray, p_one: np.ndarray) -> np.ndarray:
@@ -178,6 +181,40 @@ def _advance(d: np.ndarray, p_one: np.ndarray):
         d = _step(d, p_one[:, i])
     _mass(d)
     return before, d
+
+
+def _walk(d: np.ndarray, p_one: np.ndarray):
+    """``_advance`` in log depth for K <= _WALK_MAX_K, equal to rounding
+    and with the same zero pattern.  Pieces of ``_chunk_agents`` agents
+    are cut into blocks of _BLOCK; the block products (``_compose``,
+    batched) and their prefix products give each block's first law, and
+    then all blocks step side by side.  So a law depends on its place on
+    that grid, never on the agents after it.
+    """
+    n_states = d.shape[-1]
+    if n_states > 1 << _WALK_MAX_K:
+        return _advance(d, p_one)
+    before = np.empty((2, p_one.shape[1] + 1, n_states))  # and the law after the last
+    size = _chunk_agents(n_states.bit_length() - 1)
+    for lo in range(0, p_one.shape[1], size):
+        count = min(size, p_one.shape[1] - lo)
+        steps = np.zeros((2, (count // _BLOCK + 1) * _BLOCK, n_states))  # p = 0 past the piece
+        steps[:, :count] = p_one[:, lo : lo + count]
+        steps = steps.reshape(2, -1, _BLOCK, n_states)
+        ops = _transition_operators(steps[:, :-1].reshape(2, -1, n_states))
+        prefix = _compose(ops.reshape(*steps[:, :-1].shape, n_states))
+        shift = 1
+        while shift < prefix.shape[1]:  # inclusive prefix products (Hillis-Steele)
+            prefix = np.concatenate([prefix[:, :shift], prefix[:, :-shift] @ prefix[:, shift:]], 1)
+            shift *= 2
+        laws = np.concatenate([d[:, None], (d[:, None, None] @ prefix)[:, :, 0]], axis=1)
+        out = np.empty(steps.shape)
+        for i in range(_BLOCK):
+            out[:, :, i], laws = laws, _step(laws, steps[:, :, i])
+        before[:, lo : lo + count + 1] = out.reshape(2, -1, n_states)[:, : count + 1]
+        d = before[:, lo + count]
+    _mass(d)
+    return before[:, :-1], d
 
 
 def _chunk_agents(K: int) -> int:
@@ -211,11 +248,11 @@ def sweep(profile, model, N: int, record_after=()) -> dict:
     under each state of the world after the decision of agent ``step``
     (step 0 is the initial zero-padded point mass, i.e. the law of v_1).
 
-    The agents up to the last record point are taken in chunks cut at
-    every record point, and each chunk is turned into transition matrices
-    and applied as one composed product.  Composing costs O(S^3) per
-    agent, so for K > _SCAN_MAX_K agents are applied one at a time in
-    O(S) instead.
+    The agents up to the last record point are taken in chunks, each
+    turned into transition matrices once.  The stretches of a chunk
+    between record points are applied as one composed product each.
+    Composing costs O(S^3) per agent, so for K > _SCAN_MAX_K agents are
+    applied one at a time in O(S) instead.
     """
     points = set(int(s) for s in record_after)
     if points and (min(points) < 0 or max(points) > N):
@@ -224,15 +261,18 @@ def sweep(profile, model, N: int, record_after=()) -> dict:
     d[:, 0] = 1.0
     sig = _signal_laws(model)
     laws = {0: d.copy()} if 0 in points else {}
-    for lo, hi in agent_chunks(1, max(points, default=0), _chunk_agents(profile.K), points):
+    size = _chunk_agents(profile.K)
+    for lo, hi in agent_chunks(1, max(points, default=0), size):
         p_one = _step_probs(profile.rule_table_chunk(lo, hi), sig)
-        if profile.K <= _SCAN_MAX_K:
-            d = np.matmul(d[:, None, :], _compose(_transition_operators(p_one)))[:, 0]
-        else:
-            d = _advance(d, p_one)[1]
-        d /= _mass(d)
-        if hi in points:
-            laws[hi] = d.copy()
+        ops = _transition_operators(p_one) if profile.K <= _SCAN_MAX_K else None
+        for a, b in agent_chunks(lo, hi, size, points):
+            if ops is not None:
+                d = np.matmul(d[:, None, :], _compose(ops[:, a - lo : b - lo + 1]))[:, 0]
+            else:
+                d = _advance(d, p_one[:, a - lo : b - lo + 1])[1]
+            d /= _mass(d)
+            if b in points:
+                laws[b] = d.copy()
     return laws
 
 
@@ -243,10 +283,11 @@ def law_walk(profile, model, n0: int, n1: int, horizon: int = 0):
     tables (n, S, 2) and step probabilities (2, n, S) of agents lo..hi +
     horizon, and the per-theta laws (2, hi - lo + 1, S) of the window
     before each agent lo..hi.  The law before n0 comes from ``sweep``;
-    from there the laws advance one agent at a time with nothing
-    rescaled, so no value depends on the chunks.  A chunk and its horizon
-    hold at most _CHUNK_BYTES / (32 S) agents, so the step probabilities
-    and a caller's [n, u, s, y] arrays stay within _CHUNK_BYTES.
+    from there ``_walk`` advances the laws with nothing rescaled, so they
+    depend on the chunks only to rounding, and never on n1.  A chunk and
+    its horizon hold at most _CHUNK_BYTES / (32 S) agents, so the step
+    probabilities and a caller's [n, u, s, y] arrays stay within
+    _CHUNK_BYTES.
     """
     sig = _signal_laws(model)
     d = sweep(profile, model, n0 - 1, [n0 - 1])[n0 - 1]
@@ -254,7 +295,7 @@ def law_walk(profile, model, n0: int, n1: int, horizon: int = 0):
     for lo, hi in agent_chunks(n0, n1, size):
         tables = profile.rule_table_chunk(lo, hi + horizon)
         p_one = _step_probs(tables, sig)
-        before, d = _advance(d, p_one[:, : hi - lo + 1])
+        before, d = _walk(d, p_one[:, : hi - lo + 1])
         yield lo, tables, p_one, before
 
 
@@ -347,15 +388,19 @@ def block_start_trajectory(model, theta: int, segments: int) -> BlockStartChain:
     if segments < 1:
         raise ValueError("need at least one segment")
     steps = 2 * segments
+    k, r = (sizes.tolist() for sizes in block_sizes_arrays(segments, model))
+    p, q = model.p(theta), model.q(theta)
     pi = np.empty(steps)
     up = np.empty(steps)
     down = np.empty(steps)
-    pi[0] = 0.0  # w_1 is the decision x_2 = 0
-    for i in range(1, steps):
-        u, d = block_start_transition(i, model, theta)
+    w = pi[0] = 0.0  # w_1 is the decision x_2 = 0
+    for i in range(1, steps + 1):
+        # block_start_transition's closed form, on sizes fetched once.
+        m = (i + 1) // 2
+        u, d = (p ** k[m - 1] / m, 0.0) if i % 2 == 1 else (0.0, q ** r[m - 1] / m)
         up[i - 1], down[i - 1] = u, d
-        pi[i] = pi[i - 1] * (1.0 - d) + (1.0 - pi[i - 1]) * u
-    up[-1], down[-1] = block_start_transition(steps, model, theta)
+        if i < steps:
+            w = pi[i] = w * (1.0 - d) + (1.0 - w) * u
     return BlockStartChain(theta=theta, pi=pi, up=up, down=down)
 
 
@@ -461,7 +506,7 @@ def k1_diagnostics(profile, model, N: int) -> K1Diagnostics:
     sig = _signal_laws(model)
     tables = profile.rule_table_chunk(1, N)
     start = np.array([[1.0, 0.0], [1.0, 0.0]])  # x_0 is the zero padding
-    seen = _advance(start, _step_probs(tables, sig))[0] > 0.0  # [theta, n, i]
+    seen = _walk(start, _step_probs(tables, sig))[0] > 0.0  # [theta, n, i]
     # The entries are the signal average even where a rule ignores the signal.
     one = sig[:, 0, None, None] * tables[:, :, 0] + sig[:, 1, None, None] * tables[:, :, 1]
     a, abar = np.where(seen[..., None], np.stack([1.0 - one, one], axis=-1), np.nan)

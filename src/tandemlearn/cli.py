@@ -8,11 +8,11 @@ compared byte for byte.
 
 Exit codes: 0 success, 2 invalid model, 3 zero-probability conditioning,
 4 invalid arguments (a flag outside the range its subcommand accepts, an
-unknown, unreadable or malformed profile, a myopic horizon or a series
-length whose tables cannot be allocated, a profile whose window length
-the subcommand cannot use, or a ``--config`` file that cannot be read or
-holds a value its flag rejects).  Codes 2-4 print a JSON object with
-``error`` and ``reason``.
+unknown, unreadable or malformed profile, a myopic or equilibrium horizon
+or a series length whose tables cannot be allocated, a profile whose
+window length the subcommand cannot use, or a ``--config`` file that
+cannot be read or holds a value its flag rejects).  Codes 2-4 print a
+JSON object with ``error`` and ``reason``.
 """
 
 from __future__ import annotations
@@ -63,30 +63,27 @@ def _jsonable(x):
     return str(x)
 
 
+def _emit(path, text: str):
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def _write_csv(path, header_cols, rows, config: dict):
     lines = [
         f"# tandemlearn {__version__}",
         f"# config: {json.dumps(config, sort_keys=True, default=_jsonable)}",
         ",".join(header_cols),
     ]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    _emit(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, payload: dict, config: dict):
     payload = {"tandemlearn": __version__, "config": config, **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _emit(path, json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n")
 
 
 def parse_model(spec: str):
@@ -166,12 +163,8 @@ def cmd_schedule(args) -> int:
         sizes = tab.sizes(m)
         start = tab.segment_start(m)
         rows.append((m, sizes.k, sizes.r, start, 2 * sizes.k + 2 * sizes.r))
-    _write_csv(
-        args.out,
-        ["m", "k_m", "r_m", "segment_start", "segment_len"],
-        rows,
-        _resolved(args, ["model", "m"]),
-    )
+    header = ["m", "k_m", "r_m", "segment_start", "segment_len"]
+    _write_csv(args.out, header, rows, _resolved(args, ["model", "m"]))
     return 0
 
 
@@ -263,11 +256,16 @@ def cmd_equilibrium(args) -> int:
         certified_tail((n1, n2), args.delta, args.eps, args.horizon)
     except CheckArgumentError as exc:
         raise UsageError(str(exc)) from None
+    if n2 + args.horizon + 1 > MAX_N:
+        raise UsageError(f"--range {args.range} and --horizon {args.horizon} pass agent 2^63 - 1")
     model = quantize(parse_model(args.model))
     profile = parse_profile(args.profile, model, K=args.k, horizon=n2 + args.horizon + 1)
-    report = check_equilibrium(
-        profile, model, delta=args.delta, n_range=(n1, n2), eps=args.eps, horizon=args.horizon
-    )
+    try:
+        report = check_equilibrium(
+            profile, model, delta=args.delta, n_range=(n1, n2), eps=args.eps, horizon=args.horizon
+        )
+    except MemoryError:  # the tables of a chunk and its horizon are refused
+        raise UsageError(f"--horizon {args.horizon}: tables do not fit in memory") from None
     _write_json(
         args.out,
         {
@@ -275,15 +273,7 @@ def cmd_equilibrium(args) -> int:
             "checked": report.checked,
             "tail_bound": report.tail_bound,
             "violations": [
-                {
-                    "n": v.n,
-                    "window": "".join(str(b) for b in v.window),
-                    "s": v.s,
-                    "gain": v.gain,
-                    "sigma_value": v.sigma_value,
-                    "best_value": v.best_value,
-                    "best_action": v.best_action,
-                }
+                {**vars(v), "window": "".join(str(b) for b in v.window)}
                 for v in report.violations
             ],
         },
@@ -304,12 +294,8 @@ def cmd_k1diag(args) -> int:
         range(1, args.n + 1), diag.a[:, 0, 1], diag.a[:, 1, 0], diag.abar[:, 0, 1],
         diag.abar[:, 1, 0], diag.sum_a01, diag.sum_a10,
     )
-    _write_csv(
-        args.out,
-        ["n", "a01", "a10", "abar01", "abar10", "sum_a01", "sum_a10"],
-        rows,
-        _resolved(args, ["model", "profile", "n"]),
-    )
+    header = ["n", "a01", "a10", "abar01", "abar10", "sum_a01", "sum_a10"]
+    _write_csv(args.out, header, rows, _resolved(args, ["model", "profile", "n"]))
     return 0
 
 

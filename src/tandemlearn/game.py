@@ -97,22 +97,32 @@ def certified_tail(n_range: tuple, delta: float, eps: float, horizon: int) -> fl
     return tail
 
 
+# Per window length K, the shortest horizon at which doubling beat the recursion on
+# a full chunk in two timing runs (BENCH_log_depth_game.json); at K = 5 it gains too
+# little for its 16 MB of operators.
+_DOUBLING_FROM = {1: 48, 2: 16, 3: 32, 4: 64}
+
+
 def _continuation_values(p_one: np.ndarray, delta: float, horizon: int):
     """G[theta, i, w]: the sum over t = 1..T of delta^t P^theta(x_{n+t} =
     theta | v_{n+1} = w), for the i-th agent n of a run n1..n2 and every
     window w.  ``p_one`` (2, n2 - n1 + 1 + T, S) holds the step
     probabilities of agents n1..n2 + T.
 
-    One backward (Horner) recursion over depth t = T..1 serves all n:
-    g <- delta P_{n+t}(e_theta + g), where e_theta marks the windows whose
-    newest decision is theta and (P_k f)(u) = p_k(u) f(2r + 1) + (1 -
-    p_k(u)) f(2r) for r = u mod S/2, the two windows that follow u.
+    From T = _DOUBLING_FROM[K] on, ``_doubled`` gives the sums in log2(T)
+    rounds of S x S products.  Below it one backward (Horner) recursion
+    over depth t = T..1 serves all n: g <- delta P_{n+t}(e_theta + g),
+    where e_theta marks the windows whose newest decision is theta and
+    (P_k f)(u) = p_k(u) f(2r + 1) + (1 - p_k(u)) f(2r) for r = u mod S/2,
+    the two windows that follow u.  The two agree to rounding.
     """
     _, count, n_states = p_one.shape
     count -= horizon
     g = np.zeros((2, count, n_states))
     if delta == 0.0 or horizon == 0:
         return g
+    if horizon >= _DOUBLING_FROM.get(n_states.bit_length() - 1, math.inf):
+        return _doubled(p_one, delta, horizon)
     p_zero = 1.0 - p_one
     newest = np.eye(2)[:, :, None, None]  # [theta, newest decision]
     for t in range(horizon, 0, -1):
@@ -122,6 +132,35 @@ def _continuation_values(p_one: np.ndarray, delta: float, horizon: int):
         f_hi = (g[:, :, 1::2] + newest[:, 1])[:, :, None]
         g = (delta * (p * f_hi + q * f_lo)).reshape(2, count, n_states)
     return g
+
+
+def _doubled(p_one: np.ndarray, delta: float, horizon: int) -> np.ndarray:
+    """``_continuation_values`` for T >= 1 by doubling.  A stretch of L
+    agents after agent i is the pair g[i] = sum over t <= L of delta^t A_{i+1}
+    ... A_{i+t} e_theta and m[i] = delta^L A_{i+1} ... A_{i+L}, with A_k
+    agent k's transition matrix; stretches L and L' join as (g[i] + m[i]
+    g'[i+L], m[i] m'[i+L]).  Stretches L = 1, 2, 4, ... join with
+    themselves, and those of T's binary digits join in order.
+    """
+    total = p_one.shape[1]
+
+    def join(a, b, keep_m):
+        (ga, ma, la), (gb, mb, lb) = a, b
+        k = total - la - lb  # the agents i with i + la + lb < total
+        g = ga[:, :k] + np.matmul(ma[:, :k], gb[:, la : la + k, :, None])[..., 0]
+        return g, np.matmul(ma[:, :k], mb[:, la : la + k]) if keep_m else None, la + lb
+
+    m = chain._transition_operators(p_one[:, 1:])
+    m *= delta
+    stretch = (delta * np.stack([1.0 - p_one[0, 1:], p_one[1, 1:]]), m, 1)
+    acc, bits = None, horizon
+    while True:
+        if bits & 1:
+            acc = stretch if acc is None else join(acc, stretch, bits > 1)
+        bits >>= 1
+        if not bits:
+            return acc[0]
+        stretch = join(stretch, stretch, bits > 1)
 
 
 def _values(dists, p_one, sig, delta: float, horizon: int):

@@ -188,28 +188,13 @@ class SegmentTable:
         r = self._r[lo - 1 : hi]
         mseg = np.arange(lo, hi + 1, dtype=np.int64)
         nseg = len(mseg)
-        pattern = np.array(
-            [
-                RoleKind.S_FIRST,
-                RoleKind.S_BODY,
-                RoleKind.SR_TRANSIENT,
-                RoleKind.R_FIRST,
-                RoleKind.R_BODY,
-                RoleKind.RS_TRANSIENT,
-            ],
-            dtype=np.int8,
-        )
+        pattern = np.array([RoleKind.S_FIRST, RoleKind.S_BODY, RoleKind.SR_TRANSIENT,
+                            RoleKind.R_FIRST, RoleKind.R_BODY, RoleKind.RS_TRANSIENT], dtype=np.int8)
         values = np.tile(pattern, nseg)
-        counts = np.empty((nseg, 6), dtype=np.int64)
-        counts[:, 0] = 1
-        counts[:, 1] = 2 * k - 2
-        counts[:, 2] = 1
-        counts[:, 3] = 1
-        counts[:, 4] = 2 * r - 2
-        counts[:, 5] = 1
+        one = np.ones_like(k)
+        counts = np.stack([one, 2 * k - 2, one, one, 2 * r - 2, one], axis=1)
         inv_vals = np.zeros((nseg, 6), dtype=np.float64)
-        inv_vals[:, 0] = 1.0 / mseg
-        inv_vals[:, 3] = 1.0 / mseg
+        inv_vals[:, 0] = inv_vals[:, 3] = 1.0 / mseg
         kinds = np.repeat(values, counts.ravel())
         inv_m = np.repeat(inv_vals.ravel(), counts.ravel())
         first = self.segment_start(lo)

@@ -24,10 +24,14 @@ from tandemlearn.chain import (
     BRUTE_FORCE_MAX_N,
     _SCAN_MAX_K,
     ChainDriftError,
+    _BLOCK,
+    _CHUNK_BYTES,
     _advance,
     _chunk_agents,
     _signal_laws,
     _step_probs,
+    _walk,
+    law_walk,
     propagate_dist,
     sweep,
 )
@@ -215,6 +219,58 @@ def test_advance_rejects_drifted_mass(m37):
         _advance(d, p_one)
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6])
+def test_walk_matches_advance_at_every_agent(K, m37):
+    # Random tables with entries 0, 1 and signal-independent ones, so
+    # that some windows carry no mass; the lengths end on a block end,
+    # inside a block and past several pieces of _chunk_agents agents.
+    rng = np.random.default_rng(20 + K)
+    n = 2 * _chunk_agents(K) + 3 * _BLOCK + 5
+    tables = rng.random((n, 1 << K, 2))
+    tables[rng.random((n, 1 << K)) < 0.2] = 0.0
+    tables[rng.random((n, 1 << K)) < 0.2] = 1.0
+    same = rng.random((n, 1 << K)) < 1 / 3
+    tables[same, 1] = tables[same, 0]
+    p_one = _step_probs(tables, _signal_laws(m37))
+    start = np.zeros((2, 1 << K))
+    start[:, 0] = 1.0
+    for length in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _chunk_agents(K), n):
+        ref, ref_after = _advance(start, p_one[:, :length])
+        got, after = _walk(start, p_one[:, :length])
+        assert np.array_equal(got == 0.0, ref == 0.0), (K, length)
+        assert np.array_equal(after == 0.0, ref_after == 0.0), (K, length)
+        assert np.max(np.abs(got - ref)) <= 1e-13, (K, length)
+        assert np.max(np.abs(after - ref_after)) <= 1e-13, (K, length)
+
+
+def test_walk_rejects_drifted_mass(m37):
+    p_one = _step_probs(np.full((40, 4, 2), 0.5), _signal_laws(m37))
+    d = np.array([[1.0 + 1e-6, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(ChainDriftError):
+        _walk(d, p_one)
+
+
+@pytest.mark.parametrize("name", ["designed", "random3"])
+def test_laws_before_an_agent_do_not_depend_on_the_range_end(name, m37):
+    # The laws before agents n0..j are the same bits whatever n1 >= j,
+    # across block, piece and law_walk chunk ends.
+    if name == "designed":
+        prof = designed_profile(m37)
+    else:
+        rng = np.random.default_rng(4)
+        prof = TableProfile(list(rng.random((97, 8, 2))))
+    n0, horizon = 7, 20
+    size = _CHUNK_BYTES // (32 << prof.K) - horizon  # agents per law_walk chunk
+
+    def laws(n1):
+        walk = law_walk(prof, m37, n0, n1, horizon)
+        return np.concatenate([before for _, _, _, before in walk], axis=1)
+
+    longest = laws(n0 + 2 * size + 50)
+    for n1 in (n0, n0 + _BLOCK - 2, n0 + 100, n0 + _chunk_agents(prof.K) + 3, n0 + size + 9):
+        assert np.array_equal(laws(n1), longest[:, : n1 - n0 + 1]), (name, n1)
+
+
 @pytest.mark.parametrize("model_args", [(0.3, 0.7), (0.4, 0.6)])
 def test_exact_chain_matches_enumeration(model_args):
     model = SignalModel(*model_args)
@@ -251,6 +307,20 @@ def test_block_start_transition_closed_form(m37):
     assert down == pytest.approx(0.3)
     up, down = block_start_transition(16, m37, theta=0)
     assert down == pytest.approx(0.7**2 / 8)  # m = 8 has r = 2
+
+
+@pytest.mark.parametrize("model_args", [(0.3, 0.7), (0.4, 0.6), (0.15, 0.9)])
+def test_block_start_trajectory_follows_the_transition_step_by_step(model_args):
+    model = SignalModel(*model_args)
+    segments = 400
+    for theta in (0, 1):
+        bt = block_start_trajectory(model, theta, segments)
+        pi = 0.0
+        for i in range(1, 2 * segments + 1):
+            assert bt.pi[i - 1] == pi, (model_args, theta, i)
+            u, d = block_start_transition(i, model, theta)
+            assert (bt.up[i - 1], bt.down[i - 1]) == (u, d), (model_args, theta, i)
+            pi = pi * (1.0 - d) + (1.0 - pi) * u
 
 
 def test_block_start_chain_matches_window_chain(m37):

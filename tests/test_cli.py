@@ -257,6 +257,11 @@ def test_exact_rejects_bad_range_with_usage_error(flags, tmp_path, capsys):
         ["--range", "5..1"],
         ["--range", "abc"],
         ["--range", "1..50", "--delta", "0.9", "--eps", "0.01", "--horizon", "5"],
+        ["--range", f"1..{10**30}"],
+        ["--range", f"1..{2**63 - 20}", "--delta", "0.5", "--eps", "0.01", "--horizon", "20"],
+        # The rule tables of agents 1..1 + 10^15 are refused at once.
+        ["--profile", "copy", "--range", "1..5", "--delta", "0.5", "--eps", "0.01",
+         "--horizon", str(10**15)],
     ],
 )
 def test_equilibrium_rejects_bad_arguments_with_usage_error(flags, capsys):

@@ -299,3 +299,48 @@ def test_check_chunks_stay_within_the_byte_bound(m37, monkeypatch):
         assert report.checked > 0
         assert sum(chunks) == 20_000
         assert max(chunks) + 200 <= chain._CHUNK_BYTES // (32 << dp.K)
+
+
+def _horner(p_one, delta, horizon):
+    """The backward recursion g <- delta P_{n+t}(e_theta + g), t = T..1."""
+    _, count, n_states = p_one.shape
+    count -= horizon
+    g = np.zeros((2, count, n_states))
+    newest = np.eye(2)[:, :, None, None]  # [theta, newest decision]
+    for t in range(horizon, 0, -1):
+        p = p_one[:, t : t + count].reshape(2, count, 2, -1)
+        f_lo = (g[:, :, 0::2] + newest[:, 0])[:, :, None]
+        f_hi = (g[:, :, 1::2] + newest[:, 1])[:, :, None]
+        g = (delta * (p * f_hi + (1.0 - p) * f_lo)).reshape(2, count, n_states)
+    return g
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 5])
+def test_doubling_matches_the_backward_recursion(K, m37, monkeypatch):
+    monkeypatch.setattr(game, "_DOUBLING_FROM", {K: 0})
+    rng = np.random.default_rng(30 + K)
+    for horizon in (0, 1, 2, 3, 20, 33, 200):
+        tables = rng.random((29 + horizon, 1 << K, 2))
+        tables[rng.random((29 + horizon, 1 << K)) < 0.2] = 1.0
+        p_one = chain._step_probs(tables, chain._signal_laws(m37))
+        for delta in (0.0, 0.5, 0.9):
+            got = game._continuation_values(p_one, delta, horizon)
+            ref = _horner(p_one, delta, horizon)
+            assert got.shape == ref.shape == (2, 29, 1 << K)
+            assert np.max(np.abs(got - ref)) <= 1e-13 / (1.0 - delta), (K, horizon, delta)
+
+
+def test_check_walks_the_laws_in_a_few_hundred_steps(m37, monkeypatch):
+    # The window laws of 20000 agents come from block products, not from
+    # one step per agent.
+    steps = []
+    step = chain._step
+
+    def counting(d, p_one):
+        steps.append(1)
+        return step(d, p_one)
+
+    monkeypatch.setattr(chain, "_step", counting)
+    report = check_equilibrium(designed_profile(m37), m37, 0.9, (1, 20_000), 0.01, 200)
+    assert report.checked > 0
+    assert len(steps) <= 300
