@@ -13,7 +13,7 @@ from .signals import (
     likelihood_ratio,
     quantize,
 )
-from .schedule import AgentRole, BlockSizes, RoleKind, block_sizes, role_of, segment_table
+from .schedule import AgentRole, BlockSizes, RoleKind, block_sizes, segment_table
 from .profiles import (
     DecisionRule,
     Profile,
@@ -27,7 +27,6 @@ from .chain import (
     BlockStartChain,
     ChainDriftError,
     Trajectory,
-    WindowDistribution,
     ZeroProbabilityError,
     block_start_masses,
     block_start_trajectory,
@@ -36,7 +35,6 @@ from .chain import (
     error_trajectory,
     k1_diagnostics,
     k1_error_floor,
-    propagate,
     series_diagnostics,
     window_distributions,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "SignalModel",
     "SimConfig",
     "Trajectory",
-    "WindowDistribution",
     "ZeroProbabilityError",
     "baseline_profile",
     "blr_bounds",
@@ -90,9 +87,7 @@ __all__ = [
     "posterior_sequence",
     "profile_from_dict",
     "profile_from_json",
-    "propagate",
     "quantize",
-    "role_of",
     "segment_table",
     "series_diagnostics",
     "simulate_path",

@@ -32,7 +32,6 @@ _CHUNK = 1 << 12  # agents per chunk of rule tables
 _SCAN_MAX_K = 5  # widest window whose chunks are composed as matrices
 _CHUNK_BYTES = 1 << 20  # bound on one chunk's per-agent arrays
 _BLOCK = 16  # agents per block of the composed law walk
-_WALK_MAX_K = 4  # widest window whose law walk composes blocks (K = 5 measured no faster)
 
 
 class ChainDriftError(RuntimeError):
@@ -52,30 +51,6 @@ class CheckpointRangeError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WindowDistribution:
-    """Per-state-of-world distribution of the window v_n at agent n."""
-
-    n: int
-    d0: np.ndarray
-    d1: np.ndarray
-
-    def __post_init__(self):
-        self.d0 = np.asarray(self.d0, dtype=np.float64)
-        self.d1 = np.asarray(self.d1, dtype=np.float64)
-        for d in (self.d0, self.d1):
-            if np.any(d < 0.0) or abs(d.sum() - 1.0) > 1e-12:
-                raise ValueError("window distribution must be a probability vector")
-        if self.d0.shape != self.d1.shape:
-            raise ValueError("per-theta vectors must have equal length")
-
-    @classmethod
-    def initial(cls, K: int) -> "WindowDistribution":
-        d = np.zeros(1 << K)
-        d[0] = 1.0  # zero-padded window before agent 1
-        return cls(n=1, d0=d.copy(), d1=d.copy())
-
-
 def propagate_dist(dist: np.ndarray, table: np.ndarray, sig: tuple) -> np.ndarray:
     """One forward step of the window chain under one state of the world.
 
@@ -84,18 +59,6 @@ def propagate_dist(dist: np.ndarray, table: np.ndarray, sig: tuple) -> np.ndarra
     """
     sig = np.asarray(sig, dtype=np.float64)[None]
     return _step(dist, _step_probs(np.asarray(table)[None], sig)[0, 0])
-
-
-def propagate(dist: WindowDistribution, rule, model) -> WindowDistribution:
-    """Advance the window distribution across agent ``dist.n``'s decision."""
-    table = rule.table
-    if len(table) != len(dist.d0):
-        raise ValueError("rule window length does not match the distribution")
-    return WindowDistribution(
-        n=dist.n + 1,
-        d0=propagate_dist(dist.d0, table, model.signal_probs(0)),
-        d1=propagate_dist(dist.d1, table, model.signal_probs(1)),
-    )
 
 
 def _signal_laws(model) -> np.ndarray:
@@ -184,7 +147,7 @@ def _advance(d: np.ndarray, p_one: np.ndarray):
 
 
 def _walk(d: np.ndarray, p_one: np.ndarray):
-    """``_advance`` in log depth for K <= _WALK_MAX_K, equal to rounding
+    """``_advance`` in log depth for K <= _SCAN_MAX_K, equal to rounding
     and with the same zero pattern.  Pieces of ``_chunk_agents`` agents
     are cut into blocks of _BLOCK; the block products (``_compose``,
     batched) and their prefix products give each block's first law, and
@@ -192,7 +155,7 @@ def _walk(d: np.ndarray, p_one: np.ndarray):
     that grid, never on the agents after it.
     """
     n_states = d.shape[-1]
-    if n_states > 1 << _WALK_MAX_K:
+    if n_states > 1 << _SCAN_MAX_K:
         return _advance(d, p_one)
     before = np.empty((2, p_one.shape[1] + 1, n_states))  # and the law after the last
     size = _chunk_agents(n_states.bit_length() - 1)
@@ -289,6 +252,8 @@ def law_walk(profile, model, n0: int, n1: int, horizon: int = 0):
     probabilities and a caller's [n, u, s, y] arrays stay within
     _CHUNK_BYTES.
     """
+    if not (1 <= n0 <= n1):
+        raise ValueError(f"need 1 <= n0 <= n1, got {n0}..{n1}")
     sig = _signal_laws(model)
     d = sweep(profile, model, n0 - 1, [n0 - 1])[n0 - 1]
     size = max(1, _CHUNK_BYTES // (32 << profile.K) - horizon)
@@ -300,9 +265,9 @@ def law_walk(profile, model, n0: int, n1: int, horizon: int = 0):
 
 
 def window_distributions(profile, model, ns) -> dict:
-    """Exact distributions of v_n for each requested agent index n."""
+    """{n: laws}: the per-theta laws (2, S) of v_n for each agent index n."""
     snaps = sweep(profile, model, max(ns) - 1 if ns else 0, [n - 1 for n in ns])
-    return {n: WindowDistribution(n=n, d0=snaps[n - 1][0], d1=snaps[n - 1][1]) for n in ns}
+    return {n: snaps[n - 1] for n in ns}
 
 
 # ---------------------------------------------------------------------------

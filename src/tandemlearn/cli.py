@@ -6,13 +6,13 @@ Every output file embeds the fully resolved configuration and a version
 stamp; floats are printed with 17 significant digits so reruns can be
 compared byte for byte.
 
-Exit codes: 0 success, 2 invalid model, 3 zero-probability conditioning,
-4 invalid arguments (a flag outside the range its subcommand accepts, an
-unknown, unreadable or malformed profile, a myopic or equilibrium horizon
-or a series length whose tables cannot be allocated, a profile whose
-window length the subcommand cannot use, or a ``--config`` file that
-cannot be read or holds a value its flag rejects).  Codes 2-4 print a
-JSON object with ``error`` and ``reason``.
+Exit codes: 0 success, 2 invalid model, 4 invalid arguments (a flag
+outside the range its subcommand accepts, an unknown, unreadable or
+malformed profile, a myopic or equilibrium horizon or a series length
+whose tables cannot be allocated, a profile whose window length the
+subcommand cannot use, or a ``--config`` file that cannot be read or
+holds a value its flag rejects).  Codes 2 and 4 print a JSON object with
+``error`` and ``reason``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .chain import (
     CheckpointRangeError,
-    ZeroProbabilityError,
     error_trajectory,
     k1_diagnostics,
     series_diagnostics,
@@ -40,7 +39,6 @@ from .schedule import segment_table
 from .signals import ModelError, SignalModel, model_from_dict, quantize
 
 EXIT_MODEL_ERROR = 2
-EXIT_ZERO_PROBABILITY = 3
 EXIT_USAGE_ERROR = 4
 MAX_N = (1 << 63) - 1  # the largest agent index an int64 agent array holds
 
@@ -411,9 +409,6 @@ def main(argv=None) -> int:
     except ModelError as exc:
         _write_json(None, {"error": "model", "reason": str(exc)}, {})
         return EXIT_MODEL_ERROR
-    except ZeroProbabilityError as exc:
-        _write_json(None, {"error": "zero_probability", "reason": str(exc)}, {})
-        return EXIT_ZERO_PROBABILITY
     except UsageError as exc:
         _write_json(None, {"error": "usage", "reason": str(exc)}, {})
         return EXIT_USAGE_ERROR

@@ -202,8 +202,7 @@ def payoff(profile, model, query: PayoffQuery) -> PayoffResult:
 
 
 def check_equilibrium(
-    profile, model, delta: float, n_range: tuple, eps: float, horizon: int,
-    stop_after: int | None = None,
+    profile, model, delta: float, n_range: tuple, eps: float, horizon: int
 ) -> EquilibriumReport:
     """Verify the argmax property over every positive-probability
     (agent, window, signal) triple in ``n_range``.
@@ -226,10 +225,6 @@ def check_equilibrium(
         best_value = np.where(best_action == 1, value[..., 1], value[..., 0])
         gain = best_value - sigma_value
         hits = np.flatnonzero(valid & (gain > eps + 2.0 * tail))
-        stop = stop_after is not None and len(hits) and len(violations) + len(hits) >= stop_after
-        if stop:
-            hits = hits[: max(1, stop_after - len(violations))]
-            valid = valid.ravel()[: hits[-1] + 1]  # the triples up to the last violation kept
         checked += int(np.count_nonzero(valid))
         for at in zip(*np.unravel_index(hits, gain.shape)):
             violations.append(Violation(
@@ -237,8 +232,6 @@ def check_equilibrium(
                 float(gain[at]) - 2.0 * tail, float(sigma_value[at]), float(best_value[at]),
                 int(best_action[at]),
             ))
-        if stop:
-            break
     return EquilibriumReport(violations, (n1, n2), eps, delta, horizon, tail, checked)
 
 

@@ -30,7 +30,6 @@ class SimConfig:
     seed: int = 0
     theta: int | None = None  # None: draw theta from the 1/2 prior per path
     checkpoints: tuple = ()
-    stream_offset: int = 0
 
     def __post_init__(self):
         if self.reps < 1:
@@ -230,13 +229,12 @@ def _run(config: SimConfig, streams: np.ndarray):
 
 
 def simulate_path(config: SimConfig, replication: int) -> PathRecord:
-    """Single replication; deterministic given (seed, stream id)."""
-    stream = config.stream_offset + replication
+    """Single replication; deterministic given (seed, replication)."""
     theta, decisions, census, switches, searching, last_switch = _run(
-        config, np.array([stream])
+        config, np.array([replication])
     )
     return PathRecord(
-        stream=stream,
+        stream=replication,
         theta=int(theta[0]),
         decisions={n: int(x[0]) for n, x in decisions.items()},
         correct={n: int(x[0] == theta[0]) for n, x in decisions.items()},
@@ -248,8 +246,9 @@ def simulate_path(config: SimConfig, replication: int) -> PathRecord:
 
 def estimate_error(config: SimConfig) -> PathStats:
     """Empirical P(x_n = theta) with standard errors over all streams."""
-    streams = config.stream_offset + np.arange(config.reps)
-    theta, decisions, census, switches, searching, last_switch = _run(config, streams)
+    theta, decisions, census, switches, searching, last_switch = _run(
+        config, np.arange(config.reps)
+    )
     ns = np.asarray(config.checkpoints)
     mean = np.empty(len(ns))
     se = np.empty(len(ns))

@@ -222,8 +222,3 @@ def segment_table(model) -> SegmentTable:
         with _tables_lock:
             tab = _tables.setdefault(key, SegmentTable(model))
     return tab
-
-
-def role_of(n: int, model) -> AgentRole:
-    """Role of agent ``n`` under the segment layout for ``model``."""
-    return segment_table(model).role_of(n)

@@ -189,7 +189,7 @@ def test_criterion_8_equilibrium_checker(report):
                               horizon=500)
     dp = designed_profile(M37)
     rep_b = check_equilibrium(dp, M37, delta=0.5, n_range=(1, 500), eps=0.01,
-                              horizon=20, stop_after=1)
+                              horizon=20)
     ok = rep_a.passed and len(rep_b.violations) >= 1
     first = rep_b.violations[0] if rep_b.violations else None
     report(8, f"myopic delta=0 passes ({rep_a.checked} checks); designed "

@@ -5,7 +5,6 @@ import pytest
 
 from tandemlearn import (
     SignalModel,
-    WindowDistribution,
     baseline_profile,
     block_start_masses,
     block_start_trajectory,
@@ -16,7 +15,6 @@ from tandemlearn import (
     k1_diagnostics,
     k1_error_floor,
     myopic_profile,
-    propagate,
     series_diagnostics,
     window_distributions,
 )
@@ -41,26 +39,21 @@ from tandemlearn.profiles import profile_from_json
 from conftest import TableProfile, reference_step
 
 
-def test_initial_window_is_zero_padded():
-    d = WindowDistribution.initial(2)
-    assert d.n == 1
-    assert d.d0.tolist() == [1.0, 0.0, 0.0, 0.0]
-    assert d.d1.tolist() == [1.0, 0.0, 0.0, 0.0]
+def test_initial_window_is_zero_padded(m46):
+    laws = window_distributions(TableProfile([np.full((4, 2), 0.37)]), m46, [1])
+    assert list(laws) == [1]
+    assert laws[1][0].tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert laws[1][1].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_propagate_conserves_mass(m46):
     prof = TableProfile([np.full((4, 2), 0.37)])
-    d = WindowDistribution.initial(2)
+    d0 = d1 = np.array([1.0, 0.0, 0.0, 0.0])
     for n in range(1, 30):
-        d = propagate(d, prof.rule(n), m46)
-        assert d.d0.sum() == pytest.approx(1.0, abs=1e-12)
-        assert d.d1.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_propagate_rejects_mismatched_rule(m46):
-    d = WindowDistribution.initial(2)
-    with pytest.raises(ValueError):
-        propagate(d, TableProfile([np.zeros((2, 2))]).rule(1), m46)
+        d0 = propagate_dist(d0, prof.rule(n).table, m46.signal_probs(0))
+        d1 = propagate_dist(d1, prof.rule(n).table, m46.signal_probs(1))
+        assert d0.sum() == pytest.approx(1.0, abs=1e-12)
+        assert d1.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_constant_and_copy_trajectories(m37):
@@ -77,10 +70,10 @@ def test_constant_and_copy_trajectories(m37):
 
 def test_first_informative_agent_matches_channel(m37):
     dp = designed_profile(m37)
-    wd = window_distributions(dp, m37, [4])[4]
+    d0, d1 = window_distributions(dp, m37, [4])[4]
     # agent 3 follows its signal from consensus 0, so v_4 carries one signal
-    assert wd.d1.tolist() == pytest.approx([0.3, 0.7, 0.0, 0.0])
-    assert wd.d0.tolist() == pytest.approx([0.7, 0.3, 0.0, 0.0])
+    assert d1.tolist() == pytest.approx([0.3, 0.7, 0.0, 0.0])
+    assert d0.tolist() == pytest.approx([0.7, 0.3, 0.0, 0.0])
 
 
 def test_sweep_snapshots_are_independent_copies(m37):

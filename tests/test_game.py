@@ -68,9 +68,7 @@ def test_myopic_is_exact_equilibrium_at_zero_discount(m46):
 
 def test_designed_profile_fails_at_positive_discount(m37):
     dp = designed_profile(m37)
-    report = check_equilibrium(
-        dp, m37, delta=0.5, n_range=(1, 40), eps=0.01, horizon=60, stop_after=1
-    )
+    report = check_equilibrium(dp, m37, delta=0.5, n_range=(1, 40), eps=0.01, horizon=60)
     assert not report.passed
     v = report.violations[0]
     assert v.gain > 0.01
@@ -109,6 +107,18 @@ def test_posterior_sequence_signal_update(m46):
     assert np.all(ps.f[0] < ps.pi)
 
 
+@pytest.mark.parametrize("call, got", [
+    (lambda p, m: posterior_sequence(p, m, (5, 3)), "5..3"),
+    (lambda p, m: posterior_sequence(p, m, (0, 3)), "0..3"),
+    (lambda p, m: payoff(p, m, PayoffQuery(0, (1,), 1, 1, 0.0, 5)), "0..0"),
+    (lambda p, m: check_equilibrium(p, m, 0.0, (5, 3), 1e-9, 5), "5..3"),
+], ids=["posterior-reversed", "posterior-from-0", "payoff-at-0", "check-reversed"])
+def test_bad_agent_range_is_named(call, got, m46):
+    # Every law walk refuses a range outside 1 <= n1 <= n2 and says which.
+    with pytest.raises(ValueError, match=rf"need 1 <= n\d <= n\d, got {got}$"):
+        call(myopic_profile(m46, 1, 30), m46)
+
+
 # ---------------------------------------------------------------------------
 # The continuation values and the checker against the per-(n, u, y) forward
 # walk: one reference_step per future agent, per start window and theta.
@@ -131,24 +141,23 @@ def _forward_walk(profile, model, n, start, delta, horizon):
 
 
 def _reference_check(profile, model, delta, n_range, eps, horizon):
-    """(checked, [(n, u, s, best_action, gain, sigma_value, best_value)],
-    the triples checked up to each violation) by the forward walk, triple
-    by triple in (n, u, s) order."""
+    """(checked, [(n, u, s, best_action, gain, sigma_value, best_value)])
+    by the forward walk, triple by triple in (n, u, s) order."""
     tail = 0.0 if delta == 0.0 else delta ** (horizon + 1) / (1.0 - delta)
     n1, n2 = n_range
     dists = window_distributions(profile, model, list(range(n1, n2 + 1)))
     sig = (model.signal_probs(0), model.signal_probs(1))
     mask = (1 << profile.K) - 1
-    checked, found, upto = 0, [], []
+    checked, found = 0, []
     for n in range(n1, n2 + 1):
         d, table = dists[n], profile.rule(n).table
         for u in range(mask + 1):
-            if d.d0[u] == 0.0 and d.d1[u] == 0.0:
+            if d[0, u] == 0.0 and d[1, u] == 0.0:
                 continue
             cont = [_forward_walk(profile, model, n, ((u << 1) | y) & mask, delta, horizon)
                     for y in (0, 1)]
             for s in (0, 1):
-                w0, w1 = d.d0[u] * sig[0][s], d.d1[u] * sig[1][s]
+                w0, w1 = d[0, u] * sig[0][s], d[1, u] * sig[1][s]
                 if w0 + w1 == 0.0:
                     continue
                 checked += 1
@@ -161,8 +170,7 @@ def _reference_check(profile, model, delta, n_range, eps, horizon):
                 if value[best] - sigma > eps + 2.0 * tail:
                     found.append((n, u, s, best, value[best] - sigma - 2.0 * tail, sigma,
                                   value[best]))
-                    upto.append(checked)
-    return checked, found, upto
+    return checked, found
 
 
 def _random_wide_profile(K, agents=9):
@@ -217,7 +225,7 @@ def _as_tuples(report):
 
 
 def _assert_same(report, ref):
-    checked, found, _ = ref
+    checked, found = ref
     got = _as_tuples(report)
     assert report.checked == checked
     assert [v[:4] for v in got] == [v[:4] for v in found]
@@ -251,21 +259,6 @@ def test_check_matches_forward_walk_at_natural_chunk_end(m37):
     _assert_same(around, _reference_check(dp, m37, 0.5, (size - 6, size + 6), 0.01, 20))
 
 
-@pytest.mark.parametrize("chunk_agents", [None, 7])
-def test_stop_after_gives_the_leading_violations(chunk_agents, m37, monkeypatch):
-    dp = designed_profile(m37)
-    if chunk_agents:
-        monkeypatch.setattr(chain, "_CHUNK_BYTES", (32 << dp.K) * (20 + chunk_agents))
-    full = check_equilibrium(dp, m37, 0.5, (1, 80), 0.01, 20)
-    _, found, upto = _reference_check(dp, m37, 0.5, (1, 80), 0.01, 20)
-    assert len(found) > 40
-    for k in (1, 2, 5, 37, len(found)):
-        part = check_equilibrium(dp, m37, 0.5, (1, 80), 0.01, 20, stop_after=k)
-        assert part.violations == full.violations[:k]
-        # checked counts the triples up to and including the k-th violation
-        _assert_same(part, (upto[k - 1], found[:k], None))
-
-
 @pytest.mark.parametrize("name", ["designed", "copy", "custom"])
 def test_payoff_equals_checker_values(name, m37, m46, tmp_path):
     prof, model, n_range, horizon = _case(name, m37, m46, tmp_path)
@@ -293,12 +286,10 @@ def test_check_chunks_stay_within_the_byte_bound(m37, monkeypatch):
         return continuation_values(p_one, delta, horizon)
 
     monkeypatch.setattr(game, "_continuation_values", recording)
-    for stop_after in (None, 10**6):
-        chunks.clear()
-        report = check_equilibrium(dp, m37, 0.9, (1, 20_000), 0.01, 200, stop_after=stop_after)
-        assert report.checked > 0
-        assert sum(chunks) == 20_000
-        assert max(chunks) + 200 <= chain._CHUNK_BYTES // (32 << dp.K)
+    report = check_equilibrium(dp, m37, 0.9, (1, 20_000), 0.01, 200)
+    assert report.checked > 0
+    assert sum(chunks) == 20_000
+    assert max(chunks) + 200 <= chain._CHUNK_BYTES // (32 << dp.K)
 
 
 def _horner(p_one, delta, horizon):

@@ -266,11 +266,11 @@ def test_run_matches_reference_with_offset_and_forced_state(theta, offset, m46, 
     monkeypatch.setattr(montecarlo, "_TABLE_BYTES", _SMALL_TABLES)
     profile = designed_profile(m46)
     cfg = SimConfig(profile=profile, model=m46, N=1500, reps=STREAMS, seed=3, theta=theta,
-                    stream_offset=offset, checkpoints=(1, _EDGE, _EDGE + 1, 1500))
+                    checkpoints=(1, _EDGE, _EDGE + 1, 1500))
     streams = offset + np.arange(STREAMS)
     got = montecarlo._run(cfg, streams)
     _assert_same_run(got, reference_run(cfg, streams))
-    record = simulate_path(cfg, 4)  # one stream through the same chunks
+    record = simulate_path(cfg, offset + 4)  # one stream through the same chunks
     assert record.stream == offset + 4
     assert record.decisions == {n: int(x[4]) for n, x in got[1].items()}
 

@@ -12,7 +12,7 @@ from tandemlearn import (
     myopic_profile,
     profile_from_dict,
     profile_from_json,
-    role_of,
+    segment_table,
 )
 from tandemlearn.profiles import code_window, window_code
 from conftest import reference_designed_table, reference_step
@@ -69,7 +69,7 @@ def test_designed_searching_probabilities(m37):
     assert dp.rule(7).table[0].tolist() == [0.0, 0.5]  # m = 2
     # an R-block opener seeing consensus (1,1) probes 0 symmetrically
     assert dp.rule(5).table[3].tolist() == [0.0, 1.0]  # m = 1
-    assert role_of(13, m37).kind == RoleKind.R_FIRST
+    assert segment_table(m37).role_of(13).kind == RoleKind.R_FIRST
     t13 = dp.rule(13).table  # m = 3: stays at 1 w.p. 2/3 on signal 0
     assert t13[3, 0] == pytest.approx(2 / 3)
     assert t13[3, 1] == pytest.approx(1.0)
@@ -107,20 +107,16 @@ def test_designed_block_body_switch_path(m37):
 def test_designed_block_switch_mass(m37):
     # the full m=8 S-block converts consensus-0 mass to a completed switch
     # with probability exactly p^2 / 8 under theta=1 (and q^2 / 8 under 0)
-    import numpy as np
-    from tandemlearn.chain import WindowDistribution, propagate
-    from tandemlearn.schedule import segment_table
+    from tandemlearn.chain import propagate_dist
 
     dp = designed_profile(m37)
-    tab = segment_table(m37)
-    start = tab.segment_start(8)
-    d = WindowDistribution(
-        n=start, d0=np.array([1.0, 0, 0, 0]), d1=np.array([1.0, 0, 0, 0])
-    )
+    start = segment_table(m37).segment_start(8)
+    d0 = d1 = np.array([1.0, 0, 0, 0])
     for n in range(start, start + 4):  # three block agents plus transient
-        d = propagate(d, dp.rule(n), m37)
-    assert d.d1[3] == pytest.approx(0.7**2 / 8, abs=1e-15)
-    assert d.d0[3] == pytest.approx(0.3**2 / 8, abs=1e-15)
+        d0 = propagate_dist(d0, dp.rule(n).table, m37.signal_probs(0))
+        d1 = propagate_dist(d1, dp.rule(n).table, m37.signal_probs(1))
+    assert d1[3] == pytest.approx(0.7**2 / 8, abs=1e-15)
+    assert d0[3] == pytest.approx(0.3**2 / 8, abs=1e-15)
 
 
 def test_designed_rule_chunk_matches_per_agent(m37):

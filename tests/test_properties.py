@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tandemlearn import SignalModel, blr_bounds, designed_profile
-from tandemlearn.chain import WindowDistribution, agent_chunks, block_start_masses, propagate
+from tandemlearn.chain import agent_chunks, block_start_masses, propagate_dist
 from tandemlearn.rng import (
     KIND_RULE, KIND_SIGNAL, KIND_WORLD, finish, step_key, stream_key, uniform,
 )
@@ -38,10 +38,10 @@ def test_normalization_invariant(model, tables, steps):
     """Window distributions stay normalized and non-negative under any
     rule sequence and any signal model."""
     prof = TableProfile(tables)
-    d = WindowDistribution.initial(2)
+    d = [np.array([1.0, 0.0, 0.0, 0.0])] * 2
     for n in range(1, steps + 1):
-        d = propagate(d, prof.rule(n), model)
-        for mass in (d.d0, d.d1):
+        d = [propagate_dist(d[t], prof.rule(n).table, model.signal_probs(t)) for t in (0, 1)]
+        for mass in d:
             assert np.all(mass >= 0.0)
             assert abs(mass.sum() - 1.0) < 1e-12
 

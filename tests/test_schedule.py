@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tandemlearn import RoleKind, SignalModel, block_sizes, role_of, segment_table
+from tandemlearn import RoleKind, SignalModel, block_sizes, segment_table
 from tandemlearn.schedule import block_sizes_arrays
 
 
@@ -41,11 +41,12 @@ def test_first_segment_roles(m37):
         (6, RoleKind.RS_TRANSIENT),
         (7, RoleKind.S_FIRST),
     ]
+    tab = segment_table(m37)
     for n, kind in expected:
-        role = role_of(n, m37)
+        role = tab.role_of(n)
         assert role.kind == kind, n
-    assert role_of(3, m37).m == 1
-    assert role_of(7, m37).m == 2
+    assert tab.role_of(3).m == 1
+    assert tab.role_of(7).m == 2
 
 
 def test_segment_lengths_and_starts(m37):
