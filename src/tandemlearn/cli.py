@@ -8,10 +8,10 @@ compared byte for byte.
 
 Exit codes: 0 success, 2 invalid model, 4 invalid arguments (a flag
 outside the range its subcommand accepts, an unknown, unreadable or
-malformed profile, a myopic or equilibrium horizon or a series length
-whose tables cannot be allocated, a profile whose window length the
-subcommand cannot use, or a ``--config`` file that cannot be read or
-holds a value its flag rejects).  Codes 2 and 4 print a JSON object with
+malformed profile, a myopic or equilibrium horizon, a series length or
+a replication count whose arrays cannot be allocated, a profile whose
+window length the subcommand cannot use, or a ``--config`` file that
+cannot be read or holds a value its flag rejects).  Codes 2 and 4 print a JSON object with
 ``error`` and ``reason``.
 """
 
@@ -147,9 +147,9 @@ def _resolved(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys}
 
 
-def _check_n(n: int) -> None:
-    if not 1 <= n <= MAX_N:
-        raise UsageError(f"--n must lie in [1, 2^63 - 1], got {n}")
+def _check_count(flag: str, value: int) -> None:
+    if not 1 <= value <= MAX_N:
+        raise UsageError(f"{flag} must lie in [1, 2^63 - 1], got {value}")
 
 
 def cmd_schedule(args) -> int:
@@ -167,7 +167,7 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    _check_n(args.n)
+    _check_count("--n", args.n)
     cps = _checkpoints(args.checkpoints, args.n)
     model = quantize(parse_model(args.model))
     profile = parse_profile(args.profile, model, K=args.k, horizon=args.n)
@@ -210,7 +210,8 @@ def cmd_simulate(args) -> int:
             args.seed = int(seed)
         except ValueError:
             raise UsageError(f"TANDEMLEARN_SEED must be an integer, got {seed!r}") from None
-    _check_n(args.n)
+    _check_count("--n", args.n)
+    _check_count("--reps", args.reps)
     model = quantize(parse_model(args.model))
     cps = _checkpoints(args.checkpoints, args.n)
     profile = parse_profile(args.profile, model, K=args.k, horizon=args.n)
@@ -224,9 +225,12 @@ def cmd_simulate(args) -> int:
             theta=args.theta,
             checkpoints=tuple(cps),
         )
-    except ValueError as exc:  # no agent, no replication or a checkpoint outside [1, N]
+    except ValueError as exc:  # a checkpoint outside [1, N]
         raise UsageError(str(exc)) from None
-    stats = estimate_error(config)
+    try:
+        stats = estimate_error(config)
+    except MemoryError:  # the per-path arrays of --reps paths are refused
+        raise UsageError(f"--reps {args.reps}: the per-path arrays do not fit in memory") from None
     resolved = _resolved(args, ["model", "profile", "n", "reps", "seed", "theta"])
     resolved.update(k=profile.K, checkpoints=list(stats.ns))
     _write_csv(args.out, ["n", "mean", "se"], zip(stats.ns, stats.mean, stats.se), resolved)
@@ -282,7 +286,7 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_k1diag(args) -> int:
-    _check_n(args.n)
+    _check_count("--n", args.n)
     model = quantize(parse_model(args.model))
     profile = parse_profile(args.profile, model, K=1, horizon=args.n)
     if profile.K != 1:

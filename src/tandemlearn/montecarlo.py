@@ -92,29 +92,34 @@ class _Jumps:
     i = count is the chunk end) and edges ``(state << 1) | x`` (that agent
     decides x, or sees signal x).  A stop is a state whose row reads the
     signal, has an entry strictly inside (0, 1) or can start a search;
-    every other state has one edge, which it takes without a draw.  Counts run
-    from the chunk start, and a last switch at agent n0 + i reads i + 1."""
+    every other state has one edge, which it takes without a draw.  Both
+    edges of a chunk-end state lead back to it with no counts, so a stream
+    that has left the chunk can keep stepping without effect (``entry``
+    stops at the chunk end and is read clipped).  Counts run from the chunk
+    start and pack the decision switches in the low 32 bits and the
+    searches started above them; a last switch at agent n0 + i reads i + 1."""
 
     n0: int
     end: int  # the first chunk-end state
     entry: np.ndarray  # per edge: the rule entry under that signal
-    start: tuple  # per window u: (next stop, switches, last switch) from state u
-    edge: tuple  # per edge: (next stop, switches, last switch) from that decision on
-    search: np.ndarray  # per edge: the decision starts a searching phase
+    start: tuple  # per window u: (next stop, counts, last switch) from state u
+    edge: tuple  # per edge: (next stop, counts, last switch) from that decision on;
+    # Nones in a chunk without stops, where every stream leaves in its first jump
 
 
 def _jump_tables(tables: np.ndarray, search: np.ndarray, n0: int) -> _Jumps:
     """Pointer jumping (Wyllie 1979) over a chunk: from every state, the
     first stop at or after it, the window on arrival, and the decision
     switches and last switch on the way.  Each round doubles the distance a
-    pointer covers; stops and chunk-end states point at themselves."""
+    pointer covers; stops and chunk-end states point at themselves, and the
+    rounds end once every pointer rests on one."""
     count, n_states = tables.shape[:2]
     K = n_states.bit_length() - 1
     end = count << K
     entry = np.ascontiguousarray(tables).reshape(2 * end)
     t0, t1 = entry[0::2], entry[1::2]
     random = (t0 != t1) | ((t0 > 0.0) & (t0 < 1.0))
-    search = search.reshape(2 * end)
+    search = np.ascontiguousarray(search).reshape(2 * end)  # a broadcast view reads slowly
     stop = random | search[0::2] | search[1::2]
     low = np.arange(2 * n_states)  # the low K + 1 bits of an edge: (u << 1) | x
     succ = (np.arange(1, count + 1)[:, None] << K) | (low & (n_states - 1))
@@ -131,52 +136,67 @@ def _jump_tables(tables: np.ndarray, search: np.ndarray, n0: int) -> _Jumps:
     np.copyto(nxt[:end], succ.take(fixed), where=go)
     np.copyto(lst[:end], last.take(fixed), where=go)
     sw = (lst > 0).astype(np.int32)
+    # Pointers never move back, so no pointer moves in a round whose sum stays.
+    reach = nxt.sum()
     for _ in range((count - 1).bit_length()):  # until pointers cover the chunk
+        ahead = nxt.take(nxt)
+        reach, before = ahead.sum(), reach
+        if reach == before:  # every pointer rests on a stop or a chunk end
+            break
         sw += sw.take(nxt)
         np.maximum(lst, lst.take(nxt), out=lst)
-        nxt = nxt.take(nxt)
-    return _Jumps(
-        n0=n0,
-        end=end,
-        entry=entry,
-        start=(nxt[:n_states], sw[:n_states], lst[:n_states]),
-        edge=(nxt.take(succ), sw.take(succ) + (last > 0), np.maximum(last, lst.take(succ))),
-        search=search,
-    )
+        nxt = ahead
+    start = (nxt[:n_states], sw[:n_states].astype(np.int64), lst[:n_states])
+    if not stop.any():  # no stream stops, so none takes an edge
+        return _Jumps(n0=n0, end=end, entry=entry, start=start, edge=(None, None, None))
+    # The edge tables run on over the chunk-end states, whose edges lead
+    # back to them and count nothing.
+    edge = tuple(np.empty(2 * (end + n_states), dtype) for dtype in (nxt.dtype, np.int64, np.int32))
+    stop_at, counts, later = (a[: 2 * end] for a in edge)
+    nxt.take(succ, out=stop_at, mode="clip")  # without "clip", take buffers its output
+    np.add(sw.take(succ), last > 0, out=counts)
+    np.add(counts, 1 << 32, out=counts, where=search)
+    np.maximum(last, lst.take(succ), out=later)
+    edge[0][2 * end :] = end + (low >> 1)
+    edge[1][2 * end :] = edge[2][2 * end :] = 0
+    return _Jumps(n0=n0, end=end, entry=entry, start=start, edge=edge)
 
 
 def _walk(jumps: _Jumps, keys, p_sig, win, switches, last_switch, searching):
     """Move every stream through one chunk, stop to stop, adding the
     chunk's counts to the per-stream arrays.  Each pass draws for every
-    stream still inside the chunk at its own next stop, from its key (see
-    ``rng.stream_key``) and its agent's step key, and moves it on to the
+    stream still carried, at its own next stop, from its key (see
+    ``rng.stream_key``) and its state's step key, and moves it on to the
     stop after.  A stop whose row draws nothing (it can start a search)
-    has entries of 0 or 1, which every draw in [0, 1) reads alike."""
-    K = len(jumps.start[0]).bit_length() - 1  # start holds one entry per window
-    steps = rng.step_key(np.arange(jumps.n0, jumps.n0 + (jumps.end >> K), dtype=np.uint64))
-    stop, sw, last = jumps.start
+    has entries of 0 or 1, which every draw in [0, 1) reads alike.  A
+    stream that has reached the chunk end stays there at no count; the
+    streams are written out and dropped once at least half of those
+    carried have arrived."""
+    n_states = len(jumps.start[0])
+    agents = np.arange(jumps.n0, jumps.n0 + jumps.end // n_states + 1, dtype=np.uint64)
+    steps = np.repeat(rng.step_key(agents), n_states)  # per state, chunk ends included
+    stop, counts, last = jumps.start
     live = np.arange(len(keys))
-    at, sw, last = stop.take(win), sw.take(win), last.take(win)
-    srch = np.zeros(len(keys), dtype=np.int32)
+    at, counts, last = stop.take(win), counts.take(win), last.take(win)
     stop, more, later = jumps.edge
     while True:
         done = at >= jumps.end
-        if done.any():
-            out, since = live[done], last[done]
+        arrived = np.count_nonzero(done)
+        if 2 * arrived >= len(live):
+            out, got, since = live[done], counts[done], last[done]
             win[out] = at[done] - jumps.end
-            switches[out] += sw[done]
-            searching[out] += srch[done]
+            switches[out] += got & 0xFFFFFFFF
+            searching[out] += got >> 32
             last_switch[out] = np.where(since > 0, since + np.int64(jumps.n0 - 1), last_switch[out])
-            keep = ~done
-            live, at, sw, last, srch = live[keep], at[keep], sw[keep], last[keep], srch[keep]
-            keys, p_sig = keys[keep], p_sig[keep]
-            if not len(live):
+            if arrived == len(live):
                 return
-        u = rng.finish(keys, steps.take(at >> K), _DRAWS)
+            keep = ~done
+            live, at, counts, last = live[keep], at[keep], counts[keep], last[keep]
+            keys, p_sig = keys[keep], p_sig[keep]
+        u = rng.finish(keys, steps.take(at), _DRAWS)
         edge = at << 1
-        edge |= u[1] < jumps.entry.take(edge | (u[0] < p_sig))
-        srch += jumps.search.take(edge)
-        sw += more.take(edge)
+        edge |= u[1] < jumps.entry.take(edge | (u[0] < p_sig), mode="clip")
+        counts += more.take(edge)
         np.maximum(last, later.take(edge), out=last)
         at = stop.take(edge)
 

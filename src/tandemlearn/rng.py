@@ -13,9 +13,18 @@ keys.  ``uniform`` is the composition of three steps: ``stream_key`` (the
 seed and stream stages), ``step_key`` and ``finish`` (the step and kind
 stages), so a loop that draws for the same streams at many steps hashes
 each stream once.
+
+``finish`` is the Monte Carlo walk's inner call, so its array path keeps
+numpy calls few: it mixes in place through one scratch buffer, takes the
+kind salts from a cache, and runs without ``np.errstate``, since uint64
+array arithmetic wraps silently (only numpy scalars warn, and scalar keys
+take the guarded path).  The float is ``(h >> 11) * 2^-53``,
+exact for a 53-bit integer.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -31,16 +40,29 @@ _INV_2_53 = 1.0 / (1 << 53)
 _SHIFTS = tuple(np.uint64(k) for k in (30, 27, 31, 11))
 
 
-def _mix64(z):
-    """splitmix64 finalizer of a uint64 scalar or array; an array is mixed
-    in place and returned."""
+def _mix64(z, scratch=None):
+    """splitmix64 finalizer of a uint64 scalar or array.  An array is mixed
+    in place and returned; with a ``scratch`` array of its shape and dtype
+    the shifts go there, so no temporaries are made."""
     s30, s27, s31, _ = _SHIFTS
-    z ^= z >> s30
+    z ^= np.right_shift(z, s30, out=scratch)
     z *= _MIX1
-    z ^= z >> s27
+    z ^= np.right_shift(z, s27, out=scratch)
     z *= _MIX2
-    z ^= z >> s31
+    z ^= np.right_shift(z, s31, out=scratch)
     return z
+
+
+@functools.cache
+def _salts(kind, ndim: int):
+    """The kind stage's input ``kind * _MIX2 + 5``, shaped to stack the
+    kinds of a tuple along a new leading axis of an ``ndim``-dim block."""
+    kinds = np.asarray(kind, dtype=np.uint64)
+    kinds = kinds.reshape(kinds.shape + (1,) * ndim)
+    with np.errstate(over="ignore"):  # a 0-d kind gives a scalar, which warns where it wraps
+        salts = np.asarray(kinds * _MIX2 + np.uint64(5))
+    salts.flags.writeable = False  # shared by every call
+    return salts
 
 
 def stream_key(seed, stream):
@@ -64,17 +86,16 @@ def finish(key, step, kind):
     mix.  ``kind`` is a scalar or a tuple of kinds, which share the earlier
     stages and stack along a new leading axis.  Returns a float when key,
     step and kind are all scalars, else a float64 array."""
-    kinds = np.asarray(kind, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        h = _mix64(key ^ step)
-        kinds = kinds.reshape(kinds.shape + (1,) * np.ndim(h))
-        h = _mix64(h ^ (kinds * _MIX2 + np.uint64(5)))
+    h = np.bitwise_xor(key, step)
+    if h.ndim == 0:  # scalar arithmetic warns where it wraps
+        with np.errstate(over="ignore"):
+            h = _mix64(_mix64(h) ^ _salts(kind, 0))
+    else:
+        h = _mix64(h, np.empty_like(h)) ^ _salts(kind, h.ndim)
+        _mix64(h, np.empty_like(h))
     h >>= _SHIFTS[3]
-    out = h.astype(np.float64)
-    out *= _INV_2_53
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = np.multiply(h, _INV_2_53)
+    return float(out) if out.ndim == 0 else out
 
 
 def uniform(seed, stream, step, kind):

@@ -288,6 +288,9 @@ def test_equilibrium_rejects_bad_arguments_with_usage_error(flags, capsys):
         ["schedule", "--m", "-3"],
         ["simulate", "--profile", "copy", "--n", str(10**30), "--reps", "1", "--checkpoints", "5"],
         ["simulate", "--profile", "copy", "--n", str(2**63), "--reps", "1", "--checkpoints", "5"],
+        # More replications than int64 holds, and more than memory holds.
+        ["simulate", "--n", "10", "--reps", "100000000000000000000"],
+        ["simulate", "--n", "10", "--reps", "1000000000000"],
         # 10^12 segments: the system refuses the block-size arrays.
         ["series", "--m", "1000000000000"],
     ],

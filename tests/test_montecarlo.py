@@ -141,6 +141,31 @@ def test_uniform_blocks_equal_scalar_draws():
     assert isinstance(rng.uniform(0, 0, 0, 0), float)
 
 
+def test_finish_array_path_raises_nothing():
+    """``finish`` on arrays of stream and step keys makes no floating-point
+    or integer warning (uint64 array arithmetic wraps silently), and its
+    draws equal the scalar ones."""
+    streams = np.array([0, 1, 7, 2**33, 2**63 + 5], dtype=np.uint64)
+    steps = np.array([0, 1, 2, 999, 2**40], dtype=np.uint64)
+    seed = 2**64 - 1
+    keys, step_keys = rng.stream_key(seed, streams), rng.step_key(steps)
+    pair = (rng.KIND_SIGNAL, rng.KIND_RULE)
+    want = {
+        kind: np.array([[rng.uniform(seed, r, n, kind) for r in streams.tolist()]
+                        for n in steps.tolist()])
+        for kind in pair
+    }
+    with np.errstate(all="raise"):
+        aligned = {kind: rng.finish(keys, step_keys, kind) for kind in pair}
+        block = rng.finish(keys, step_keys[:, None], rng.KIND_RULE)
+        stacked = rng.finish(keys, step_keys[:, None], pair)
+    for kind in pair:
+        assert np.array_equal(aligned[kind], np.diagonal(want[kind]))
+    assert np.array_equal(block, want[rng.KIND_RULE])
+    assert stacked.dtype == np.float64 and stacked.shape == (2, 5, 5)
+    assert np.array_equal(stacked, np.stack([want[kind] for kind in pair]))
+
+
 def _assert_same_run(got, want):
     """Every field of two ``_run`` results equal, dtype for dtype."""
     assert len(got) == len(want)
@@ -200,8 +225,17 @@ def _random_k6(m37):
     return profile_from_dict(spec), N
 
 
+def _follow_until_1(m37):
+    """K=1: window 0 follows the signal and window 1 decides 1, so a stream
+    passes a chunk in one jump once it has decided 1 and stops at every
+    agent before: streams leave a chunk at very different passes."""
+    spec = {"K": 1, "default": {"0": {"0": 0, "1": 1}, "1": {"0": 1, "1": 1}}}
+    return profile_from_dict(spec), 1000
+
+
 PROFILES = {
     "designed": lambda m: (designed_profile(m), 2 * _EDGE + 100),
+    "follow-until-1": _follow_until_1,
     "myopic-k1": lambda m: (myopic_profile(m, 1, 300), 1000),
     "myopic-k3": lambda m: (myopic_profile(m, 3, 1200), 1200),
     "copy-k3": lambda m: (baseline_profile("copy", 3), 900),
@@ -213,7 +247,8 @@ PROFILES = {
 def _inside_a_jump(profile, N):
     """The middle agent of the longest run of agents in 2..N whose rows at
     the all-zero and all-one windows draw nothing and start no search: a
-    stream at either window passes it inside one jump."""
+    stream at either window passes it inside one jump.  Agent 1 when there
+    is no such run."""
     tables = profile.rule_table_chunk(1, N)[:, [0, -1]]
     search = profile.search_table_chunk(1, N)[:, [0, -1]]
     fixed = np.isin(tables, (0.0, 1.0)) & (tables[..., :1] == tables[..., 1:])
@@ -223,7 +258,7 @@ def _inside_a_jump(profile, N):
         run = run + 1 if quiet[n - 1] else 0
         if run > best:
             best, best_end = run, n
-    return best_end - best // 2
+    return max(best_end - best // 2, 1)
 
 
 @pytest.mark.parametrize("table_bytes", [None, _SMALL_TABLES, 1480, 128])
@@ -245,6 +280,78 @@ def test_run_matches_reference_run(name, table_bytes, m37, monkeypatch):
     cfg = SimConfig(profile=profile, model=m37, N=N, reps=STREAMS, seed=11, checkpoints=tuple(cps))
     streams = np.arange(STREAMS)
     _assert_same_run(montecarlo._run(cfg, streams), reference_run(cfg, streams))
+
+
+def _reference_jumps(tables, search, n0):
+    """``_jump_tables`` state by state and edge by edge, with every one of
+    the (count - 1).bit_length() doubling rounds: the reference for the
+    early end of its rounds."""
+    count, S = tables.shape[:2]
+    K = S.bit_length() - 1
+    end = count << K
+    table, search = tables.reshape(end, 2), search.reshape(end, 2)
+    stop = (table[:, 0] != table[:, 1]) | ((table[:, 0] > 0) & (table[:, 0] < 1))
+    stop |= search.any(axis=1)
+
+    def succ(state, x):  # the state after the agent of ``state`` decides x
+        i, u = state >> K, state & (S - 1)
+        return np.where(state < end, ((i + 1) << K) | (((u << 1) | x) & (S - 1)), state)
+
+    def last(state, x):  # the last switch that decision reads, or 0
+        i, u = state >> K, state & (S - 1)
+        moved = ((u & 1) != x) & (state < end) & ((i > 0) | (n0 > 1))
+        return np.where(moved, i + 1, 0)
+
+    states = np.arange(end + S)
+    go = np.append(~stop, np.zeros(S, dtype=bool))
+    x = np.append(table[:, 0] == 1.0, np.zeros(S, dtype=bool)).astype(np.int64)
+    nxt = np.where(go, succ(states, x), states)
+    lst = np.where(go, last(states, x), 0)
+    sw = (lst > 0).astype(np.int64)
+    for _ in range((count - 1).bit_length()):
+        sw, lst, nxt = sw + sw[nxt], np.maximum(lst, lst[nxt]), nxt[nxt]
+    edges = np.arange(2 * (end + S))
+    e_succ, e_last = succ(edges >> 1, edges & 1), last(edges >> 1, edges & 1)
+    e_search = np.append(search.reshape(-1), np.zeros(2 * S, dtype=bool))
+    counts = sw[e_succ] + (e_last > 0) + (e_search.astype(np.int64) << 32)
+    return montecarlo._Jumps(
+        n0=n0,
+        end=end,
+        entry=table.reshape(-1),
+        start=(nxt[:S], sw[:S], lst[:S]),
+        edge=(nxt[e_succ], counts, np.maximum(e_last, lst[e_succ])),
+    )
+
+
+def _random_k2():
+    rows = {format(u, "02b"): {"0": 0.2 + 0.1 * u, "1": 0.35 + 0.1 * u} for u in range(4)}
+    return profile_from_dict({"K": 2, "default": rows})
+
+
+@pytest.mark.parametrize(
+    "name, n0, n1",
+    [("designed", 1, 600), ("designed", 4000, 8095), ("myopic-k3", 1, 1200),
+     ("myopic-k3", 37, 300), ("copy-k3", 1, 900), ("copy-k3", 2, 514),
+     ("random-k2", 1, 300), ("random-k2", 301, 301)],
+)
+def test_jump_tables_equal_every_round(name, n0, n1, m37):
+    """Pointer doubling that ends once every pointer rests on a stop or a
+    chunk end gives the tables of all (count - 1).bit_length() rounds: on
+    chunks with stops, on the stopless copy profile (every round needed)
+    and on a profile whose every row is a stop."""
+    profile = _random_k2() if name == "random-k2" else PROFILES[name](m37)[0]
+    tables, search = profile.rule_table_chunk(n0, n1), profile.search_table_chunk(n0, n1)
+    got = montecarlo._jump_tables(tables, search, n0)
+    want = _reference_jumps(tables, search, n0)
+    assert (got.n0, got.end) == (want.n0, want.end)
+    assert np.array_equal(got.entry, want.entry)
+    for a, b in zip(got.start, want.start):
+        assert np.array_equal(a, b)
+    if got.edge[0] is None:  # only where every edge leads out of the chunk
+        assert name == "copy-k3" and (want.edge[0] >= want.end).all()
+    else:
+        for a, b in zip(got.edge, want.edge):
+            assert np.array_equal(a, b)
 
 
 def test_checkpoint_inside_a_jump_cuts_it(m37):
