@@ -13,7 +13,7 @@ from .signals import (
     likelihood_ratio,
     quantize,
 )
-from .schedule import AgentRole, BlockSizes, RoleKind, block_sizes, segment_table
+from .schedule import AgentRole, RoleKind, segment_table
 from .profiles import (
     DecisionRule,
     Profile,
@@ -30,7 +30,6 @@ from .chain import (
     ZeroProbabilityError,
     block_start_masses,
     block_start_trajectory,
-    block_start_transition,
     brute_force_oracle,
     error_trajectory,
     k1_diagnostics,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentRole",
-    "BlockSizes",
     "BlockStartChain",
     "ChainDriftError",
     "DecisionRule",
@@ -70,10 +68,8 @@ __all__ = [
     "ZeroProbabilityError",
     "baseline_profile",
     "blr_bounds",
-    "block_sizes",
     "block_start_masses",
     "block_start_trajectory",
-    "block_start_transition",
     "brute_force_oracle",
     "check_equilibrium",
     "designed_profile",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schedule import block_sizes, block_sizes_arrays, segment_table
+from .schedule import block_sizes_arrays, segment_table
 
 # The sweep has no numba path; perfbench's environment stamp reads this name.
 HAVE_NUMBA = False
@@ -330,43 +330,27 @@ class BlockStartChain:
     down: np.ndarray
 
 
-def block_start_transition(i: int, model, theta: int) -> tuple[float, float]:
-    """Closed-form (P(w_{i+1}=1 | w_i=0), P(w_{i+1}=0 | w_i=1)).
+def block_start_trajectory(model, theta: int, segments: int) -> BlockStartChain:
+    """Exact P^theta(w_i = 1) for i = 1..2*segments by chain iteration.
 
     Upward switches happen only across S-blocks (odd i), with probability
     p^{k_m}/m; downward only across R-blocks (even i), with probability
     q^{r_m}/m, where m = m(i) indexes the block's segment.
     """
-    if i < 1:
-        raise ValueError("chain step must be >= 1")
-    if i % 2 == 1:
-        m = (i + 1) // 2
-        k = block_sizes(m, model).k
-        return (model.p(theta) ** k / m, 0.0)
-    m = i // 2
-    r = block_sizes(m, model).r
-    return (0.0, model.q(theta) ** r / m)
-
-
-def block_start_trajectory(model, theta: int, segments: int) -> BlockStartChain:
-    """Exact P^theta(w_i = 1) for i = 1..2*segments by chain iteration."""
     if segments < 1:
         raise ValueError("need at least one segment")
-    steps = 2 * segments
-    k, r = (sizes.tolist() for sizes in block_sizes_arrays(segments, model))
+    k, r = block_sizes_arrays(segments, model)
     p, q = model.p(theta), model.q(theta)
-    pi = np.empty(steps)
-    up = np.empty(steps)
-    down = np.empty(steps)
-    w = pi[0] = 0.0  # w_1 is the decision x_2 = 0
-    for i in range(1, steps + 1):
-        # block_start_transition's closed form, on sizes fetched once.
-        m = (i + 1) // 2
-        u, d = (p ** k[m - 1] / m, 0.0) if i % 2 == 1 else (0.0, q ** r[m - 1] / m)
-        up[i - 1], down[i - 1] = u, d
-        if i < steps:
-            w = pi[i] = w * (1.0 - d) + (1.0 - w) * u
-    return BlockStartChain(theta=theta, pi=pi, up=up, down=down)
+    # Python's float ** rather than np.power, whose last bit can differ.
+    up = [0.0] * (2 * segments)
+    down = [0.0] * (2 * segments)
+    up[0::2] = [p**km / m for m, km in enumerate(k.tolist(), 1)]
+    down[1::2] = [q**rm / m for m, rm in enumerate(r.tolist(), 1)]
+    pi = [0.0]  # w_1 is the decision x_2 = 0
+    for u, d in zip(up[:-1], down[:-1]):
+        w = pi[-1]
+        pi.append(w * (1.0 - d) + (1.0 - w) * u)
+    return BlockStartChain(theta=theta, pi=np.array(pi), up=np.array(up), down=np.array(down))
 
 
 def block_start_masses(profile, model, segments: int):
@@ -377,8 +361,9 @@ def block_start_masses(profile, model, segments: int):
     on the mixed windows (0,1) and (1,0), which the designed profile
     forces to zero at block starts).
     """
-    tab = segment_table(model)
-    before = [tab.block_start_agent(i) - 1 for i in range(1, 2 * segments + 1)]
+    k, _, start = segment_table(model).layout(segments)
+    # The agent before each block start: S-block m at start_m, R-block m 2k_m later.
+    before = (np.stack([start, start + 2 * k], axis=1).ravel() - 1).tolist()
     laws = sweep(profile, model, before[-1], before)
     d = np.array([laws[n] for n in before])  # [block, theta, window]
     return (d[:, 0, 3], d[:, 1, 3]), (d[:, 0, 1] + d[:, 0, 2], d[:, 1, 1] + d[:, 1, 2])

@@ -8,11 +8,10 @@ compared byte for byte.
 
 Exit codes: 0 success, 2 invalid model, 4 invalid arguments (a flag
 outside the range its subcommand accepts, an unknown, unreadable or
-malformed profile, a myopic or equilibrium horizon, a series length or
-a replication count whose arrays cannot be allocated, a profile whose
-window length the subcommand cannot use, or a ``--config`` file that
-cannot be read or holds a value its flag rejects).  Codes 2 and 4 print a JSON object with
-``error`` and ``reason``.
+malformed profile, a profile whose window length the subcommand cannot
+use, a ``--config`` file that cannot be read or holds a value its flag
+rejects, or flags whose arrays the system refuses to allocate).  Codes 2
+and 4 print a JSON object with ``error`` and ``reason``.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ def parse_profile(spec: str, model, K: int, horizon: int):
         if spec == "myopic":
             return myopic_profile(model, K=K, horizon=horizon)
         return baseline_profile(spec, K=K)
-    except (OSError, ValueError, MemoryError) as exc:  # bad name or file, tables too large
+    except (OSError, ValueError) as exc:  # bad name or file
         raise UsageError(f"--profile {spec}: {exc}") from None
 
 
@@ -155,12 +154,9 @@ def _check_count(flag: str, value: int) -> None:
 def cmd_schedule(args) -> int:
     if args.m < 1:
         raise UsageError(f"--m must be >= 1, got {args.m}")
-    tab = segment_table(quantize(parse_model(args.model)))
-    rows = []
-    for m in range(1, args.m + 1):
-        sizes = tab.sizes(m)
-        start = tab.segment_start(m)
-        rows.append((m, sizes.k, sizes.r, start, 2 * sizes.k + 2 * sizes.r))
+    k, r, start = segment_table(quantize(parse_model(args.model))).layout(args.m)
+    sizes = (k.tolist(), r.tolist(), start.tolist(), (2 * k + 2 * r).tolist())
+    rows = zip(range(1, args.m + 1), *sizes)
     header = ["m", "k_m", "r_m", "segment_start", "segment_len"]
     _write_csv(args.out, header, rows, _resolved(args, ["model", "m"]))
     return 0
@@ -187,7 +183,7 @@ def cmd_series(args) -> int:
     cps = _checkpoints(args.checkpoints, args.m)
     try:
         diag = series_diagnostics(model, args.m, cps)
-    except (ValueError, MemoryError) as exc:  # M < 2, a checkpoint outside [1, M], no memory
+    except ValueError as exc:  # M < 2, a checkpoint outside [1, M]
         raise UsageError(str(exc)) from None
     rows = zip(diag.checkpoints, diag.sum_p1k, diag.sum_q1r, diag.sum_p0k, diag.sum_q0r)
     _write_csv(
@@ -227,10 +223,7 @@ def cmd_simulate(args) -> int:
         )
     except ValueError as exc:  # a checkpoint outside [1, N]
         raise UsageError(str(exc)) from None
-    try:
-        stats = estimate_error(config)
-    except MemoryError:  # the per-path arrays of --reps paths are refused
-        raise UsageError(f"--reps {args.reps}: the per-path arrays do not fit in memory") from None
+    stats = estimate_error(config)
     resolved = _resolved(args, ["model", "profile", "n", "reps", "seed", "theta"])
     resolved.update(k=profile.K, checkpoints=list(stats.ns))
     _write_csv(args.out, ["n", "mean", "se"], zip(stats.ns, stats.mean, stats.se), resolved)
@@ -262,12 +255,9 @@ def cmd_equilibrium(args) -> int:
         raise UsageError(f"--range {args.range} and --horizon {args.horizon} pass agent 2^63 - 1")
     model = quantize(parse_model(args.model))
     profile = parse_profile(args.profile, model, K=args.k, horizon=n2 + args.horizon + 1)
-    try:
-        report = check_equilibrium(
-            profile, model, delta=args.delta, n_range=(n1, n2), eps=args.eps, horizon=args.horizon
-        )
-    except MemoryError:  # the tables of a chunk and its horizon are refused
-        raise UsageError(f"--horizon {args.horizon}: tables do not fit in memory") from None
+    report = check_equilibrium(
+        profile, model, delta=args.delta, n_range=(n1, n2), eps=args.eps, horizon=args.horizon
+    )
     _write_json(
         args.out,
         {
@@ -415,6 +405,10 @@ def main(argv=None) -> int:
         return EXIT_MODEL_ERROR
     except UsageError as exc:
         _write_json(None, {"error": "usage", "reason": str(exc)}, {})
+        return EXIT_USAGE_ERROR
+    except MemoryError as exc:  # the arrays the flags ask for are refused
+        reason = f"{given.command}: the arrays these flags need do not fit in memory ({exc})"
+        _write_json(None, {"error": "usage", "reason": reason}, {})
         return EXIT_USAGE_ERROR
     if args.out:
         print(f"{args.command}: ok -> {args.out}")

@@ -74,7 +74,7 @@ class PathStats:
     config: SimConfig = field(repr=False, default=None)
 
 
-_GROUP = 1 << 15  # streams run together; bounds every per-stream array and draw block
+_GROUP = 1 << 15  # streams walked together; bounds every draw block
 _TABLE_BYTES = 1 << 21  # bound on one chunk's per-(agent, window) tables
 _WINDOW_BYTES = 128  # bytes of those tables per (agent, window)
 _DRAWS = (rng.KIND_SIGNAL, rng.KIND_RULE)  # drawn together at every stop
@@ -210,24 +210,16 @@ def _run(config: SimConfig, streams: np.ndarray):
     one table lookup, and the signal and the rule are drawn only at stops,
     both in one call.  A row passed without a draw decides alike for every
     draw, and since each draw is a pure function of its key, skipping it
-    leaves every output bit as it was.  More streams than ``_GROUP`` run
-    in groups.
+    leaves every output bit as it was.  Streams are walked in groups of
+    ``_GROUP``, each on views of the per-stream arrays, so that a chunk's
+    tables serve every group.
     """
-    if len(streams) > _GROUP:
-        parts = [_run(config, streams[i : i + _GROUP]) for i in range(0, len(streams), _GROUP)]
-        theta, decisions, census, *counters = zip(*parts)
-
-        def join(dicts):
-            return {n: np.concatenate([d[n] for d in dicts]) for n in dicts[0]}
-
-        return (
-            np.concatenate(theta), join(decisions), join(census),
-            *(np.concatenate(c) for c in counters),
-        )
     profile, model = config.profile, config.model
     R = len(streams)
+    groups = [slice(i, i + _GROUP) for i in range(0, R, _GROUP)]
     if config.theta is None:
-        theta = (rng.uniform(config.seed, streams, 0, rng.KIND_WORLD) < 0.5).astype(np.int64)
+        world = [rng.uniform(config.seed, streams[g], 0, rng.KIND_WORLD) < 0.5 for g in groups]
+        theta = np.concatenate(world).astype(np.int64)
     else:
         theta = np.full(R, int(config.theta), dtype=np.int64)
     p_sig = np.where(theta == 1, model.p1, model.p0)
@@ -241,7 +233,8 @@ def _run(config: SimConfig, streams: np.ndarray):
     for n0, n1 in agent_chunks(1, config.N, _chunk_agents(profile.K), config.checkpoints):
         tables = profile.rule_table_chunk(n0, n1)
         jumps = _jump_tables(tables, profile.search_table_chunk(n0, n1), n0)
-        _walk(jumps, keys, p_sig, win, switches, last_switch, searching)
+        for g in groups:
+            _walk(jumps, keys[g], p_sig[g], win[g], switches[g], last_switch[g], searching[g])
         if n1 in config.checkpoints:
             decisions[n1] = win & 1  # the low bit of the window is the last decision
             census[n1] = searching.copy()

@@ -34,38 +34,16 @@ class AgentRole:
     m: int | None = None  # segment index; None for the preamble
 
 
-@dataclass(frozen=True)
-class BlockSizes:
-    k: int
-    r: int
-
-
-def _cutoff(model) -> float:
+def block_sizes_arrays(m_max: int, model) -> tuple[np.ndarray, np.ndarray]:
+    """Block sizes (k_m, r_m) for m = 1..m_max, as int64 arrays."""
+    lnm = np.log(np.arange(1, m_max + 1, dtype=np.float64))
     # Both block formulas are well defined once ln(m) exceeds 1/pbar and
     # 1/qbar; for smaller m both sizes are pinned to 1.
-    return max(1.0 / model.pbar, 1.0 / model.qbar)
-
-
-def _sizes(m: np.ndarray, model) -> tuple[np.ndarray, np.ndarray]:
-    """(k_m, r_m) for the float64 segment indices m >= 1, as int64 arrays."""
-    lnm = np.log(m)
-    loglog = np.log(lnm, where=lnm > _cutoff(model), out=np.zeros_like(lnm))  # 0: sizes 1
+    cutoff = max(1.0 / model.pbar, 1.0 / model.qbar)
+    loglog = np.log(lnm, where=lnm > cutoff, out=np.zeros_like(lnm))  # 0: sizes 1
     k = np.maximum(np.ceil(loglog / math.log(1.0 / model.pbar)), 1).astype(np.int64)
     r = np.maximum(np.ceil(loglog / math.log(1.0 / model.qbar)), 1).astype(np.int64)
     return k, r
-
-
-def block_sizes(m: int, model) -> BlockSizes:
-    """Block sizes (k_m, r_m) for segment ``m``."""
-    if m < 1:
-        raise ValueError("segment index must be >= 1")
-    k, r = _sizes(np.array([m], dtype=np.float64), model)
-    return BlockSizes(k=int(k[0]), r=int(r[0]))
-
-
-def block_sizes_arrays(m_max: int, model) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (k_m, r_m) for m = 1..m_max, as int64 arrays."""
-    return _sizes(np.arange(1, m_max + 1, dtype=np.float64), model)
 
 
 class SegmentTable:
@@ -104,9 +82,14 @@ class SegmentTable:
         while self._starts[-1] + 2 * (self._k[-1] + self._r[-1]) <= n:
             self._grow(2 * len(self._starts))
 
-    def sizes(self, m: int) -> BlockSizes:
+    def layout(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only int64 arrays (k, r, start) of segments 1..m: the block
+        sizes k_m and r_m and the first agent of each segment."""
         self._ensure_segment(m)
-        return BlockSizes(k=int(self._k[m - 1]), r=int(self._r[m - 1]))
+        views = self._k[:m], self._r[:m], self._starts[:m]
+        for view in views:
+            view.flags.writeable = False
+        return views
 
     def segment_start(self, m: int) -> int:
         self._ensure_segment(m)

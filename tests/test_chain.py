@@ -8,7 +8,6 @@ from tandemlearn import (
     baseline_profile,
     block_start_masses,
     block_start_trajectory,
-    block_start_transition,
     brute_force_oracle,
     designed_profile,
     error_trajectory,
@@ -34,6 +33,7 @@ from tandemlearn.chain import (
     sweep,
 )
 from tandemlearn.profiles import profile_from_dict
+from tandemlearn.schedule import block_sizes_arrays
 from tandemlearn.signals import blr_bounds
 from tandemlearn.profiles import profile_from_json
 from conftest import TableProfile, reference_step
@@ -288,30 +288,44 @@ def test_enumeration_refuses_large_n(m37):
 
 
 def test_block_start_transition_closed_form(m37):
+    bt = block_start_trajectory(m37, 1, 8)
     # odd block index: upward switch probability p^{k_m}/m, no downward
-    up, down = block_start_transition(1, m37, theta=1)
+    up, down = bt.up[0], bt.down[0]
     assert up == pytest.approx(0.7)
     assert down == 0.0
-    up, down = block_start_transition(3, m37, theta=1)
+    up, down = bt.up[2], bt.down[2]
     assert up == pytest.approx(0.7 / 2)
     # even block index: downward switch probability q^{r_m}/m, no upward
-    up, down = block_start_transition(2, m37, theta=1)
+    up, down = bt.up[1], bt.down[1]
     assert up == 0.0
     assert down == pytest.approx(0.3)
-    up, down = block_start_transition(16, m37, theta=0)
+    bt = block_start_trajectory(m37, 0, 8)
+    up, down = bt.up[15], bt.down[15]
     assert down == pytest.approx(0.7**2 / 8)  # m = 8 has r = 2
+
+
+def _block_start_transition(i, model, theta, k, r):
+    """The closed form one chain step at a time, from the sizes k_m, r_m:
+    p^{k_m}/m upward across S-blocks (odd i), q^{r_m}/m downward across
+    R-blocks (even i)."""
+    if i % 2 == 1:
+        m = (i + 1) // 2
+        return model.p(theta) ** int(k[m - 1]) / m, 0.0
+    m = i // 2
+    return 0.0, model.q(theta) ** int(r[m - 1]) / m
 
 
 @pytest.mark.parametrize("model_args", [(0.3, 0.7), (0.4, 0.6), (0.15, 0.9)])
 def test_block_start_trajectory_follows_the_transition_step_by_step(model_args):
     model = SignalModel(*model_args)
     segments = 400
+    k, r = block_sizes_arrays(segments, model)
     for theta in (0, 1):
         bt = block_start_trajectory(model, theta, segments)
         pi = 0.0
         for i in range(1, 2 * segments + 1):
             assert bt.pi[i - 1] == pi, (model_args, theta, i)
-            u, d = block_start_transition(i, model, theta)
+            u, d = _block_start_transition(i, model, theta, k, r)
             assert (bt.up[i - 1], bt.down[i - 1]) == (u, d), (model_args, theta, i)
             pi = pi * (1.0 - d) + (1.0 - pi) * u
 

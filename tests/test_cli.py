@@ -291,8 +291,10 @@ def test_equilibrium_rejects_bad_arguments_with_usage_error(flags, capsys):
         # More replications than int64 holds, and more than memory holds.
         ["simulate", "--n", "10", "--reps", "100000000000000000000"],
         ["simulate", "--n", "10", "--reps", "1000000000000"],
-        # 10^12 segments: the system refuses the block-size arrays.
+        # 10^12 segments or agents: the system refuses their arrays.
         ["series", "--m", "1000000000000"],
+        ["schedule", "--m", "1000000000000"],
+        ["k1diag", "--profile", "copy", "--n", "1000000000000"],
     ],
 )
 def test_bad_arguments_exit_with_usage_error(argv, capsys):

@@ -15,7 +15,7 @@ from tandemlearn import (
     rng,
     simulate_path,
 )
-from tandemlearn.chain import sweep
+from tandemlearn.chain import agent_chunks, sweep
 
 
 def _config(profile, model, **kw):
@@ -380,6 +380,29 @@ def test_run_matches_reference_with_offset_and_forced_state(theta, offset, m46, 
     record = simulate_path(cfg, offset + 4)  # one stream through the same chunks
     assert record.stream == offset + 4
     assert record.decisions == {n: int(x[4]) for n, x in got[1].items()}
+
+
+def test_jump_tables_are_built_once_per_chunk_for_all_groups(m37, monkeypatch):
+    """With 16-stream groups, 100 streams walk every chunk in seven groups
+    on tables built once for the chunk, and match the reference."""
+    monkeypatch.setattr(montecarlo, "_GROUP", 16)
+    monkeypatch.setattr(montecarlo, "_TABLE_BYTES", _SMALL_TABLES)
+    built = []
+    real = montecarlo._jump_tables
+
+    def counted(*args):
+        built.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(montecarlo, "_jump_tables", counted)
+    profile, N = PROFILES["designed"](m37)
+    cfg = SimConfig(profile=profile, model=m37, N=N, reps=100, seed=5, checkpoints=(_EDGE, N))
+    streams = np.arange(100)
+    got = montecarlo._run(cfg, streams)
+    chunks = list(agent_chunks(1, N, montecarlo._chunk_agents(profile.K), cfg.checkpoints))
+    assert len(chunks) > 1
+    assert built == [n0 for n0, _ in chunks]
+    _assert_same_run(got, reference_run(cfg, streams))
 
 
 @pytest.mark.parametrize("reps, group", [(1, None), (1000, None), (10**4, None), (40, 16)])

@@ -85,10 +85,10 @@ def test_schedule_partition_invariant(model, n):
         m = tab.segment_of(n)
         start = tab.segment_start(m)
         assert start <= n < tab.segment_start(m + 1)
-        from tandemlearn import block_sizes
+        from tandemlearn.schedule import block_sizes_arrays
 
-        bs = block_sizes(m, model)
-        assert tab.segment_start(m + 1) - start == 2 * bs.k + 2 * bs.r
+        ks, rs = block_sizes_arrays(m, model)
+        assert tab.segment_start(m + 1) - start == 2 * ks[m - 1] + 2 * rs[m - 1]
 
 
 @CASES

@@ -1,34 +1,27 @@
 import numpy as np
 import pytest
 
-from tandemlearn import RoleKind, SignalModel, block_sizes, segment_table
+from tandemlearn import RoleKind, SignalModel, segment_table
 from tandemlearn.schedule import block_sizes_arrays
 
 
 def test_block_sizes_below_cutoff(m37):
     # while ln m <= max(1/pbar, 1/qbar) both block sizes stay at 1
+    ks, rs = block_sizes_arrays(7, m37)
     for m in range(1, 8):
-        bs = block_sizes(m, m37)
-        assert (bs.k, bs.r) == (1, 1)
+        assert (ks[m - 1], rs[m - 1]) == (1, 1)
 
 
 def test_block_sizes_log_log_growth(m37):
-    assert (block_sizes(8, m37).k, block_sizes(8, m37).r) == (2, 2)
-    assert (block_sizes(1096, m37).k, block_sizes(1096, m37).r) == (3, 3)
-
-
-def test_block_sizes_arrays_match_scalar(m37):
-    ks, rs = block_sizes_arrays(299, m37)
-    for m in (1, 7, 8, 100, 299):
-        bs = block_sizes(m, m37)
-        assert ks[m - 1] == bs.k
-        assert rs[m - 1] == bs.r
+    ks, rs = block_sizes_arrays(1096, m37)
+    assert (ks[8 - 1], rs[8 - 1]) == (2, 2)
+    assert (ks[1096 - 1], rs[1096 - 1]) == (3, 3)
 
 
 def test_asymmetric_model_separates_block_sizes():
     m = SignalModel(0.2, 0.9)  # pbar = 0.55, qbar = 0.45
-    bs = block_sizes(4000, m)
-    assert bs.k != bs.r
+    ks, rs = block_sizes_arrays(4000, m)
+    assert ks[4000 - 1] != rs[4000 - 1]
 
 
 def test_first_segment_roles(m37):
@@ -52,11 +45,14 @@ def test_first_segment_roles(m37):
 def test_segment_lengths_and_starts(m37):
     tab = segment_table(m37)
     # segment m occupies 2k_m + 2r_m agents starting at segment_start(m)
+    ks, rs = block_sizes_arrays(49, m37)
+    k, r, starts = tab.layout(49)
+    assert np.array_equal(k, ks) and np.array_equal(r, rs)
+    assert not any(a.flags.writeable for a in (k, r, starts))
     start = 3
     for m in range(1, 50):
-        bs = block_sizes(m, m37)
-        assert tab.segment_start(m) == start
-        length = 2 * bs.k + 2 * bs.r
+        assert tab.segment_start(m) == starts[m - 1] == start
+        length = 2 * int(ks[m - 1]) + 2 * int(rs[m - 1])
         for n in range(start, start + length):
             assert tab.segment_of(n) == m
         start += length
@@ -115,6 +111,8 @@ def test_role_codes_match_role_of(m37):
 def test_block_sizes_depend_on_model():
     skew = SignalModel(0.05, 0.95)  # pbar = 0.5 still, cutoff identical
     sym = SignalModel(0.3, 0.7)
-    assert block_sizes(10, skew) == block_sizes(10, sym)
+    k_skew, r_skew = block_sizes_arrays(10, skew)
+    k_sym, r_sym = block_sizes_arrays(10, sym)
+    assert (k_skew[9], r_skew[9]) == (k_sym[9], r_sym[9])
     tilted = SignalModel(0.3, 0.8)  # pbar = 0.55: later, shallower k growth
-    assert block_sizes(8, tilted).k <= block_sizes(8, sym).k
+    assert block_sizes_arrays(8, tilted)[0][7] <= k_sym[7]
