@@ -3,8 +3,9 @@
 Configuration comes from an optional JSON file overridden by flags; a
 file value is read as its flag's command-line text.
 Every output file embeds the fully resolved configuration and a version
-stamp; floats are printed with 17 significant digits so reruns can be
-compared byte for byte.
+stamp, so reruns can be compared byte for byte: CSV floats are printed
+with 17 significant digits, and JSON floats as Python's shortest repr
+that reads back to the same value.
 
 Exit codes: 0 success, 2 invalid model, 4 invalid arguments (a flag
 outside the range its subcommand accepts, an unknown, unreadable or
@@ -17,10 +18,13 @@ and 4 print a JSON object with ``error`` and ``reason``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .chain import (
     k1_diagnostics,
     series_diagnostics,
 )
-from .game import CheckArgumentError, certified_tail, check_equilibrium
+from .game import CheckArgumentError, Violation, certified_tail, check_equilibrium
 from .montecarlo import SimConfig, estimate_error
 from .profiles import MAX_K, baseline_profile, designed_profile, myopic_profile, profile_from_json
 from .schedule import segment_table
@@ -44,12 +48,6 @@ MAX_N = (1 << 63) - 1  # the largest agent index an int64 agent array holds
 
 class UsageError(ValueError):
     """A flag value outside the range the subcommand accepts."""
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
 
 
 def _jsonable(x):
@@ -68,19 +66,53 @@ def _emit(path, text: str):
             fh.write(text)
 
 
-def _write_csv(path, header_cols, rows, config: dict):
-    lines = [
-        f"# tandemlearn {__version__}",
-        f"# config: {json.dumps(config, sort_keys=True, default=_jsonable)}",
-        ",".join(header_cols),
+def _columns(columns, float_conversion: str):
+    """Each column (an array, list or range) as a list or range, and the
+    ``%`` conversion its values take: ``float_conversion`` for floats,
+    ``%d`` for integers and ``%s`` for anything else."""
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    conversions = [
+        float_conversion if isinstance(first, float) else "%d" if isinstance(first, int) else "%s"
+        for first in (c[0] if len(c) else None for c in values)
     ]
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
-    _emit(path, "\n".join(lines) + "\n")
+    return values, conversions
 
 
-def _write_json(path, payload: dict, config: dict):
+def _write_csv(path, header_cols, columns, config: dict):
+    """A table given by ``columns``, one row per line: floats with 17
+    significant digits, integers and strings as they print."""
+    values, conversions = _columns(columns, "%.17g")
+    row = ",".join(conversions) + "\n"
+    config = json.dumps(config, sort_keys=True, default=_jsonable)
+    head = f"# tandemlearn {__version__}\n# config: {config}\n{','.join(header_cols)}\n"
+    _emit(path, head + "".join(map(row.__mod__, zip(*values))))
+
+
+def _write_json(path, payload: dict, config: dict, by_column=None):
+    """``payload`` with the version and ``config``, as json.dumps writes it
+    indented by two with sorted keys.  The top-level key ``by_column``,
+    if given, holds a dict of equal-length columns (field -> ints, finite
+    floats or strings) and is written as the list of its records: each
+    column is encoded at once and each record laid out by one template."""
     payload = {"tandemlearn": __version__, "config": config, **payload}
-    _emit(path, json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n")
+    if by_column is not None:
+        fields = sorted(payload[by_column])
+        values, conversions = _columns([payload[by_column][f] for f in fields], "%r")
+        values = [
+            list(map(encode_basestring_ascii, v)) if conv == "%s" else v
+            for v, conv in zip(values, conversions)
+        ]
+        payload[by_column] = []
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
+    if by_column is not None:
+        record = ",".join(
+            f"\n      {encode_basestring_ascii(f)}: {conv}" for f, conv in zip(fields, conversions)
+        )
+        record = "\n    {" + record + "\n    }"
+        records = ",".join(map(record.__mod__, zip(*values)))
+        key = f"\n  {encode_basestring_ascii(by_column)}: "
+        text = text.replace(key + "[]", key + (f"[{records}\n  ]" if records else "[]"), 1)
+    _emit(path, text + "\n")
 
 
 def parse_model(spec: str):
@@ -125,6 +157,24 @@ def parse_profile(spec: str, model, K: int, horizon: int):
         raise UsageError(f"--profile {spec}: {exc}") from None
 
 
+def _integer(token: str):
+    """The integer ``token`` names exactly, in decimal or exponent form
+    (``1e3``), or None."""
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        value = float(token)
+    except ValueError:
+        return None
+    if "e" not in token.lower() or not value.is_integer():
+        return None
+    import decimal  # imported here: it adds about 2 ms to every start-up
+
+    return int(value) if decimal.Decimal(token) == value else None
+
+
 def _checkpoints(text, N: int) -> list:
     """The agents listed in ``--checkpoints``, or the powers of ten up to N, and N."""
     if not text:
@@ -133,10 +183,9 @@ def _checkpoints(text, N: int) -> list:
             cps.append(n)
             n *= 10
         return cps if cps and cps[-1] == N else cps + [N]
-    try:
-        cps = [int(float(tok)) for tok in text.split(",") if tok.strip()]
-    except (ValueError, OverflowError):
-        raise UsageError(f"--checkpoints must be integers, got {text!r}") from None
+    cps = [_integer(tok) for tok in text.split(",") if tok.strip()]
+    if None in cps:
+        raise UsageError(f"--checkpoints must be integers, got {text!r}")
     if not cps:
         raise UsageError(f"--checkpoints lists no agent, got {text!r}")
     return cps
@@ -155,10 +204,9 @@ def cmd_schedule(args) -> int:
     if args.m < 1:
         raise UsageError(f"--m must be >= 1, got {args.m}")
     k, r, start = segment_table(quantize(parse_model(args.model))).layout(args.m)
-    sizes = (k.tolist(), r.tolist(), start.tolist(), (2 * k + 2 * r).tolist())
-    rows = zip(range(1, args.m + 1), *sizes)
+    columns = (range(1, args.m + 1), k, r, start, 2 * k + 2 * r)
     header = ["m", "k_m", "r_m", "segment_start", "segment_len"]
-    _write_csv(args.out, header, rows, _resolved(args, ["model", "m"]))
+    _write_csv(args.out, header, columns, _resolved(args, ["model", "m"]))
     return 0
 
 
@@ -171,10 +219,10 @@ def cmd_exact(args) -> int:
         traj = error_trajectory(profile, model, args.n, cps)
     except CheckpointRangeError as exc:
         raise UsageError(str(exc)) from None
-    rows = zip(traj.ns, traj.p0_correct, traj.p1_correct, traj.p_correct)
+    columns = (traj.ns, traj.p0_correct, traj.p1_correct, traj.p_correct)
     # "k" records the window that ran, which a JSON profile sets itself.
     config = {**_resolved(args, ["model", "profile", "n", "checkpoints"]), "k": profile.K}
-    _write_csv(args.out, ["n", "p0_correct", "p1_correct", "p_correct"], rows, config)
+    _write_csv(args.out, ["n", "p0_correct", "p1_correct", "p_correct"], columns, config)
     return 0
 
 
@@ -185,11 +233,11 @@ def cmd_series(args) -> int:
         diag = series_diagnostics(model, args.m, cps)
     except ValueError as exc:  # M < 2, a checkpoint outside [1, M]
         raise UsageError(str(exc)) from None
-    rows = zip(diag.checkpoints, diag.sum_p1k, diag.sum_q1r, diag.sum_p0k, diag.sum_q0r)
+    columns = (diag.checkpoints, diag.sum_p1k, diag.sum_q1r, diag.sum_p0k, diag.sum_q0r)
     _write_csv(
         args.out,
         ["M", "sum_p1^k/m", "sum_q1^r/m", "sum_p0^k/m", "sum_q0^r/m"],
-        rows,
+        columns,
         {
             **_resolved(args, ["model", "m"]),
             "alpha": {t: diag.alpha[t] for t in (0, 1)},
@@ -226,7 +274,7 @@ def cmd_simulate(args) -> int:
     stats = estimate_error(config)
     resolved = _resolved(args, ["model", "profile", "n", "reps", "seed", "theta"])
     resolved.update(k=profile.K, checkpoints=list(stats.ns))
-    _write_csv(args.out, ["n", "mean", "se"], zip(stats.ns, stats.mean, stats.se), resolved)
+    _write_csv(args.out, ["n", "mean", "se"], (stats.ns, stats.mean, stats.se), resolved)
     if args.out_json:
         _write_json(
             args.out_json,
@@ -258,19 +306,23 @@ def cmd_equilibrium(args) -> int:
     report = check_equilibrium(
         profile, model, delta=args.delta, n_range=(n1, n2), eps=args.eps, horizon=args.horizon
     )
+    violations = {
+        f.name: list(map(attrgetter(f.name), report.violations))
+        for f in dataclasses.fields(Violation)
+    }
+    text = {w: "".join(map(str, w)) for w in set(violations["window"])}
+    violations["window"] = list(map(text.__getitem__, violations["window"]))
     _write_json(
         args.out,
         {
             "passed": report.passed,
             "checked": report.checked,
             "tail_bound": report.tail_bound,
-            "violations": [
-                {**vars(v), "window": "".join(str(b) for b in v.window)}
-                for v in report.violations
-            ],
+            "violations": violations,
         },
         {**_resolved(args, ["model", "profile", "delta", "eps", "range", "horizon"]),
          "k": profile.K},
+        by_column="violations",
     )
     return 0
 
@@ -282,12 +334,12 @@ def cmd_k1diag(args) -> int:
     if profile.K != 1:
         raise UsageError(f"k1diag requires a K=1 profile, got K={profile.K}")
     diag = k1_diagnostics(profile, model, args.n)
-    rows = zip(
+    columns = (
         range(1, args.n + 1), diag.a[:, 0, 1], diag.a[:, 1, 0], diag.abar[:, 0, 1],
         diag.abar[:, 1, 0], diag.sum_a01, diag.sum_a10,
     )
     header = ["n", "a01", "a10", "abar01", "abar10", "sum_a01", "sum_a10"]
-    _write_csv(args.out, header, rows, _resolved(args, ["model", "profile", "n"]))
+    _write_csv(args.out, header, columns, _resolved(args, ["model", "profile", "n"]))
     return 0
 
 

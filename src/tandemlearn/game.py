@@ -210,8 +210,8 @@ def check_equilibrium(
     A violation is recorded only when the alternative action beats the
     profile's (possibly randomized) action by more than eps plus twice
     the truncation tail, so it survives un-truncation.  Agents go in the
-    chunks of ``chain.law_walk``, and in each the argmax runs on arrays
-    over the (n, u, s) triples.
+    chunks of ``chain.law_walk``; in each the argmax runs on arrays over
+    the (n, u, s) triples, and the hits' fields are gathered by column.
     """
     tail = certified_tail(n_range, delta, eps, horizon)
     n1, n2 = n_range
@@ -226,12 +226,14 @@ def check_equilibrium(
         gain = best_value - sigma_value
         hits = np.flatnonzero(valid & (gain > eps + 2.0 * tail))
         checked += int(np.count_nonzero(valid))
-        for at in zip(*np.unravel_index(hits, gain.shape)):
-            violations.append(Violation(
-                lo + int(at[0]), code_window(int(at[1]), K), int(at[2]),
-                float(gain[at]) - 2.0 * tail, float(sigma_value[at]), float(best_value[at]),
-                int(best_action[at]),
-            ))
+        at, codes, s = np.unravel_index(hits, gain.shape)
+        codes = codes.tolist()
+        windows = {u: code_window(u, K) for u in set(codes)}  # the windows hit, by code
+        violations += map(
+            Violation, (at + lo).tolist(), map(windows.__getitem__, codes), s.tolist(),
+            (gain.ravel()[hits] - 2.0 * tail).tolist(), sigma_value.ravel()[hits].tolist(),
+            best_value.ravel()[hits].tolist(), best_action.ravel()[hits].tolist(),
+        )
     return EquilibriumReport(violations, (n1, n2), eps, delta, horizon, tail, checked)
 
 

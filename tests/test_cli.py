@@ -10,14 +10,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tandemlearn import SignalModel, designed_profile, error_trajectory
+from tandemlearn import (
+    SignalModel,
+    __version__,
+    check_equilibrium,
+    designed_profile,
+    error_trajectory,
+)
 from tandemlearn.cli import (
     EXIT_MODEL_ERROR,
     EXIT_USAGE_ERROR,
+    _checkpoints,
+    _jsonable,
+    _write_csv,
+    _write_json,
     main,
     parse_model,
     parse_profile,
 )
+from tandemlearn.signals import quantize
 
 
 def _read_csv(path):
@@ -148,6 +159,108 @@ def test_equilibrium_command(tmp_path):
     assert payload["violations"] == []
 
 
+def _stdlib_json(payload: dict, config: dict) -> str:
+    """The reference writer: the whole report through json.dumps."""
+    payload = {"tandemlearn": __version__, "config": config, **payload}
+    return json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n"
+
+
+def _is_stdlib_json(text: str) -> bool:
+    """Whether ``text`` is what json.dumps writes for the values it holds."""
+    return text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "flags, count",
+    [
+        (["--profile", "myopic", "--k", "1", "--delta", "0", "--range", "1..50"], 0),
+        (["--profile", "designed", "--delta", "0.5", "--horizon", "20", "--range", "1..1"], 1),
+        (["--profile", "designed", "--delta", "0.5", "--horizon", "20", "--range", "1..150"], 108),
+    ],
+)
+def test_equilibrium_report_matches_stdlib_writer(flags, count, capsys):
+    """The report's violations, written by column, are the bytes json.dumps
+    writes for the list of per-violation records."""
+    assert main(["equilibrium", "--model", "0.3,0.7", "--eps", "0.01", *flags]) == 0
+    text = capsys.readouterr().out
+    model = quantize(SignalModel(0.3, 0.7))
+    payload = json.loads(text)
+    n1, n2 = (int(x) for x in payload["config"]["range"].split(".."))
+    profile = parse_profile(payload["config"]["profile"], model, K=payload["config"]["k"],
+                            horizon=n2 + payload["config"]["horizon"] + 1)
+    report = check_equilibrium(profile, model, payload["config"]["delta"], (n1, n2), 0.01,
+                               payload["config"]["horizon"])
+    assert len(report.violations) == count
+    records = [{**vars(v), "window": "".join(str(b) for b in v.window)} for v in report.violations]
+    expected = {"passed": report.passed, "checked": report.checked,
+                "tail_bound": report.tail_bound, "violations": records}
+    assert text == _stdlib_json(expected, payload["config"])
+
+
+def test_write_json_by_column_matches_stdlib(capsys):
+    columns = {
+        "z": [0.1, 1.0 / 3.0, -0.0, 5e-324, 1e16, 1e-7, 123456789.0],
+        "a": [0, -1, 2**70, 7, 1, 3, 10**18],
+        "window": ["01", "", "caf\u00e9", 'say "hi"', "tab\there", "\\", "%s %d"],
+    }
+    records = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    for rows in (0, 1, 7):
+        cut = {k: v[:rows] for k, v in columns.items()}
+        payload = {"passed": rows == 0, "checked": 5, "violations": cut}
+        _write_json(None, payload, {"range": "1..2", "violations": 3}, by_column="violations")
+        expected = _stdlib_json({**payload, "violations": records[:rows]},
+                                {"range": "1..2", "violations": 3})
+        assert capsys.readouterr().out == expected
+
+
+def test_simulate_summary_and_errors_match_stdlib_writer(tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    assert main([
+        "simulate", "--model", "0.3,0.7", "--n", "200", "--reps", "20", "--seed", "1",
+        "--out-json", str(out),
+    ]) == 0
+    assert _is_stdlib_json(out.read_text())
+    capsys.readouterr()
+    for argv, rc in ((["exact", "--n", "0"], EXIT_USAGE_ERROR),
+                     (["exact", "--model", "0.5,0.5", "--profile", "copy"], EXIT_MODEL_ERROR),
+                     (["k1diag", "--profile", "copy", "--n", "1000000000000"], EXIT_USAGE_ERROR)):
+        assert main(argv) == rc
+        text = capsys.readouterr().out
+        assert _is_stdlib_json(text) and json.loads(text)["error"]
+
+
+def _fmt(x) -> str:
+    """The per-cell formatting the CSV writer once used."""
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g")
+    return str(x)
+
+
+def test_write_csv_matches_per_cell_formatting(capsys):
+    floats = np.array([-0.0, 5e-324, 1e16, math.inf, -math.inf, math.nan, 0.1, 1 / 3, 2.5e-310])
+    columns = (
+        range(1, 10), np.arange(9) * 10**17, floats, list(floats[::-1]),
+        [3, -7, 2**70, 0, 1, 10**20, -1, 5, 9], ["a", "b c", "%d", "", "x", "y", "z", "w", "v"],
+    )
+    config = {"m": 9, "x": 0.1}
+    _write_csv(None, ["a", "b", "c", "d", "e", "f"], columns, config)
+    lines = [
+        f"# tandemlearn {__version__}",
+        f"# config: {json.dumps(config, sort_keys=True, default=_jsonable)}",
+        "a,b,c,d,e,f",
+    ]
+    lines += [",".join(_fmt(x) for x in row) for row in zip(*columns)]
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+def test_checkpoints_parse_integers_exactly():
+    assert _checkpoints("1e3,5,1.5e1", 10**4) == [1000, 5, 15]
+    assert _checkpoints(f"{2**53 + 1},{2**63 - 1}", 2**63 - 1) == [2**53 + 1, 2**63 - 1]
+    for text in ("1.5", "99.9", "100.0", "2.5e0", "1e-3", "1.0000000000000001e17", "1e400"):
+        with pytest.raises(ValueError):
+            _checkpoints(text, 10**4)
+
+
 def test_k1diag_command(tmp_path):
     out = tmp_path / "diag.csv"
     rc = main([
@@ -211,6 +324,9 @@ def test_invalid_model_exit_code():
         ["--n", "10", "--checkpoints", "5,11"],
         ["--n", "10", "--checkpoints", "abc"],
         ["--n", "10", "--checkpoints", "1e400"],
+        ["--n", "100", "--checkpoints", "1.5,99.9"],
+        ["--n", "100", "--checkpoints", "50.0"],
+        ["--n", "100", "--checkpoints", "2.55e1"],
         ["--n", "10", "--checkpoints", ","],
         ["--k", "0"],
         ["--profile", "bogus"],
@@ -381,7 +497,8 @@ _FLAG_VALUES = {
     "--reps": ["-1", "0", "1", "5"],
     "--seed": ["-1", "0", "7", str(2**64 - 1), str(2**64), "x"],
     "--theta": ["0", "1", "2"],
-    "--checkpoints": ["1", "5,17", "0", "abc", ",", "1e400", "-3", "60,1"],
+    "--checkpoints": ["1", "5,17", "0", "abc", ",", "1e400", "-3", "60,1", "1e3", "1.5,99.9",
+                      "2.5e0"],
     "--m": ["-1", "0", "1", "2", "12", "abc"],
     "--delta": ["0", "0.5", "0.9", "1", "-0.1", "nan", "inf"],
     "--eps": ["0.01", "1e-9", "0", "-1", "nan", "inf", "-inf", "abc"],

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from tandemlearn import (
     window_distributions,
 )
 from tandemlearn import chain, game
-from tandemlearn.profiles import window_code
+from tandemlearn.profiles import code_window, window_code
 from conftest import TableProfile, reference_step
 from test_chain import _random_json_profile
 
@@ -335,3 +336,41 @@ def test_check_walks_the_laws_in_a_few_hundred_steps(m37, monkeypatch):
     report = check_equilibrium(designed_profile(m37), m37, 0.9, (1, 20_000), 0.01, 200)
     assert report.checked > 0
     assert len(steps) <= 300
+
+
+def _per_hit_violations(profile, model, delta, n_range, eps, horizon):
+    """The checker's violations gathered hit by hit, one Violation per
+    (n, u, s) index, as the checker did before it gathered by column."""
+    tail = game._tail_bound(delta, horizon)
+    sig = chain._signal_laws(model)
+    violations = []
+    for lo, tables, p_one, dists in chain.law_walk(profile, model, *n_range, horizon):
+        _, valid, value = game._values(dists, p_one, sig, delta, horizon)
+        tables = tables[: dists.shape[1]]
+        sigma_value = tables * value[..., 1] + (1.0 - tables) * value[..., 0]
+        best_action = (value[..., 1] >= value[..., 0]).astype(int)
+        best_value = np.where(best_action == 1, value[..., 1], value[..., 0])
+        gain = best_value - sigma_value
+        hits = np.flatnonzero(valid & (gain > eps + 2.0 * tail))
+        for at in zip(*np.unravel_index(hits, gain.shape)):
+            violations.append(game.Violation(
+                lo + int(at[0]), code_window(int(at[1]), profile.K), int(at[2]),
+                float(gain[at]) - 2.0 * tail, float(sigma_value[at]), float(best_value[at]),
+                int(best_action[at]),
+            ))
+    return violations
+
+
+@pytest.mark.parametrize(
+    "delta, n_range, eps, horizon", [(0.5, (1, 150), 0.01, 20), (0.9, (1, 3000), 0.001, 120)]
+)
+def test_column_gather_gives_the_per_hit_violations(delta, n_range, eps, horizon, m37):
+    dp = designed_profile(m37)
+    got = check_equilibrium(dp, m37, delta, n_range, eps, horizon).violations
+    ref = _per_hit_violations(dp, m37, delta, n_range, eps, horizon)
+    assert len(got) == len(ref) > 100
+    for a, b in zip(got, ref):
+        for field in dataclasses.fields(game.Violation):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            assert type(x) is type(y) and x == y, (field.name, x, y)
+        assert all(type(bit) is int for bit in a.window)
