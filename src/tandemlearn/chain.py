@@ -102,6 +102,46 @@ def _transition_operators(p_one: np.ndarray) -> np.ndarray:
     return ops
 
 
+def _pair_products(p_one: np.ndarray, first=None) -> np.ndarray:
+    """``T_a @ T_(a+1)`` for the agents a of ``first``, offsets into the
+    agents of p_one (2, n, S), or for a = 0, 2, 4, ... by default: shape
+    (2, pairs, S, S), the first round of ``_compose``.
+
+    For K >= 2 window u reaches v = (4u + 2x_a + x_b) mod S through one
+    window w only, so an entry is the one product P(x_a | u) P(x_b | w)
+    and ``np.matmul`` of the two operators, whose other terms are exact
+    zeros, gives the same bits.  For K = 1 two paths reach each window,
+    and the operators are multiplied.
+    """
+    even = p_one.shape[1] & ~1
+
+    def pick(values, b):  # the first (b = 0) or second (b = 1) agents of the pairs
+        return values[..., b:even:2] if first is None else values.take(first + b, axis=-1)
+
+    by_agent = p_one.transpose(0, 2, 1)  # [theta, u, agent]
+    n_states = p_one.shape[2]
+    if n_states == 2:
+        pair = [_transition_operators(pick(by_agent, b).transpose(0, 2, 1)) for b in (0, 1)]
+        return np.matmul(*pair)
+    by_agent = np.ascontiguousarray(by_agent)  # so that each product below loops over the pairs
+    # u = (t, r) by its top two bits and the rest, w = (t mod 2, r, x_a) and
+    # v = (r, x_a, x_b): the entries u -> v lie on the strided diagonal r = r'.
+    quarter = n_states >> 2
+    steps = (1.0 - by_agent, by_agent)  # P(x = 0 | u) and P(x = 1 | u)
+    steps_a = [pick(step, 0).reshape(2, 4, quarter, -1) for step in steps]
+    steps_b = [pick(step, 1).reshape(2, 2, quarter, 2, -1) for step in steps]
+    n = steps_a[0].shape[-1]
+    out = np.zeros((2, n, n_states, n_states))
+    paths = out.reshape(2, n, 4, quarter * quarter, 4)[:, :, :, :: quarter + 1]
+    paths = paths.transpose(0, 2, 3, 4, 1)  # [theta, t, r, 2 x_a + x_b, pair]
+    for t in range(4):
+        for x_a in (0, 1):
+            for x_b in (0, 1):
+                step_b = steps_b[x_b][:, t & 1, :, x_a]
+                np.multiply(steps_a[x_a][:, t], step_b, out=paths[:, t, :, 2 * x_a + x_b])
+    return out
+
+
 def _compose(ops: np.ndarray) -> np.ndarray:
     """Ordered product ``ops[..., 0, :, :] @ ops[..., 1, :, :] @ ...`` over axis
     -3: (2, n, S, S) gives (2, S, S) and (2, b, n, S, S) gives b products.
@@ -164,8 +204,8 @@ def _walk(d: np.ndarray, p_one: np.ndarray):
         steps = np.zeros((2, (count // _BLOCK + 1) * _BLOCK, n_states))  # p = 0 past the piece
         steps[:, :count] = p_one[:, lo : lo + count]
         steps = steps.reshape(2, -1, _BLOCK, n_states)
-        ops = _transition_operators(steps[:, :-1].reshape(2, -1, n_states))
-        prefix = _compose(ops.reshape(*steps[:, :-1].shape, n_states))
+        pairs = _pair_products(steps[:, :-1].reshape(2, -1, n_states))  # no pair crosses a block
+        prefix = _compose(pairs.reshape(2, -1, _BLOCK // 2, n_states, n_states))
         shift = 1
         while shift < prefix.shape[1]:  # inclusive prefix products (Hillis-Steele)
             prefix = np.concatenate([prefix[:, :shift], prefix[:, :-shift] @ prefix[:, shift:]], 1)
@@ -181,9 +221,10 @@ def _walk(d: np.ndarray, p_one: np.ndarray):
 
 
 def _chunk_agents(K: int) -> int:
-    # Agents per chunk: _CHUNK, or fewer where one chunk's
-    # per-agent arrays (S x S operators up to _SCAN_MAX_K, S step
-    # probabilities and S x 2 rule tables above it) would pass 1 MB.
+    # Agents per chunk: _CHUNK, or fewer where 16 S^2 bytes per agent up
+    # to _SCAN_MAX_K (16 S above it) would pass 1 MB; a chunk's pair
+    # products take half of that.  The grid fixes the bits of every law:
+    # every stretch ends on a chunk end and is renormalised there.
     n_states = 1 << K
     per_agent = 16 * n_states * (n_states if K <= _SCAN_MAX_K else 1)
     return max(1, min(_CHUNK, _CHUNK_BYTES // per_agent))
@@ -211,11 +252,12 @@ def sweep(profile, model, N: int, record_after=()) -> dict:
     under each state of the world after the decision of agent ``step``
     (step 0 is the initial zero-padded point mass, i.e. the law of v_1).
 
-    The agents up to the last record point are taken in chunks, each
-    turned into transition matrices once.  The stretches of a chunk
-    between record points are applied as one composed product each.
-    Composing costs O(S^3) per agent, so for K > _SCAN_MAX_K agents are
-    applied one at a time in O(S) instead.
+    The agents up to the last record point are taken in chunks.  Each
+    chunk's step probabilities and the products of its agent pairs
+    (``_pair_products``) are made once; the stretches of a chunk between
+    record points are applied as one composed product each.  Composing
+    costs O(S^3) per agent, so for K > _SCAN_MAX_K agents are applied one
+    at a time in O(S) instead.
     """
     points = set(int(s) for s in record_after)
     if points and (min(points) < 0 or max(points) > N):
@@ -227,15 +269,25 @@ def sweep(profile, model, N: int, record_after=()) -> dict:
     size = _chunk_agents(profile.K)
     for lo, hi in agent_chunks(1, max(points, default=0), size):
         p_one = _step_probs(profile.rule_table_chunk(lo, hi), sig)
-        ops = _transition_operators(p_one) if profile.K <= _SCAN_MAX_K else None
-        for a, b in agent_chunks(lo, hi, size, points):
-            if ops is not None:
-                d = np.matmul(d[:, None, :], _compose(ops[:, a - lo : b - lo + 1]))[:, 0]
+        stretches = [(a - lo, b - lo) for a, b in agent_chunks(lo, hi, size, points)]
+        if profile.K <= _SCAN_MAX_K:  # each stretch pairs its agents from its own first one
+            first = None  # slices when no record point cuts the chunk
+            if len(stretches) > 1:
+                first = np.concatenate([np.arange(a, b, 2) for a, b in stretches])
+            pairs = _pair_products(p_one, first)
+            done = 0
+        for a, b in stretches:
+            if profile.K > _SCAN_MAX_K:
+                d = _advance(d, p_one[:, a : b + 1])[1]
             else:
-                d = _advance(d, p_one[:, a - lo : b - lo + 1])[1]
+                ops = pairs[:, done : done + (b - a + 1) // 2]
+                done += ops.shape[1]
+                if (b - a) % 2 == 0:  # an odd stretch's last agent carries over
+                    ops = np.concatenate([ops, _transition_operators(p_one[:, b : b + 1])], axis=1)
+                d = np.matmul(d[:, None, :], _compose(ops))[:, 0]
             d /= _mass(d)
-            if b in points:
-                laws[b] = d.copy()
+            if lo + b in points:
+                laws[lo + b] = d.copy()
     return laws
 
 

@@ -171,9 +171,16 @@ class DesignedProfile(Profile):
         super().__init__(K=2, descriptor="designed")
 
     def rule_table_chunk(self, n0: int, n1: int) -> np.ndarray:
-        """Per-agent rule tables for agents n0..n1, shape (n, 4, 2)."""
+        """Per-agent rule tables for agents n0..n1, shape (n, 4, 2).
+
+        The searching delta is added only where 1/m is nonzero (block-first
+        agents): elsewhere base + 0 * delta is the base entry itself.
+        """
         kinds, inv_m = self.segments.role_codes(n0, n1)
-        return DESIGNED_BASE[kinds] + inv_m[:, None, None] * DESIGNED_DELTA[kinds]
+        tables = DESIGNED_BASE.take(kinds, axis=0)
+        first = np.flatnonzero(inv_m)
+        tables[first] += inv_m[first, None, None] * DESIGNED_DELTA[kinds[first]]
+        return tables
 
     def search_table_chunk(self, n0: int, n1: int) -> np.ndarray:
         """Search-starting (window, decision) pairs of agents n0..n1, shape (n, 4, 2)."""

@@ -25,15 +25,20 @@ from tandemlearn.chain import (
     _CHUNK_BYTES,
     _advance,
     _chunk_agents,
+    _compose,
+    _mass,
+    _pair_products,
     _signal_laws,
     _step_probs,
+    _transition_operators,
     _walk,
+    agent_chunks,
     law_walk,
     propagate_dist,
     sweep,
 )
 from tandemlearn.profiles import profile_from_dict
-from tandemlearn.schedule import block_sizes_arrays
+from tandemlearn.schedule import block_sizes_arrays, segment_table
 from tandemlearn.signals import blr_bounds
 from tandemlearn.profiles import profile_from_json
 from conftest import TableProfile, reference_step
@@ -150,6 +155,80 @@ def test_sweep_matches_sequential_propagation(name, m37, m46, tmp_path):
         for n in points:
             for t in (0, 1):
                 assert np.max(np.abs(snaps[n][t] - ref[n][t])) <= 1e-12, (name, n, t)
+
+
+def _reference_sweep(profile, model, N, points):
+    """The sweep with one dense operator per agent: each stretch between
+    record points is composed by ``_compose`` from its own first agent,
+    applied and renormalised.  The reference for ``sweep``'s pair products."""
+    points = set(points)
+    d = np.zeros((2, 1 << profile.K))
+    d[:, 0] = 1.0
+    sig = _signal_laws(model)
+    laws = {0: d.copy()} if 0 in points else {}
+    size = _chunk_agents(profile.K)
+    for lo, hi in agent_chunks(1, N, size):
+        ops = _transition_operators(_step_probs(profile.rule_table_chunk(lo, hi), sig))
+        for a, b in agent_chunks(lo, hi, size, points):
+            d = np.matmul(d[:, None, :], _compose(ops[:, a - lo : b - lo + 1]))[:, 0]
+            d /= _mass(d)
+            if b in points:
+                laws[b] = d.copy()
+    return laws
+
+
+def _random_tables(rng, n, K):
+    """n random rule tables: a third of the entries random, a third
+    exactly 0 or 1 and a third signal-independent."""
+    tables = rng.random((n, 1 << K, 2))
+    kind = rng.integers(3, size=(n, 1 << K))
+    tables[kind == 1] = rng.integers(0, 2, size=(int((kind == 1).sum()), 2))
+    tables[kind == 2, 1] = tables[kind == 2, 0]
+    return tables
+
+
+@pytest.mark.parametrize("name", ["designed", "myopic1", "myopic2", "table3", "table5", "copy4"])
+def test_sweep_equals_the_stretch_by_stretch_composition(name, m37, m46):
+    model = m46 if name == "myopic1" else m37
+    prof = {
+        "designed": lambda: designed_profile(m37),
+        "myopic1": lambda: myopic_profile(m46, 1, 300),
+        "myopic2": lambda: myopic_profile(m37, 2, 300),
+        "table3": lambda: TableProfile(list(_random_tables(np.random.default_rng(3), 1000, 3))),
+        "table5": lambda: TableProfile(list(_random_tables(np.random.default_rng(5), 1000, 5))),
+        "copy4": lambda: baseline_profile("copy", 4),
+    }[name]()
+    chunk = _chunk_agents(prof.K)
+    N = 2 * chunk + 1001  # odd
+    k, _, start = segment_table(m37).layout(1500)
+    block_starts = (np.stack([start, start + 2 * k], axis=1).ravel() - 1).tolist()
+    layouts = [
+        [N],  # no record point before the last agent
+        block_starts,  # the agents before every block start of 1500 segments
+        [chunk // 2, chunk // 2 + 3, chunk + 6, chunk + 7, 2 * chunk - 2, N],  # odd and even offsets
+        [chunk - 1, chunk, chunk + 1, N],
+    ]
+    for points in layouts:
+        got = sweep(prof, model, max(points), points)
+        ref = _reference_sweep(prof, model, max(points), points)
+        assert set(got) == set(ref) == set(points)
+        for n in points:
+            assert np.array_equal(got[n], ref[n]), (name, len(points), n)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_pair_products_equal_the_operator_matmul(K, m37):
+    rng = np.random.default_rng(30 + K)
+    p_one = _step_probs(_random_tables(rng, 4099, K), _signal_laws(m37))
+    for pairs in (1, 2, 2048):
+        first = np.arange(0, 2 * pairs, 2)
+        ref = np.matmul(_transition_operators(p_one[:, first]), _transition_operators(p_one[:, first + 1]))
+        got = _pair_products(p_one[:, : 2 * pairs + 1])  # slices; the lone last agent is left out
+        assert got.shape == (2, pairs, 1 << K, 1 << K)
+        assert np.array_equal(got, ref), (K, pairs)
+        first = np.sort(rng.choice(4098, size=pairs, replace=False))  # index arrays
+        ref = np.matmul(_transition_operators(p_one[:, first]), _transition_operators(p_one[:, first + 1]))
+        assert np.array_equal(_pair_products(p_one, first), ref), (K, pairs)
 
 
 @pytest.mark.parametrize("K", [_SCAN_MAX_K + 1, 12])

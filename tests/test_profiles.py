@@ -14,7 +14,7 @@ from tandemlearn import (
     profile_from_json,
     segment_table,
 )
-from tandemlearn.profiles import code_window, window_code
+from tandemlearn.profiles import DESIGNED_BASE, DESIGNED_DELTA, code_window, window_code
 from conftest import reference_designed_table, reference_step
 
 
@@ -125,6 +125,24 @@ def test_designed_rule_chunk_matches_per_agent(m37):
         chunk = dp.rule_table_chunk(n0, n1)
         for n in range(n0, n1 + 1):
             assert np.array_equal(chunk[n - n0], reference_designed_table(dp.segments, n))
+
+
+def test_designed_rule_chunk_equals_the_dense_formula(m37):
+    """The chunk adds the searching delta only at block-first agents; it
+    must give the bits of base + (1/m) * delta taken over every agent."""
+    dp = designed_profile(m37)
+    seg = dp.segments
+    m = 40
+    s_first = seg.segment_start(m)
+    r_first = s_first + 2 * int(seg.layout(m)[0][-1])  # after 2 k_m agents of S-block and transient
+    assert seg.role_of(s_first).kind == RoleKind.S_FIRST
+    assert seg.role_of(r_first).kind == RoleKind.R_FIRST
+    singles = [(s_first, s_first), (r_first, r_first)]
+    for n0, n1 in [(1, 1), (1, 2), (2, 5), (3, 4100), (10**6, 10**6 + 4095), *singles]:
+        kinds, inv_m = seg.role_codes(n0, n1)
+        dense = DESIGNED_BASE[kinds] + inv_m[:, None, None] * DESIGNED_DELTA[kinds]
+        assert np.array_equal(dp.rule_table_chunk(n0, n1), dense), (n0, n1)
+    assert dp.rule_table_chunk(r_first, r_first)[0, 3, 0] == 1.0 - 1.0 / m
 
 
 def _json_spec(K, agents, seed):
