@@ -88,6 +88,13 @@ def _step_probs(tables: np.ndarray, sig: np.ndarray) -> np.ndarray:
     return np.where(t0 == t1, t0, averaged)
 
 
+def _palette_step_probs(palette: np.ndarray, index: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """``_step_probs`` of the agents of a ``rule_palette``, shape (2, n, S):
+    worked out once per distinct table and gathered per agent, with the
+    same bits, since ``_step_probs`` works table by table."""
+    return _step_probs(palette, sig).take(index, axis=1)
+
+
 def _transition_operators(p_one: np.ndarray) -> np.ndarray:
     """Per-theta, per-agent window transition matrices, shape (2, n, S, S).
 
@@ -253,8 +260,9 @@ def sweep(profile, model, N: int, record_after=()) -> dict:
     (step 0 is the initial zero-padded point mass, i.e. the law of v_1).
 
     The agents up to the last record point are taken in chunks.  Each
-    chunk's step probabilities and the products of its agent pairs
-    (``_pair_products``) are made once; the stretches of a chunk between
+    chunk's step probabilities are made once per distinct rule table of
+    its ``rule_palette`` and the products of its agent pairs
+    (``_pair_products``) once per chunk; the stretches of a chunk between
     record points are applied as one composed product each.  Composing
     costs O(S^3) per agent, so for K > _SCAN_MAX_K agents are applied one
     at a time in O(S) instead.
@@ -268,7 +276,7 @@ def sweep(profile, model, N: int, record_after=()) -> dict:
     laws = {0: d.copy()} if 0 in points else {}
     size = _chunk_agents(profile.K)
     for lo, hi in agent_chunks(1, max(points, default=0), size):
-        p_one = _step_probs(profile.rule_table_chunk(lo, hi), sig)
+        p_one = _palette_step_probs(*profile.rule_palette(lo, hi), sig)
         stretches = [(a - lo, b - lo) for a, b in agent_chunks(lo, hi, size, points)]
         if profile.K <= _SCAN_MAX_K:  # each stretch pairs its agents from its own first one
             first = None  # slices when no record point cuts the chunk
@@ -310,8 +318,9 @@ def law_walk(profile, model, n0: int, n1: int, horizon: int = 0):
     d = sweep(profile, model, n0 - 1, [n0 - 1])[n0 - 1]
     size = max(1, _CHUNK_BYTES // (32 << profile.K) - horizon)
     for lo, hi in agent_chunks(n0, n1, size):
-        tables = profile.rule_table_chunk(lo, hi + horizon)
-        p_one = _step_probs(tables, sig)
+        palette, index = profile.rule_palette(lo, hi + horizon)
+        tables = palette.take(index, axis=0)
+        p_one = _palette_step_probs(palette, index, sig)
         before, d = _walk(d, p_one[:, : hi - lo + 1])
         yield lo, tables, p_one, before
 
@@ -506,11 +515,12 @@ def k1_diagnostics(profile, model, N: int) -> K1Diagnostics:
         raise ValueError("k1_diagnostics requires a K=1 profile")
     m_blr, M_blr = blr_bounds(model)
     sig = _signal_laws(model)
-    tables = profile.rule_table_chunk(1, N)
+    palette, index = profile.rule_palette(1, N)
     start = np.array([[1.0, 0.0], [1.0, 0.0]])  # x_0 is the zero padding
-    seen = _walk(start, _step_probs(tables, sig))[0] > 0.0  # [theta, n, i]
+    seen = _walk(start, _palette_step_probs(palette, index, sig))[0] > 0.0  # [theta, n, i]
     # The entries are the signal average even where a rule ignores the signal.
-    one = sig[:, 0, None, None] * tables[:, :, 0] + sig[:, 1, None, None] * tables[:, :, 1]
+    one = sig[:, 0, None, None] * palette[:, :, 0] + sig[:, 1, None, None] * palette[:, :, 1]
+    one = one.take(index, axis=1)
     a, abar = np.where(seen[..., None], np.stack([1.0 - one, one], axis=-1), np.nan)
     inside = (m_blr * abar - 1e-12 <= a) & (a <= M_blr * abar + 1e-12)
     violations = np.argwhere(seen.all(axis=0)[..., None] & ~inside)

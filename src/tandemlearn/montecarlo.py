@@ -173,8 +173,7 @@ def _walk(jumps: _Jumps, keys, p_sig, win, switches, last_switch, searching):
     streams are written out and dropped once at least half of those
     carried have arrived."""
     n_states = len(jumps.start[0])
-    agents = np.arange(jumps.n0, jumps.n0 + jumps.end // n_states + 1, dtype=np.uint64)
-    steps = np.repeat(rng.step_key(agents), n_states)  # per state, chunk ends included
+    steps = None  # per-state step keys, built at the first draw
     stop, counts, last = jumps.start
     live = np.arange(len(keys))
     at, counts, last = stop.take(win), counts.take(win), last.take(win)
@@ -193,6 +192,9 @@ def _walk(jumps: _Jumps, keys, p_sig, win, switches, last_switch, searching):
             keep = ~done
             live, at, counts, last = live[keep], at[keep], counts[keep], last[keep]
             keys, p_sig = keys[keep], p_sig[keep]
+        if steps is None:
+            agents = np.arange(jumps.n0, jumps.n0 + jumps.end // n_states + 1, dtype=np.uint64)
+            steps = np.repeat(rng.step_key(agents), n_states)  # per state, chunk ends included
         u = rng.finish(keys, steps.take(at), _DRAWS)
         edge = at << 1
         edge |= u[1] < jumps.entry.take(edge | (u[0] < p_sig), mode="clip")

@@ -59,14 +59,22 @@ class DecisionRule:
 
 class Profile:
     """An indexed sequence of decision rules over a window of length K, given
-    as ``rule_table_chunk(n0, n1)``: the tables of agents n0..n1, shape (n,
-    2^K, 2), of which ``rule(n)`` is one row."""
+    by reference as ``rule_palette(n0, n1)`` -> (palette, index): the
+    distinct tables of agents n0..n1, shape (P, 2^K, 2), and an integer
+    array of shape (n,), so that agent n0 + i plays ``palette[index[i]]``.
+    ``rule_table_chunk(n0, n1)`` spells them out per agent, shape (n, 2^K,
+    2), and ``rule(n)`` is one row of that."""
 
     def __init__(self, K: int, descriptor: str):
         if K < 1:
             raise ValueError("window length K must be >= 1")
         self.K = K
         self.descriptor = descriptor
+
+    def rule_table_chunk(self, n0: int, n1: int) -> np.ndarray:
+        """Per-agent rule tables for agents n0..n1, shape (n, 2^K, 2)."""
+        palette, index = self.rule_palette(n0, n1)
+        return palette.take(index, axis=0)
 
     def rule(self, n: int) -> DecisionRule:
         if n < 1:
@@ -107,17 +115,16 @@ class _DefaultRuleProfile(Profile):
         self._agents = np.array(sorted(overrides), dtype=np.int64)
         super().__init__(K, descriptor)
 
-    def rule_table_chunk(self, n0: int, n1: int) -> np.ndarray:
-        """Per-agent rule tables for agents n0..n1, shape (n, 2^K, 2): a
-        read-only view of the default table, copied only when an agent of
-        the range has its own rule."""
-        chunk = np.broadcast_to(self._default, (n1 - n0 + 1, *self._default.shape))
+    def rule_palette(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
+        """The default table, then the rules of the range's agents with
+        their own."""
+        index = np.zeros(n1 - n0 + 1, dtype=np.intp)
         lo, hi = np.searchsorted(self._agents, [n0, n1 + 1])
-        if lo < hi:
-            chunk = chunk.copy()
-            for n in self._agents[lo:hi]:
-                chunk[n - n0] = self._overrides[n].table
-        return chunk
+        if lo == hi:
+            return self._default[None], index
+        agents = self._agents[lo:hi]
+        index[agents - n0] = np.arange(1, hi - lo + 1)
+        return np.stack([self._default, *(self._overrides[n].table for n in agents.tolist())]), index
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +177,17 @@ class DesignedProfile(Profile):
         self.segments = segment_table(model)
         super().__init__(K=2, descriptor="designed")
 
-    def rule_table_chunk(self, n0: int, n1: int) -> np.ndarray:
-        """Per-agent rule tables for agents n0..n1, shape (n, 4, 2).
+    def rule_palette(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
+        """The 7 base tables, then base + (1/m) * delta for the S_FIRST and
+        R_FIRST agents of each segment the range touches, in the slots of
+        ``SegmentTable.role_palette``."""
+        kinds, inv_m, index = self.segments.role_palette(n0, n1)
+        palette = DESIGNED_BASE.take(kinds, axis=0)
+        palette[7:] += inv_m[7:, None, None] * DESIGNED_DELTA.take(kinds[7:], axis=0)
+        return palette, index
 
-        The searching delta is added only where 1/m is nonzero (block-first
-        agents): elsewhere base + 0 * delta is the base entry itself.
-        """
-        kinds, inv_m = self.segments.role_codes(n0, n1)
-        tables = DESIGNED_BASE.take(kinds, axis=0)
-        first = np.flatnonzero(inv_m)
-        tables[first] += inv_m[first, None, None] * DESIGNED_DELTA[kinds[first]]
-        return tables
+    # Defined on this class as well, where perfbench traces it.
+    rule_table_chunk = Profile.rule_table_chunk
 
     def search_table_chunk(self, n0: int, n1: int) -> np.ndarray:
         """Search-starting (window, decision) pairs of agents n0..n1, shape (n, 4, 2)."""
@@ -216,10 +223,12 @@ class MyopicProfile(Profile):
         self._tables = _myopic_induction(model, K, horizon)
         super().__init__(K=K, descriptor=f"myopic(K={K})")
 
-    def rule_table_chunk(self, n0: int, n1: int) -> np.ndarray:
-        """Per-agent rule tables for agents n0..n1, shape (n, 2^K, 2);
-        agents past the horizon get the horizon rule."""
-        return self._tables[np.minimum(np.arange(n0, n1 + 1), self.horizon) - 1]
+    def rule_palette(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
+        """The stored tables of agents n0..n1 up to the horizon; agents past
+        it play the horizon rule."""
+        lo = min(n0, self.horizon)
+        index = np.minimum(np.arange(n0, n1 + 1), self.horizon) - lo
+        return self._tables[lo - 1 : min(n1, self.horizon)], index
 
     def cascade_onset(self) -> int | None:
         """Smallest n* with every rule from n* to the horizon ignoring

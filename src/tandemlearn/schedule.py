@@ -28,6 +28,12 @@ class RoleKind(IntEnum):
     RS_TRANSIENT = 6
 
 
+# Slots of a segment's six role runs in ``SegmentTable.role_palette``; the
+# block-first slots 0 and 3 are set per segment.
+_SEGMENT_SLOTS = (0, RoleKind.S_BODY, RoleKind.SR_TRANSIENT, 0, RoleKind.R_BODY,
+                  RoleKind.RS_TRANSIENT)
+
+
 @dataclass(frozen=True)
 class AgentRole:
     kind: RoleKind
@@ -154,43 +160,55 @@ class SegmentTable:
             return 2 * m, r_start
         return 2 * m - 1, int(self._starts[m - 1])
 
+    def role_palette(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The roles of agents n0..n1 by reference: (kinds, inv_m, index).
+
+        Slot i has role kind ``kinds[i]`` (int8) and 1/m value ``inv_m[i]``,
+        and agent n0 + j plays slot ``index[j]``.  Slots 0..6 are the kinds
+        themselves with 1/m = 0; slots 7 + 2j and 8 + 2j are the S_FIRST and
+        R_FIRST agents of the j-th segment the range touches, with its 1/m.
+        The index is one ``np.repeat`` of per-segment slot runs.
+        """
+        if not (1 <= n0 <= n1):
+            raise ValueError("need 1 <= n0 <= n1")
+        self._ensure_agent(n1)
+        lo, hi = np.searchsorted(self._starts, (n0, n1), side="right").tolist()  # 0: preamble
+        first = max(lo, 1)
+        nseg = hi - first + 1
+        slots = np.empty((nseg, 6), dtype=np.intp)
+        slots[:] = _SEGMENT_SLOTS
+        slots[:, 0] = np.arange(7, 7 + 2 * nseg, 2)
+        slots[:, 3] = slots[:, 0] + 1
+        counts = np.ones((nseg, 6), dtype=np.int64)
+        counts[:, 1] = 2 * self._k[first - 1 : hi] - 2
+        counts[:, 4] = 2 * self._r[first - 1 : hi] - 2
+        slots, counts = slots.ravel(), counts.ravel()
+        start = 1
+        if lo == 0:  # agents 1 and 2 play slot PREAMBLE
+            slots, counts = np.r_[RoleKind.PREAMBLE, slots], np.r_[2, counts]
+        else:
+            start = int(self._starts[lo - 1])
+        a = n0 - start
+        index = np.repeat(slots, counts)[a : a + n1 - n0 + 1]
+        kinds = np.empty(7 + 2 * nseg, dtype=np.int8)
+        kinds[:7] = np.arange(7)
+        kinds[7::2] = RoleKind.S_FIRST
+        kinds[8::2] = RoleKind.R_FIRST
+        inv_m = np.zeros(7 + 2 * nseg)
+        inv_m[7::2] = inv_m[8::2] = 1.0 / np.arange(first, hi + 1, dtype=np.int64)
+        return kinds, inv_m, index
+
     def role_codes(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (role kind, 1/m) arrays for agents n0..n1 inclusive.
+        """Vectorized (role kind, 1/m) arrays for agents n0..n1 inclusive,
+        read off ``role_palette``.
 
         The 1/m entry is nonzero only at S_FIRST and R_FIRST agents; it
         parameterizes the searching-phase randomization of the designed
         profile and lets callers assemble per-agent rule tables without
         a per-agent Python loop.
         """
-        if not (1 <= n0 <= n1):
-            raise ValueError("need 1 <= n0 <= n1")
-        self._ensure_agent(n1)
-        lo = 1 if n0 <= 2 else self.segment_of(n0)
-        hi = self.segment_of(max(n1, 3))
-        k = self._k[lo - 1 : hi]
-        r = self._r[lo - 1 : hi]
-        mseg = np.arange(lo, hi + 1, dtype=np.int64)
-        nseg = len(mseg)
-        pattern = np.array([RoleKind.S_FIRST, RoleKind.S_BODY, RoleKind.SR_TRANSIENT,
-                            RoleKind.R_FIRST, RoleKind.R_BODY, RoleKind.RS_TRANSIENT], dtype=np.int8)
-        values = np.tile(pattern, nseg)
-        one = np.ones_like(k)
-        counts = np.stack([one, 2 * k - 2, one, one, 2 * r - 2, one], axis=1)
-        inv_vals = np.zeros((nseg, 6), dtype=np.float64)
-        inv_vals[:, 0] = inv_vals[:, 3] = 1.0 / mseg
-        kinds = np.repeat(values, counts.ravel())
-        inv_m = np.repeat(inv_vals.ravel(), counts.ravel())
-        first = self.segment_start(lo)
-        if n0 <= 2:
-            pre = 3 - n0
-            kinds = np.concatenate(
-                [np.full(pre, RoleKind.PREAMBLE, dtype=np.int8), kinds]
-            )
-            inv_m = np.concatenate([np.zeros(pre), inv_m])
-            first = n0
-        a = n0 - first
-        b = a + (n1 - n0) + 1
-        return kinds[a:b].copy(), inv_m[a:b].copy()
+        kinds, inv_m, index = self.role_palette(n0, n1)
+        return kinds.take(index), inv_m.take(index)
 
 
 _tables: dict = {}

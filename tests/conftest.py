@@ -30,6 +30,13 @@ class TableProfile:
         # Stacked as given, unvalidated: tests may hold entries outside [0, 1].
         return np.stack([self.rule(n).table for n in range(n0, n1 + 1)])
 
+    def rule_palette(self, n0, n1):
+        # The listed tables of agents n0..n1; agents past the list play the last.
+        last = len(self.tables)
+        lo = min(n0, last)
+        index = np.minimum(np.arange(n0, n1 + 1), last) - lo
+        return np.stack(self.tables[lo - 1 : min(n1, last)]), index
+
 
 def reference_designed_table(segments, n):
     """Agent n's designed rule table from its role alone: the base table of

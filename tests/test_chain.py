@@ -17,6 +17,7 @@ from tandemlearn import (
     series_diagnostics,
     window_distributions,
 )
+from tandemlearn import chain
 from tandemlearn.chain import (
     BRUTE_FORCE_MAX_N,
     _SCAN_MAX_K,
@@ -335,8 +336,14 @@ def test_laws_before_an_agent_do_not_depend_on_the_range_end(name, m37):
     size = _CHUNK_BYTES // (32 << prof.K) - horizon  # agents per law_walk chunk
 
     def laws(n1):
-        walk = law_walk(prof, m37, n0, n1, horizon)
-        return np.concatenate([before for _, _, _, before in walk], axis=1)
+        befores = []
+        for lo, tables, p_one, before in law_walk(prof, m37, n0, n1, horizon):
+            # The chunk's tables and step probabilities, agent by agent.
+            per_agent = prof.rule_table_chunk(lo, lo + before.shape[1] - 1 + horizon)
+            assert np.array_equal(tables, per_agent), (name, lo)
+            assert np.array_equal(p_one, _step_probs(per_agent, _signal_laws(m37))), (name, lo)
+            befores.append(before)
+        return np.concatenate(befores, axis=1)
 
     longest = laws(n0 + 2 * size + 50)
     for n1 in (n0, n0 + _BLOCK - 2, n0 + 100, n0 + _chunk_agents(prof.K) + 3, n0 + size + 9):
@@ -517,7 +524,7 @@ def _fractional_k1_profile():
 
 @pytest.mark.parametrize("name", ["myopic", "follow", "fractional", "outside"])
 @pytest.mark.parametrize("model_args", [(0.4, 0.6), (0.35, 0.8)])
-def test_k1_diagnostics_equal_the_per_agent_loop(name, model_args):
+def test_k1_diagnostics_equal_the_per_agent_loop(name, model_args, monkeypatch):
     model = SignalModel(*model_args)
     prof = {
         "myopic": lambda: myopic_profile(model, 1, 30),
@@ -527,7 +534,16 @@ def test_k1_diagnostics_equal_the_per_agent_loop(name, model_args):
         # DecisionRule accepts, break it, so the violation lists are compared.
         "outside": lambda: TableProfile([[[0.2, 0.9], [0.1, 0.3]], [[-0.5, 1.5], [1.2, 0.4]]]),
     }[name]()
+    walked = []  # the step probabilities the diagnostics walk
+
+    def walk(d, p_one):
+        walked.append(p_one)
+        return _walk(d, p_one)
+
+    monkeypatch.setattr(chain, "_walk", walk)
     diag = k1_diagnostics(prof, model, 40)
+    assert len(walked) == 1
+    assert np.array_equal(walked[0], _step_probs(prof.rule_table_chunk(1, 40), _signal_laws(model)))
     a, abar, sums, violations = _k1_loop(prof, model, 40)
     assert np.array_equal(diag.a, a, equal_nan=True)
     assert np.array_equal(diag.abar, abar, equal_nan=True)

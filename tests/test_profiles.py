@@ -15,7 +15,7 @@ from tandemlearn import (
     segment_table,
 )
 from tandemlearn.profiles import DESIGNED_BASE, DESIGNED_DELTA, code_window, window_code
-from conftest import reference_designed_table, reference_step
+from conftest import TableProfile, reference_designed_table, reference_step
 
 
 def test_window_code_roundtrip():
@@ -184,6 +184,62 @@ def test_myopic_and_baseline_rule_chunks_match_per_agent(K, m46):
             assert chunk.shape == (n1 - n0 + 1, 1 << K, 2)
             expect = np.stack([table(n) for n in range(n0, n1 + 1)])
             assert np.array_equal(chunk, expect), (prof.descriptor, n0, n1)
+
+
+def _palette_cases(name, model):
+    """(profile, agent n's reference table, chunk edges) for the palette test."""
+    seg = segment_table(model)
+    edges = [(1, 1), (1, 2), (2, 5), (3, 4100)]
+    # Across the steps of k_m and r_m from 2 to 3 (m = 55) and 3 to 4 (m = 2981).
+    edges += [(seg.segment_start(m - 1) + 1, seg.segment_start(m + 1) + 2) for m in (55, 2981)]
+    edges.append((10**6, 10**6 + 4095))
+    if name == "designed":
+        dp = designed_profile(model)
+        return dp, lambda n: reference_designed_table(dp.segments, n), edges
+    if name.startswith("myopic"):  # agents past the horizon of 60 play its rule
+        K = int(name[-1])
+        tables = _myopic_loop(model, K, 60)[0]
+        return myopic_profile(model, K, 60), lambda n: tables[min(n, 60) - 1], edges
+    if name.startswith("copy"):
+        K = int(name[-1])
+        copy = np.repeat(np.arange(1 << K)[:, None] & 1, 2, axis=1).astype(float)
+        return baseline_profile("copy", K), lambda n: copy, edges
+    if name.startswith("constant"):
+        K = int(name[-1])
+        return baseline_profile("constant1", K), lambda n: np.ones((1 << K, 2)), edges
+    if name == "json":  # overrides on both sides of every chunk edge
+        agents = {n + d for lo, hi in edges for n in (lo, hi) for d in (-1, 0, 1) if n + d >= 1}
+        spec = _json_spec(2, sorted(agents), seed=7)
+        return profile_from_dict(spec), lambda n: _spec_table(spec, n), edges
+    tables = np.random.default_rng(8).random((50, 8, 2))  # "table": the duck-typed test profile
+    return TableProfile(list(tables)), lambda n: tables[min(n, 50) - 1], edges
+
+
+@pytest.mark.parametrize(
+    "name", ["designed", "myopic1", "myopic2", "myopic3", "copy2", "copy4", "constant2",
+             "constant4", "json", "table"]
+)
+def test_rule_palette_spells_out_every_agent_rule(name, m37):
+    """``palette[index]`` is ``rule_table_chunk`` and, agent by agent, the
+    independent reference table; the designed palette holds the 7 base
+    tables and two per segment the range touches, at most."""
+    prof, table, edges = _palette_cases(name, m37)
+    S = 1 << prof.K
+    for n0, n1 in edges:
+        palette, index = prof.rule_palette(n0, n1)
+        assert palette.dtype == np.float64 and palette.ndim == 3 and palette.shape[1:] == (S, 2)
+        assert index.shape == (n1 - n0 + 1,) and index.dtype.kind == "i"
+        assert 0 <= index.min() and index.max() < len(palette), (name, n0, n1)
+        chunk = prof.rule_table_chunk(n0, n1)
+        assert np.array_equal(palette[index], chunk), (name, n0, n1)
+        expect = np.stack([table(n) for n in range(n0, n1 + 1)])
+        assert np.array_equal(chunk, expect), (name, n0, n1)
+        for n in {n0, (n0 + n1) // 2, n1}:
+            assert np.array_equal(prof.rule(n).table, expect[n - n0]), (name, n)
+        if name == "designed":
+            seg = prof.segments
+            touched = seg.segment_of(n1) - seg.segment_of(max(n0, 3)) + 1 if n1 >= 3 else 0
+            assert len(palette) <= 7 + 2 * touched, (n0, n1, len(palette), touched)
 
 
 def test_designed_searching_mask(m37):

@@ -97,15 +97,19 @@ def test_last_block_start_before_matches_walk(model_args):
 
 
 def test_role_codes_match_role_of(m37):
+    """Over the preamble, chunk-sized ranges and the steps of k_m and r_m
+    (m = 55 and 2981), every kind and every 1/m of ``role_codes`` is the
+    one ``role_of`` gives, bit for bit."""
     tab = segment_table(m37)
-    kinds, inv_m = tab.role_codes(1, 400)
-    for n in range(1, 401):
-        role = tab.role_of(n)
-        assert kinds[n - 1] == role.kind
-        if role.kind in (RoleKind.S_FIRST, RoleKind.R_FIRST):
-            assert inv_m[n - 1] == pytest.approx(1.0 / role.m)
-        else:
-            assert inv_m[n - 1] == 0.0
+    ranges = [(1, 400), (1, 1), (1, 2), (2, 2), (2, 5), (3, 3), (3, 4100), (10**6, 10**6 + 4095)]
+    ranges += [(tab.segment_start(m - 1) + 1, tab.segment_start(m + 1) + 2) for m in (55, 2981)]
+    first = (RoleKind.S_FIRST, RoleKind.R_FIRST)
+    for n0, n1 in ranges:
+        kinds, inv_m = tab.role_codes(n0, n1)
+        assert kinds.dtype == np.int8 and inv_m.dtype == np.float64
+        roles = [tab.role_of(n) for n in range(n0, n1 + 1)]
+        assert kinds.tolist() == [role.kind for role in roles], (n0, n1)
+        assert inv_m.tolist() == [1.0 / role.m if role.kind in first else 0.0 for role in roles]
 
 
 def test_block_sizes_depend_on_model():
