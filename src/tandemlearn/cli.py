@@ -132,8 +132,8 @@ def parse_model(spec: str):
                 vals[f"p{i}"] = float(part)
     except ModelError:
         raise
-    except (OSError, ValueError, TypeError, AttributeError) as exc:
-        # unreadable file, malformed JSON or numbers, or JSON of the wrong shape
+    except (OSError, ValueError, TypeError, AttributeError, RecursionError) as exc:
+        # unreadable file, malformed or deep JSON, bad numbers, or JSON of the wrong shape
         raise ModelError(f"cannot parse model spec {spec!r}: {exc}") from None
     if set(vals) != {"p0", "p1"}:
         raise ModelError(f"cannot parse model spec {spec!r}")
@@ -153,7 +153,7 @@ def parse_profile(spec: str, model, K: int, horizon: int):
         if spec == "myopic":
             return myopic_profile(model, K=K, horizon=horizon)
         return baseline_profile(spec, K=K)
-    except (OSError, ValueError) as exc:  # bad name or file
+    except (OSError, ValueError, RecursionError) as exc:  # bad name or file, deep JSON
         raise UsageError(f"--profile {spec}: {exc}") from None
 
 
@@ -421,7 +421,7 @@ def _config_values(path, command: str, given: set) -> dict:
     try:
         with open(path) as fh:
             config = json.load(fh)
-    except (OSError, ValueError) as exc:  # unreadable file or malformed JSON
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, malformed or deep JSON
         raise UsageError(f"--config {path}: {exc}") from None
     if not isinstance(config, dict):
         raise UsageError(f"--config {path}: expected a JSON object of flag values")

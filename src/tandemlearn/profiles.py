@@ -7,6 +7,13 @@ the most significant bit, so the immediate predecessor is the low bit
 and a new decision x updates the code as ((code << 1) | x) & mask.
 Randomization is carried in the table entries themselves: the Monte
 Carlo engine draws against them, the exact chain integrates them.
+
+The designed K=2 profile computes its tables from the segment schedule.
+Every other profile is a ``TableProfile``: a default table plus the
+tables of a list of agents.  Baseline profiles list none, a JSON profile
+lists its overrides, and a myopic profile lists agents 1..F, where F is
+the first agent whose step leaves the window laws unchanged (or the
+horizon), so that every later agent plays table F.
 """
 
 from __future__ import annotations
@@ -91,40 +98,45 @@ class Profile:
         return f"<Profile {self.descriptor} K={self.K}>"
 
 
-def baseline_profile(kind: str, K: int) -> Profile:
+class TableProfile(Profile):
+    """Every agent plays the ``default`` table, except the listed ``agents``
+    (int64, increasing), which play ``tables`` in order.  K comes from the
+    table shape.  Entries are not checked here: ``rule(n)`` checks them."""
+
+    def __init__(self, default, agents=(), tables=None, descriptor: str = "table"):
+        self._default = np.asarray(default, dtype=np.float64)
+        self._agents = np.asarray(agents, dtype=np.int64)
+        tables = np.asarray([] if tables is None else tables, dtype=np.float64)
+        self._tables = tables.reshape(len(self._agents), *self._default.shape)
+        super().__init__(int(self._default.shape[0]).bit_length() - 1, descriptor)
+
+    def rule_palette(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
+        """The default table, then the tables of the range's listed agents."""
+        lo, hi = np.searchsorted(self._agents, [n0, n1 + 1])
+        index = np.zeros(n1 - n0 + 1, dtype=np.intp)
+        index[self._agents[lo:hi] - n0] = np.arange(1, hi - lo + 1)
+        return np.concatenate([self._default[None], self._tables[lo:hi]]), index
+
+    def cascade_onset(self) -> int | None:
+        """Smallest n* from which no agent reads its private signal, or None
+        if the default rule reads it."""
+        if (self._default[:, 0] != self._default[:, 1]).any():
+            return None
+        reads = np.flatnonzero((self._tables[:, :, 0] != self._tables[:, :, 1]).any(axis=1))
+        return int(self._agents[reads[-1]]) + 1 if len(reads) else 1
+
+
+def baseline_profile(kind: str, K: int) -> TableProfile:
     """Control profiles: constant decisions and predecessor-copying."""
     n_states = 1 << K
     if kind in ("constant0", "constant1"):
-        c = 1.0 if kind == "constant1" else 0.0
-        rule = DecisionRule(np.full((n_states, 2), c))
+        table = np.full((n_states, 2), 1.0 if kind == "constant1" else 0.0)
     elif kind == "copy":
         table = np.zeros((n_states, 2))
         table[1::2, :] = 1.0  # low bit of the code is the predecessor
-        rule = DecisionRule(table)
     else:
         raise ValueError(f"unknown baseline profile {kind!r}")
-    return _DefaultRuleProfile(K, rule, {}, kind)
-
-
-class _DefaultRuleProfile(Profile):
-    """Every agent plays a default rule, except the agents given their own."""
-
-    def __init__(self, K: int, default: DecisionRule, overrides: dict, descriptor: str):
-        self._default = default.table
-        self._overrides = overrides
-        self._agents = np.array(sorted(overrides), dtype=np.int64)
-        super().__init__(K, descriptor)
-
-    def rule_palette(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
-        """The default table, then the rules of the range's agents with
-        their own."""
-        index = np.zeros(n1 - n0 + 1, dtype=np.intp)
-        lo, hi = np.searchsorted(self._agents, [n0, n1 + 1])
-        if lo == hi:
-            return self._default[None], index
-        agents = self._agents[lo:hi]
-        index[agents - n0] = np.arange(1, hi - lo + 1)
-        return np.stack([self._default, *(self._overrides[n].table for n in agents.tolist())]), index
+    return TableProfile(table, descriptor=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -208,42 +220,15 @@ def designed_profile(model) -> DesignedProfile:
 # ---------------------------------------------------------------------------
 
 
-class MyopicProfile(Profile):
-    """Each agent maximizes the probability its own decision is correct.
-
-    Built by forward induction against the exact window distributions the
-    profile itself induces, so it is a myopic best-response fixed point.
-    Requests beyond the construction horizon return the horizon rule
-    (after a cascade sets in the rules are constant anyway).
-    """
-
-    def __init__(self, model, K: int, horizon: int):
-        self.model = model
-        self.horizon = horizon
-        self._tables = _myopic_induction(model, K, horizon)
-        super().__init__(K=K, descriptor=f"myopic(K={K})")
-
-    def rule_palette(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
-        """The stored tables of agents n0..n1 up to the horizon; agents past
-        it play the horizon rule."""
-        lo = min(n0, self.horizon)
-        index = np.minimum(np.arange(n0, n1 + 1), self.horizon) - lo
-        return self._tables[lo - 1 : min(n1, self.horizon)], index
-
-    def cascade_onset(self) -> int | None:
-        """Smallest n* with every rule from n* to the horizon ignoring
-        the private signal, or None if the tail still consults signals."""
-        consults = np.flatnonzero((self._tables[:, :, 0] != self._tables[:, :, 1]).any(axis=1))
-        onset = int(consults[-1]) + 2  # agent 1 always follows its signal
-        return onset if onset <= self.horizon else None
-
-
 def _myopic_induction(model, K, horizon) -> np.ndarray:
-    """Read-only rule tables of agents 1..horizon, shape (horizon, 2^K, 2).
+    """Rule tables of agents 1..F, shape (F, 2^K, 2), where F <= horizon.
 
     Agent n decides 1 where P(theta=1, v_n=u, s) beats P(theta=0, v_n=u, s)
     and copies its predecessor on a tie, which covers the windows of
-    probability zero: those entries never execute.
+    probability zero: those entries never execute.  Agent n's table depends
+    on the laws before it alone, so once agent F's step leaves both laws
+    bitwise unchanged every later agent plays table F, and the induction
+    stops there; otherwise F is the horizon.
     """
     from .chain import _signal_laws, _step, _step_probs  # chain is rule-agnostic
 
@@ -251,21 +236,25 @@ def _myopic_induction(model, K, horizon) -> np.ndarray:
     copy = (np.arange(1 << K) & 1)[:, None].astype(np.float64)  # the predecessor bit
     d = np.zeros((2, 1 << K))
     d[:, 0] = 1.0  # zero-padded window before agent 1
-    tables = np.empty((horizon, 1 << K, 2))
-    for n in range(horizon):
+    tables = []
+    for _ in range(horizon):
         w = d[:, :, None] * sig[:, None, :]  # [theta, u, s]
-        tables[n] = np.where(w[1] == w[0], copy, w[1] > w[0])
-        d = _step(d, _step_probs(tables[n : n + 1], sig)[:, 0])
-    tables.setflags(write=False)
-    return tables
+        tables.append(np.where(w[1] == w[0], copy, w[1] > w[0]))
+        d, before = _step(d, _step_probs(tables[-1][None], sig)[:, 0]), d
+        if np.array_equal(d, before):
+            break
+    return np.array(tables)
 
 
-def myopic_profile(model, K: int, horizon: int) -> MyopicProfile:
+def myopic_profile(model, K: int, horizon: int) -> TableProfile:
     """Forward-induction myopic (probability-of-own-error minimizing)
-    profile over a finite horizon."""
+    profile, built against the exact window laws the profile itself
+    induces, so it is a myopic best-response fixed point.  Agents past the
+    stored tables (the laws' fixed point, or the horizon) play the last."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return MyopicProfile(model, K, horizon)
+    tables = _myopic_induction(model, K, horizon)
+    return TableProfile(tables[-1], np.arange(1, len(tables) + 1), tables, f"myopic(K={K})")
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +268,7 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def profile_from_dict(obj: dict) -> Profile:
+def profile_from_dict(obj: dict) -> TableProfile:
     """Profile from a JSON-style dict.
 
     Schema: ``{"K": 2, "default": {window: {signal: prob}}, "agents":
@@ -310,10 +299,13 @@ def profile_from_dict(obj: dict) -> Profile:
     bad = [n for n in agents if not (n.isascii() and n.isdigit() and n[0] != "0")]
     if bad:  # "01" or "+1" would alias agent 1
         raise ValueError(f"agent keys must be integers >= 1 written plainly, got {bad}")
-    per_agent = {int(n): build(entry, f"agent {n}") for n, entry in agents.items()}
-    return _DefaultRuleProfile(K, default, per_agent, "custom")
+    keys = sorted(map(int, agents))
+    if keys and keys[-1] > np.iinfo(np.int64).max:
+        raise ValueError(f"agent keys must be at most 2^63 - 1, got {keys[-1]}")
+    tables = [build(agents[str(n)], f"agent {n}").table for n in keys]
+    return TableProfile(default.table, keys, tables, "custom")
 
 
-def profile_from_json(path) -> Profile:
+def profile_from_json(path) -> TableProfile:
     with open(path) as fh:
         return profile_from_dict(json.load(fh))

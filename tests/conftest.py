@@ -2,40 +2,13 @@ import numpy as np
 import pytest
 
 from tandemlearn import RoleKind, SignalModel, rng
-from tandemlearn.profiles import DESIGNED_BASE, DESIGNED_DELTA
+from tandemlearn.profiles import DESIGNED_BASE, DESIGNED_DELTA, TableProfile
 
 
-class TableProfile:
-    """Minimal duck-typed profile: a fixed per-agent list of rule tables.
-
-    Agents beyond the list reuse the last table.
-    """
-
-    class _Rule:
-        def __init__(self, table):
-            self.table = table
-
-    def __init__(self, tables, descriptor="table"):
-        self.tables = [np.asarray(t, dtype=float) for t in tables]
-        self.descriptor = descriptor
-
-    @property
-    def K(self):
-        return int(np.log2(len(self.tables[0])))
-
-    def rule(self, n):
-        return self._Rule(self.tables[min(n, len(self.tables)) - 1])
-
-    def rule_table_chunk(self, n0, n1):
-        # Stacked as given, unvalidated: tests may hold entries outside [0, 1].
-        return np.stack([self.rule(n).table for n in range(n0, n1 + 1)])
-
-    def rule_palette(self, n0, n1):
-        # The listed tables of agents n0..n1; agents past the list play the last.
-        last = len(self.tables)
-        lo = min(n0, last)
-        index = np.minimum(np.arange(n0, n1 + 1), last) - lo
-        return np.stack(self.tables[lo - 1 : min(n1, last)]), index
+def table_profile(tables):
+    """Agents 1..L play the L tables in order, and later agents play the last."""
+    tables = np.asarray(tables, dtype=np.float64)
+    return TableProfile(tables[-1], np.arange(1, len(tables) + 1), tables)
 
 
 def reference_designed_table(segments, n):

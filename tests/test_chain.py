@@ -42,18 +42,18 @@ from tandemlearn.profiles import profile_from_dict
 from tandemlearn.schedule import block_sizes_arrays, segment_table
 from tandemlearn.signals import blr_bounds
 from tandemlearn.profiles import profile_from_json
-from conftest import TableProfile, reference_step
+from conftest import reference_step, table_profile
 
 
 def test_initial_window_is_zero_padded(m46):
-    laws = window_distributions(TableProfile([np.full((4, 2), 0.37)]), m46, [1])
+    laws = window_distributions(table_profile([np.full((4, 2), 0.37)]), m46, [1])
     assert list(laws) == [1]
     assert laws[1][0].tolist() == [1.0, 0.0, 0.0, 0.0]
     assert laws[1][1].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_propagate_conserves_mass(m46):
-    prof = TableProfile([np.full((4, 2), 0.37)])
+    prof = table_profile([np.full((4, 2), 0.37)])
     d0 = d1 = np.array([1.0, 0.0, 0.0, 0.0])
     for n in range(1, 30):
         d0 = propagate_dist(d0, prof.rule(n).table, m46.signal_probs(0))
@@ -195,8 +195,8 @@ def test_sweep_equals_the_stretch_by_stretch_composition(name, m37, m46):
         "designed": lambda: designed_profile(m37),
         "myopic1": lambda: myopic_profile(m46, 1, 300),
         "myopic2": lambda: myopic_profile(m37, 2, 300),
-        "table3": lambda: TableProfile(list(_random_tables(np.random.default_rng(3), 1000, 3))),
-        "table5": lambda: TableProfile(list(_random_tables(np.random.default_rng(5), 1000, 5))),
+        "table3": lambda: table_profile(list(_random_tables(np.random.default_rng(3), 1000, 3))),
+        "table5": lambda: table_profile(list(_random_tables(np.random.default_rng(5), 1000, 5))),
         "copy4": lambda: baseline_profile("copy", 4),
     }[name]()
     chunk = _chunk_agents(prof.K)
@@ -244,7 +244,7 @@ def test_wide_window_sweep_matches_sequential_propagation(K, m37):
         same = rng.random(1 << K) < 1 / 3
         t[same, 1] = t[same, 0]
         tables.append(t)
-    prof = TableProfile(tables * 20)
+    prof = table_profile(tables * 20)
     chunk = _chunk_agents(K)
     N = 3 * chunk + 5
     ref = _sequential_sweep(prof, m37, N)
@@ -331,7 +331,7 @@ def test_laws_before_an_agent_do_not_depend_on_the_range_end(name, m37):
         prof = designed_profile(m37)
     else:
         rng = np.random.default_rng(4)
-        prof = TableProfile(list(rng.random((97, 8, 2))))
+        prof = table_profile(list(rng.random((97, 8, 2))))
     n0, horizon = 7, 20
     size = _CHUNK_BYTES // (32 << prof.K) - horizon  # agents per law_walk chunk
 
@@ -463,7 +463,7 @@ def test_k1_diagnostics_coupling(m46):
 
 def test_k1_diagnostics_signal_following_profile(m46):
     # an always-follow-signal profile has constant switch probabilities
-    follow = TableProfile([np.array([[0.0, 1.0], [0.0, 1.0]])])
+    follow = table_profile([np.array([[0.0, 1.0], [0.0, 1.0]])])
     diag = k1_diagnostics(follow, m46, 40)
     a01 = diag.a[5:, 0, 1]
     assert np.allclose(a01, 0.4)  # P^0(decide 1) = p0
@@ -489,8 +489,7 @@ def _k1_loop(profile, model, N):
     violations = []
     states = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]
     run = np.zeros(4)
-    for n in range(1, N + 1):
-        table = profile.rule(n).table
+    for n, table in enumerate(profile.rule_table_chunk(1, N), start=1):
         for i in (0, 1):
             for t in (0, 1):
                 if states[t][i] > 0.0:
@@ -528,11 +527,11 @@ def test_k1_diagnostics_equal_the_per_agent_loop(name, model_args, monkeypatch):
     model = SignalModel(*model_args)
     prof = {
         "myopic": lambda: myopic_profile(model, 1, 30),
-        "follow": lambda: TableProfile([np.array([[0.0, 1.0], [0.0, 1.0]])]),
+        "follow": lambda: table_profile([np.array([[0.0, 1.0], [0.0, 1.0]])]),
         "fractional": _fractional_k1_profile,
         # Rules always meet the coupling; entries outside [0, 1], which no
         # DecisionRule accepts, break it, so the violation lists are compared.
-        "outside": lambda: TableProfile([[[0.2, 0.9], [0.1, 0.3]], [[-0.5, 1.5], [1.2, 0.4]]]),
+        "outside": lambda: table_profile([[[0.2, 0.9], [0.1, 0.3]], [[-0.5, 1.5], [1.2, 0.4]]]),
     }[name]()
     walked = []  # the step probabilities the diagnostics walk
 

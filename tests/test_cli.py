@@ -332,8 +332,8 @@ def test_invalid_model_exit_code():
         ["--profile", "bogus"],
         ["--profile", "copy", "--k", "17"],
         ["--profile", "myopic", "--k", str(10**30)],
-        # Myopic tables of 10^12 x 4 x 2 floats (58 TiB): the allocation fails.
-        ["--profile", "myopic", "--n", "1000000000000", "--checkpoints", "5"],
+        # An agent key beyond int64.
+        ["--n", "10", "--profile", {"K": 1, "agents": {"99999999999999999999": {}}}],
         # Profile files that are not well-formed profiles.
         ["--n", "10", "--profile", {}],
         ["--n", "10", "--profile", [1, 2]],
@@ -365,6 +365,37 @@ def test_exact_rejects_bad_range_with_usage_error(flags, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == "usage"
     assert payload["reason"]
+
+
+def test_exact_myopic_at_a_huge_n_stores_tables_to_the_fixed_point_only(tmp_path):
+    """Myopic tables stop at the laws' fixed point, so a horizon of 10^12
+    agents runs and agent 5 reads as at ``--n 5``."""
+    rows = []
+    for n in ("1000000000000", "5"):
+        out = tmp_path / f"{n}.csv"
+        argv = ["--profile", "myopic", "--n", n, "--checkpoints", "5", "--out", str(out)]
+        assert main(["exact", "--model", "0.3,0.7", *argv]) == 0
+        rows.append(out.read_text().splitlines()[2:])
+    assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--config", "{path}", "exact", "--profile", "copy"], "usage"),
+        (["exact", "--profile", "{path}"], "usage"),
+        (["exact", "--model", "{path}", "--profile", "copy"], "model"),
+    ],
+)
+def test_deeply_nested_json_exits_with_a_structured_error(argv, error, tmp_path, capsys):
+    """JSON nested past the parser's recursion limit is malformed input:
+    the JSON error, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    rc = main([*(a.format(path=path) for a in argv), "--n", "5"])
+    assert rc == {"usage": EXIT_USAGE_ERROR, "model": EXIT_MODEL_ERROR}[error]
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == error and payload["reason"]
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from tandemlearn import (
 )
 from tandemlearn import chain, game
 from tandemlearn.profiles import code_window, window_code
-from conftest import TableProfile, reference_step
+from conftest import reference_step, table_profile
 from test_chain import _random_json_profile
 
 
@@ -184,7 +184,7 @@ def _random_wide_profile(K, agents=9):
         same = rng.random(1 << K) < 1 / 3
         t[same, 1] = t[same, 0]
         tables.append(t)
-    return TableProfile(tables * 10)
+    return table_profile(tables * 10)
 
 
 # name -> (profile, model, agents checked, horizon); the wide K=6 case is

@@ -15,7 +15,7 @@ from tandemlearn import (
     segment_table,
 )
 from tandemlearn.profiles import DESIGNED_BASE, DESIGNED_DELTA, code_window, window_code
-from conftest import TableProfile, reference_designed_table, reference_step
+from conftest import reference_designed_table, reference_step, table_profile
 
 
 def test_window_code_roundtrip():
@@ -211,8 +211,8 @@ def _palette_cases(name, model):
         agents = {n + d for lo, hi in edges for n in (lo, hi) for d in (-1, 0, 1) if n + d >= 1}
         spec = _json_spec(2, sorted(agents), seed=7)
         return profile_from_dict(spec), lambda n: _spec_table(spec, n), edges
-    tables = np.random.default_rng(8).random((50, 8, 2))  # "table": the duck-typed test profile
-    return TableProfile(list(tables)), lambda n: tables[min(n, 50) - 1], edges
+    tables = np.random.default_rng(8).random((50, 8, 2))  # "table": 50 listed agents
+    return table_profile(list(tables)), lambda n: tables[min(n, 50) - 1], edges
 
 
 @pytest.mark.parametrize(
@@ -282,16 +282,37 @@ def _myopic_loop(model, K, horizon):
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
-@pytest.mark.parametrize("model_args", [(0.4, 0.6), (0.35, 0.8)])
+@pytest.mark.parametrize("model_args", [(0.4, 0.6), (0.35, 0.8), (0.3, 0.7)])
 def test_myopic_tables_equal_the_per_window_loop(K, model_args):
+    """Horizon 60 passes the laws' fixed point at 0.4/0.6 and caps the
+    tables before it at 0.35/0.8 for K >= 3; horizon 1500 passes it at
+    0.3/0.7 (agents 4, 921, 922 and 923 for K = 1..4)."""
     model = SignalModel(*model_args)
-    mp = myopic_profile(model, K, 60)
-    tables, onset = _myopic_loop(model, K, 60)
-    assert np.array_equal(mp.rule_table_chunk(1, 60), tables)
+    horizon = 1500 if model_args == (0.3, 0.7) else 60
+    mp = myopic_profile(model, K, horizon)
+    tables, onset = _myopic_loop(model, K, horizon)
+    assert np.array_equal(mp.rule_table_chunk(1, horizon), tables)
     assert mp.cascade_onset() == onset
-    for n in (1, 60, 61):
-        assert np.array_equal(mp.rule(n).table, tables[min(n, 60) - 1])
+    for n in (1, horizon, horizon + 1):
+        assert np.array_equal(mp.rule(n).table, tables[min(n, horizon) - 1])
     assert myopic_profile(model, K, 1).cascade_onset() is None  # agent 1 reads its signal
+
+
+def test_myopic_tables_stop_at_the_fixed_point(m37):
+    """A horizon of 10^9 stores tables 1..F for the fixed point F alone:
+    F < 2000, so agent 2000 plays the default and no stored table."""
+    palette, index = myopic_profile(m37, 12, 10**9).rule_palette(2000, 2000)
+    assert len(palette) == 1 and index.tolist() == [0]
+
+
+def test_table_profile_cascade_onset():
+    """No agent reads its signal from n*: the agent after the last listed
+    agent that reads it, or 1 if none does, and None if the default reads it."""
+    follow = {"0": {"0": 0.0, "1": 1.0}, "1": {"0": 0.0, "1": 1.0}}
+    assert baseline_profile("copy", 2).cascade_onset() == 1
+    assert profile_from_dict({"K": 1, "agents": {"5": follow, "9": {}}}).cascade_onset() == 6
+    reads = profile_from_dict({"K": 1, "default": follow, "agents": {"2": {}}})
+    assert reads.cascade_onset() is None
 
 
 def test_myopic_k1_cascades_immediately(m46):
@@ -337,6 +358,13 @@ def test_profile_from_dict_and_json(tmp_path):
 def test_profile_from_dict_rejects_bad_probability():
     with pytest.raises(ValueError):
         profile_from_dict({"K": 1, "default": {"0": {"0": 2.0, "1": 1.0}, "1": {"0": 0.0, "1": 1.0}}})
+
+
+def test_profile_from_dict_rejects_agent_keys_beyond_int64():
+    """Agent indices are int64, so a key above 2^63 - 1 cannot name one."""
+    profile_from_dict({"K": 1, "agents": {str(2**63 - 1): {}}})
+    with pytest.raises(ValueError, match="2\\^63 - 1"):
+        profile_from_dict({"K": 1, "agents": {"99999999999999999999": {}}})
 
 
 @pytest.mark.parametrize("key", ["0", "-4"])

@@ -13,7 +13,7 @@ from tandemlearn.rng import (
     KIND_RULE, KIND_SIGNAL, KIND_WORLD, finish, step_key, stream_key, uniform,
 )
 from tandemlearn.schedule import segment_table
-from conftest import TableProfile
+from conftest import table_profile
 
 CASES = settings(max_examples=1000, deadline=None)
 
@@ -37,7 +37,7 @@ def rule_tables(K):
 def test_normalization_invariant(model, tables, steps):
     """Window distributions stay normalized and non-negative under any
     rule sequence and any signal model."""
-    prof = TableProfile(tables)
+    prof = table_profile(tables)
     d = [np.array([1.0, 0.0, 0.0, 0.0])] * 2
     for n in range(1, steps + 1):
         d = [propagate_dist(d[t], prof.rule(n).table, model.signal_probs(t)) for t in (0, 1)]
