@@ -40,6 +40,8 @@ class SimConfig:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
+        if self.theta not in (None, 0, 1):
+            raise ValueError(f"theta must be None, 0 or 1, got {self.theta!r}")
         cps = tuple(sorted(set(int(c) for c in self.checkpoints))) or (self.N,)
         if cps[0] < 1 or cps[-1] > self.N:
             raise ValueError("checkpoints must lie in [1, N]")

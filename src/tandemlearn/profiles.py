@@ -233,17 +233,17 @@ def _myopic_induction(model, K, horizon) -> np.ndarray:
     from .chain import _signal_laws, _step, _step_probs  # chain is rule-agnostic
 
     sig = _signal_laws(model)
-    copy = (np.arange(1 << K) & 1)[:, None].astype(np.float64)  # the predecessor bit
+    copy = (np.arange(1 << K) & 1)[:, None].astype(bool)  # the predecessor bit
     d = np.zeros((2, 1 << K))
     d[:, 0] = 1.0  # zero-padded window before agent 1
-    tables = []
+    tables = []  # bool until stacked: every entry is 0 or 1
     for _ in range(horizon):
         w = d[:, :, None] * sig[:, None, :]  # [theta, u, s]
         tables.append(np.where(w[1] == w[0], copy, w[1] > w[0]))
         d, before = _step(d, _step_probs(tables[-1][None], sig)[:, 0]), d
         if np.array_equal(d, before):
             break
-    return np.array(tables)
+    return np.array(tables, dtype=np.float64)
 
 
 def myopic_profile(model, K: int, horizon: int) -> TableProfile:

@@ -5,13 +5,17 @@ segments m = 1, 2, ...  Segment m consists of an S-block of 2*k_m - 1
 agents, one SR transient agent, an R-block of 2*r_m - 1 agents, and one
 RS transient agent, for a total of 2*k_m + 2*r_m agents.  Block sizes
 grow like log(log(m)) so that consensus-switch probabilities decay at
-the rate the learning argument needs.
+the rate the learning argument needs.  ``block_sizes`` gives them at any
+segment indices; ``SegmentTable`` keeps the few runs of equal sizes and
+answers every query by arithmetic on them, for any agent up to 2^63 - 1.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
-import threading
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -40,9 +44,10 @@ class AgentRole:
     m: int | None = None  # segment index; None for the preamble
 
 
-def block_sizes_arrays(m_max: int, model) -> tuple[np.ndarray, np.ndarray]:
-    """Block sizes (k_m, r_m) for m = 1..m_max, as int64 arrays."""
-    lnm = np.log(np.arange(1, m_max + 1, dtype=np.float64))
+def block_sizes(m, model) -> tuple[np.ndarray, np.ndarray]:
+    """Block sizes (k_m, r_m) of the segment indices in the integer array m,
+    as int64 arrays."""
+    lnm = np.log(np.asarray(m, dtype=np.float64))
     # Both block formulas are well defined once ln(m) exceeds 1/pbar and
     # 1/qbar; for smaller m both sizes are pinned to 1.
     cutoff = max(1.0 / model.pbar, 1.0 / model.qbar)
@@ -52,82 +57,82 @@ def block_sizes_arrays(m_max: int, model) -> tuple[np.ndarray, np.ndarray]:
     return k, r
 
 
-class SegmentTable:
-    """Memoized segment boundaries for one signal model.
+def block_sizes_arrays(m_max: int, model) -> tuple[np.ndarray, np.ndarray]:
+    """Block sizes (k_m, r_m) for m = 1..m_max, as int64 arrays."""
+    return block_sizes(np.arange(1, m_max + 1), model)
 
-    The cumulative-start table is grown geometrically and only appended
-    to, so concurrent readers are safe once an entry exists.
+
+class SegmentTable:
+    """Segment boundaries of one signal model, as runs of equal block sizes.
+
+    k_m and r_m never decrease and grow like log(log(m)), so segments
+    1..2^61 fall into a few runs: maximal stretches of consecutive segments
+    with equal (k_m, r_m).  The table holds each run's first segment, k, r
+    and first agent, found once; every query is arithmetic on the runs.
     """
 
     def __init__(self, model):
         self.model = model
-        self._lock = threading.Lock()
-        self._k = np.empty(0, dtype=np.int64)
-        self._r = np.empty(0, dtype=np.int64)
-        # _starts[i] = first agent of segment i+1; segment 1 starts at 3.
-        self._starts = np.empty(0, dtype=np.int64)
-        self._grow(1024)
+        # Bisect segments 1..2^61 for the first at which k_m or r_m reaches
+        # each of its values, all values at once.  Every segment holds at
+        # least 4 agents, so segment 2^61 starts past agent 2^63 - 1.
+        last = (1 << 63) // 4
+        k_top, r_top = (int(a[0]) for a in block_sizes([last], model))
+        target = np.r_[2 : k_top + 1, 2 : r_top + 1]
+        is_k = np.arange(len(target)) < k_top - 1
+        lo, hi = np.ones_like(target), np.full_like(target, last)
+        for _ in range(61):  # sizes at lo fall short of the target; at hi they reach it
+            mid = (lo + hi) // 2
+            reached = np.where(is_k, *block_sizes(mid, model)) >= target
+            lo, hi = np.where(reached, lo, mid), np.where(reached, mid, hi)
+        self._firsts = sorted({1, *hi.tolist()})
+        self._k, self._r = (a.tolist() for a in block_sizes(self._firsts, model))
+        # Python ints: the first agents of the last runs lie past 2^63.
+        spans = zip(self._firsts, self._firsts[1:], self._k, self._r)
+        steps = ((b - a) * 2 * (k + r) for a, b, k, r in spans)  # agents in each run
+        self._agents = list(itertools.accumulate(steps, initial=3))
 
-    def _grow(self, m_max: int):
-        with self._lock:
-            if len(self._starts) >= m_max:
-                return
-            k, r = block_sizes_arrays(m_max, self.model)
-            lengths = 2 * k + 2 * r
-            starts = np.empty(m_max, dtype=np.int64)
-            starts[0] = 3
-            np.cumsum(lengths[:-1], out=starts[1:])
-            starts[1:] += 3
-            self._k, self._r, self._starts = k, r, starts
-
-    def _ensure_segment(self, m: int):
-        if m > len(self._starts):
-            self._grow(max(m, 2 * len(self._starts)))
-
-    def _ensure_agent(self, n: int):
-        while self._starts[-1] + 2 * (self._k[-1] + self._r[-1]) <= n:
-            self._grow(2 * len(self._starts))
+    def _locate(self, n: int) -> tuple[int, int, int]:
+        """(run, segment, first agent of the segment) of agent n >= 3."""
+        j = bisect.bisect_right(self._agents, n) - 1
+        length = 2 * (self._k[j] + self._r[j])
+        i = (n - self._agents[j]) // length
+        return j, self._firsts[j] + i, self._agents[j] + i * length
 
     def layout(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only int64 arrays (k, r, start) of segments 1..m: the block
         sizes k_m and r_m and the first agent of each segment."""
-        self._ensure_segment(m)
-        views = self._k[:m], self._r[:m], self._starts[:m]
-        for view in views:
+        k, r = block_sizes_arrays(m, self.model)
+        starts = np.cumsum(np.r_[3, 2 * (k + r)][:m])
+        for view in (k, r, starts):
             view.flags.writeable = False
-        return views
+        return k, r, starts
 
     def segment_start(self, m: int) -> int:
-        self._ensure_segment(m)
-        return int(self._starts[m - 1])
+        if m < 1:
+            raise ValueError("segment index must be >= 1")
+        j = bisect.bisect_right(self._firsts, m) - 1
+        return self._agents[j] + (m - self._firsts[j]) * 2 * (self._k[j] + self._r[j])
 
     def segment_of(self, n: int) -> int:
         """Segment index containing agent n (n >= 3)."""
         if n < 3:
             raise ValueError("agents 1 and 2 belong to no segment")
-        self._ensure_agent(n)
-        return int(np.searchsorted(self._starts, n, side="right"))
+        return self._locate(n)[1]
 
     def role_of(self, n: int) -> AgentRole:
         if n < 1:
             raise ValueError("agent index must be >= 1")
         if n <= 2:
             return AgentRole(kind=RoleKind.PREAMBLE)
-        m = self.segment_of(n)
-        start = int(self._starts[m - 1])
-        k = int(self._k[m - 1])
-        r = int(self._r[m - 1])
-        pos = n - start  # 0-based within the segment
-        if pos < 2 * k - 1:
-            kind = RoleKind.S_FIRST if pos == 0 else RoleKind.S_BODY
-            return AgentRole(kind=kind, m=m)
-        if pos == 2 * k - 1:
-            return AgentRole(kind=RoleKind.SR_TRANSIENT, m=m)
-        pos -= 2 * k
-        if pos < 2 * r - 1:
-            kind = RoleKind.R_FIRST if pos == 0 else RoleKind.R_BODY
-            return AgentRole(kind=kind, m=m)
-        return AgentRole(kind=RoleKind.RS_TRANSIENT, m=m)
+        j, m, start = self._locate(n)
+        pos, size = n - start, self._k[j]  # pos is 0-based within the segment
+        kinds = (RoleKind.S_FIRST, RoleKind.S_BODY, RoleKind.SR_TRANSIENT)
+        if pos >= 2 * size:  # in the R-block or its transient
+            pos, size = pos - 2 * size, self._r[j]
+            kinds = (RoleKind.R_FIRST, RoleKind.R_BODY, RoleKind.RS_TRANSIENT)
+        kind = kinds[0] if pos == 0 else kinds[2] if pos == 2 * size - 1 else kinds[1]
+        return AgentRole(kind=kind, m=m)
 
     def block_start_agent(self, i: int) -> int:
         """Agent index of the first agent of the i-th block.
@@ -138,27 +143,22 @@ class SegmentTable:
         """
         if i < 1:
             raise ValueError("block index must be >= 1")
-        if i % 2 == 1:
-            m = (i + 1) // 2
-            return self.segment_start(m)
-        m = i // 2
-        return self.segment_start(m) + 2 * int(self._k[m - 1])
+        start = self.segment_start((i + 1) // 2)
+        return start if i % 2 == 1 else start + 2 * self._k[self._locate(start)[0]]
 
     def last_block_start_before(self, n: int) -> tuple[int, int]:
         """(i, agent) of the last block start with agent <= n.
 
         Block starts interleave S-block starts (odd i) and R-block starts
-        (even i), so a search over segment starts finds the segment and
-        one comparison picks its S- or R-block.  Below agent 3 the answer
-        is the first block start, (1, 3).
+        (even i), so finding the segment and one comparison picks its S-
+        or R-block.  Below agent 3 the answer is the first block start,
+        (1, 3).
         """
         if n < 3:
-            return 1, self.segment_start(1)
-        m = self.segment_of(n)
-        r_start = int(self._starts[m - 1] + 2 * self._k[m - 1])
-        if n >= r_start:
-            return 2 * m, r_start
-        return 2 * m - 1, int(self._starts[m - 1])
+            return 1, 3
+        j, m, start = self._locate(n)
+        r_start = start + 2 * self._k[j]
+        return (2 * m, r_start) if n >= r_start else (2 * m - 1, start)
 
     def role_palette(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The roles of agents n0..n1 by reference: (kinds, inv_m, index).
@@ -171,8 +171,8 @@ class SegmentTable:
         """
         if not (1 <= n0 <= n1):
             raise ValueError("need 1 <= n0 <= n1")
-        self._ensure_agent(n1)
-        lo, hi = np.searchsorted(self._starts, (n0, n1), side="right").tolist()  # 0: preamble
+        j0, lo, start = self._locate(n0) if n0 >= 3 else (0, 0, 1)  # 0: preamble
+        j1, hi, _ = self._locate(n1) if n1 >= 3 else (0, 0, 1)
         first = max(lo, 1)
         nseg = hi - first + 1
         slots = np.empty((nseg, 6), dtype=np.intp)
@@ -180,14 +180,15 @@ class SegmentTable:
         slots[:, 0] = np.arange(7, 7 + 2 * nseg, 2)
         slots[:, 3] = slots[:, 0] + 1
         counts = np.ones((nseg, 6), dtype=np.int64)
-        counts[:, 1] = 2 * self._k[first - 1 : hi] - 2
-        counts[:, 4] = 2 * self._r[first - 1 : hi] - 2
+        if j0 == j1:  # one run: the sizes are scalars
+            k, r = self._k[j0], self._r[j0]
+        else:
+            k, r = block_sizes(np.arange(first, hi + 1), self.model)
+        counts[:, 1] = 2 * k - 2
+        counts[:, 4] = 2 * r - 2
         slots, counts = slots.ravel(), counts.ravel()
-        start = 1
         if lo == 0:  # agents 1 and 2 play slot PREAMBLE
             slots, counts = np.r_[RoleKind.PREAMBLE, slots], np.r_[2, counts]
-        else:
-            start = int(self._starts[lo - 1])
         a = n0 - start
         index = np.repeat(slots, counts)[a : a + n1 - n0 + 1]
         kinds = np.empty(7 + 2 * nseg, dtype=np.int8)
@@ -211,15 +212,7 @@ class SegmentTable:
         return kinds.take(index), inv_m.take(index)
 
 
-_tables: dict = {}
-_tables_lock = threading.Lock()
-
-
+@functools.cache
 def segment_table(model) -> SegmentTable:
-    """Shared memoized SegmentTable for a model (keyed by (p0, p1))."""
-    key = (model.p0, model.p1)
-    tab = _tables.get(key)
-    if tab is None:
-        with _tables_lock:
-            tab = _tables.setdefault(key, SegmentTable(model))
-    return tab
+    """The shared SegmentTable of a model (frozen, so equal models share it)."""
+    return SegmentTable(model)

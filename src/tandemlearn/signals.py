@@ -65,7 +65,9 @@ class SignalModel:
         return 1.0 - self.pbar
 
     def p(self, theta: int) -> float:
-        """P(s=1) under the given state of the world."""
+        """P(s=1) under the given state of the world (0 or 1)."""
+        if theta not in (0, 1):
+            raise ValueError(f"state of the world must be 0 or 1, got {theta!r}")
         return self.p1 if theta == 1 else self.p0
 
     def q(self, theta: int) -> float:

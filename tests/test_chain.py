@@ -390,6 +390,11 @@ def test_block_start_transition_closed_form(m37):
     assert down == pytest.approx(0.7**2 / 8)  # m = 8 has r = 2
 
 
+def test_block_start_trajectory_refuses_a_state_outside_0_1(m37):
+    with pytest.raises(ValueError):
+        block_start_trajectory(m37, 5, 3)
+
+
 def _block_start_transition(i, model, theta, k, r):
     """The closed form one chain step at a time, from the sizes k_m, r_m:
     p^{k_m}/m upward across S-blocks (odd i), q^{r_m}/m downward across

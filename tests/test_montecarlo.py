@@ -55,6 +55,14 @@ def test_forced_state_of_the_world(m37):
     assert all(simulate_path(cfg, r).theta == 0 for r in range(16))
 
 
+def test_state_of_the_world_must_be_none_0_or_1(m37):
+    dp = designed_profile(m37)
+    for theta in (2, -1, 0.5, "1"):
+        with pytest.raises(ValueError):
+            _config(dp, m37, theta=theta)
+    assert [_config(dp, m37, theta=t).theta for t in (None, 0, 1)] == [None, 0, 1]
+
+
 def test_prior_draw_balances_states(m37):
     cfg = _config(designed_profile(m37), m37, reps=4000, N=3, checkpoints=(3,))
     thetas = [simulate_path(cfg, r).theta for r in range(200)]

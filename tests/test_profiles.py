@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from tandemlearn import (
     profile_from_json,
     segment_table,
 )
-from tandemlearn.profiles import DESIGNED_BASE, DESIGNED_DELTA, code_window, window_code
+from tandemlearn.profiles import (
+    DESIGNED_BASE,
+    DESIGNED_DELTA,
+    _myopic_induction,
+    code_window,
+    window_code,
+)
 from conftest import reference_designed_table, reference_step, table_profile
 
 
@@ -296,6 +303,18 @@ def test_myopic_tables_equal_the_per_window_loop(K, model_args):
     for n in (1, horizon, horizon + 1):
         assert np.array_equal(mp.rule(n).table, tables[min(n, horizon) - 1])
     assert myopic_profile(model, K, 1).cascade_onset() is None  # agent 1 reads its signal
+
+
+def test_myopic_induction_holds_its_tables_once(m37):
+    """K = 12 stops at its fixed point near agent 930: about 61 MB of float64
+    tables, which the induction must not hold twice while it runs."""
+    tracemalloc.start()
+    try:
+        tables = _myopic_induction(m37, 12, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * tables.nbytes
 
 
 def test_myopic_tables_stop_at_the_fixed_point(m37):

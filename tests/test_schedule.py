@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tandemlearn import RoleKind, SignalModel, segment_table
-from tandemlearn.schedule import block_sizes_arrays
+from tandemlearn import AgentRole, RoleKind, SignalModel, segment_table
+from tandemlearn.schedule import SegmentTable, block_sizes, block_sizes_arrays
+
+# 0.001/0.002 never clears its cutoff below segment 2^61: one run.
+RUN_MODELS = [(0.3, 0.7), (0.2, 0.9), (0.01, 0.99), (0.9, 0.99), (0.45, 0.55), (0.4, 0.6),
+              (0.1, 0.8), (0.001, 0.002)]
 
 
 def test_block_sizes_below_cutoff(m37):
@@ -120,3 +126,75 @@ def test_block_sizes_depend_on_model():
     assert (k_skew[9], r_skew[9]) == (k_sym[9], r_sym[9])
     tilted = SignalModel(0.3, 0.8)  # pbar = 0.55: later, shallower k growth
     assert block_sizes_arrays(8, tilted)[0][7] <= k_sym[7]
+
+
+def test_runs_of_the_symmetric_model(m37):
+    tab = SegmentTable(m37)
+    assert tab._firsts == [1, 8, 55, 2981, 8886111, 78962960182681]
+    assert (tab._k, tab._r) == ([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
+    assert len(SegmentTable(SignalModel(0.001, 0.002))._firsts) == 1
+
+
+@pytest.mark.parametrize("model_args", RUN_MODELS)
+def test_runs_expand_to_the_block_sizes(model_args):
+    """The runs, expanded segment by segment, are ``block_sizes_arrays``; the
+    sizes hold from each run's first segment to its last and change at each
+    run start."""
+    model = SignalModel(*model_args)
+    tab = SegmentTable(model)
+    firsts = np.array(tab._firsts)
+    M = 10**6
+    inside = firsts[firsts <= M]
+    counts = np.diff(np.r_[inside, M + 1])
+    ks, rs = block_sizes_arrays(M, model)
+    assert np.array_equal(np.repeat(tab._k[: len(inside)], counts), ks)
+    assert np.array_equal(np.repeat(tab._r[: len(inside)], counts), rs)
+    lasts = np.r_[firsts[1:] - 1, 1 << 61]
+    for ends in (firsts, lasts):
+        k, r = block_sizes(ends, model)
+        assert k.tolist() == tab._k and r.tolist() == tab._r
+    b = firsts[(firsts > 1) & (firsts < 1 << 53)]
+    (k0, r0), (k1, r1) = block_sizes(b - 1, model), block_sizes(b, model)
+    assert ((k0 != k1) | (r0 != r1)).all()
+
+
+@pytest.mark.parametrize("model_args", RUN_MODELS)
+def test_queries_reach_the_last_int64_agent(model_args):
+    tab = segment_table(SignalModel(*model_args))
+    for n in (10**9, 10**12, 10**18, (1 << 63) - 1):
+        m = tab.segment_of(n)
+        assert tab.segment_start(m) <= n < tab.segment_start(m + 1)
+        i, agent = tab.last_block_start_before(n)
+        assert tab.block_start_agent(i) == agent <= n < tab.block_start_agent(i + 1)
+        kind = RoleKind.S_FIRST if i % 2 == 1 else RoleKind.R_FIRST
+        assert tab.role_of(agent) == AgentRole(kind, (i + 1) // 2)
+
+
+def test_role_codes_match_role_of_across_far_runs(m37):
+    """Ranges across the run starts at segments 8886111 and 78962960182681
+    (agents past 10^8 and 10^15) and one near agent 2^63 - 1."""
+    tab = segment_table(m37)
+    ranges = [(tab.segment_start(m) - 30, tab.segment_start(m) + 40)
+              for m in (8886111, 78962960182681)]
+    ranges.append(((1 << 63) - 100, (1 << 63) - 1))
+    first = (RoleKind.S_FIRST, RoleKind.R_FIRST)
+    for n0, n1 in ranges:
+        kinds, inv_m = tab.role_codes(n0, n1)
+        roles = [tab.role_of(n) for n in range(n0, n1 + 1)]
+        assert kinds.tolist() == [role.kind for role in roles], (n0, n1)
+        assert inv_m.tolist() == [1.0 / role.m if role.kind in first else 0.0 for role in roles]
+
+
+def test_far_queries_allocate_little(m37):
+    tracemalloc.start()
+    try:
+        SegmentTable(m37).last_block_start_before(10**18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_equal_models_share_one_table():
+    # perfbench's set-up warms the table that the timed runs then read.
+    assert segment_table(SignalModel(0.3, 0.7)) is segment_table(SignalModel(0.7, 0.3))

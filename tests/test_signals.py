@@ -49,6 +49,13 @@ def test_signal_probs_normalize(m46):
     assert m46.signal_probs(0)[1] == pytest.approx(0.4)
 
 
+@pytest.mark.parametrize("theta", [2, -1, 0.5, None])
+def test_state_of_the_world_outside_0_1_is_refused(theta, m46):
+    for method in (m46.p, m46.q, m46.signal_probs):
+        with pytest.raises(ValueError):
+            method(theta)
+
+
 def test_likelihood_ratio_binary(m46):
     # dF0/dF1 evaluated at each signal value
     assert likelihood_ratio(m46, 1) == pytest.approx(0.4 / 0.6)
