@@ -31,6 +31,7 @@ from .chain import (
     block_start_masses,
     block_start_trajectory,
     brute_force_oracle,
+    designed_trajectory,
     error_trajectory,
     k1_diagnostics,
     k1_error_floor,
@@ -73,6 +74,7 @@ __all__ = [
     "brute_force_oracle",
     "check_equilibrium",
     "designed_profile",
+    "designed_trajectory",
     "error_trajectory",
     "estimate_error",
     "k1_diagnostics",

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schedule import block_sizes_arrays, segment_table
+from .profiles import designed_profile
+from .schedule import block_sizes, block_sizes_arrays, segment_table
 
 # The sweep has no numba path; perfbench's environment stamp reads this name.
 HAVE_NUMBA = False
@@ -32,6 +33,11 @@ _CHUNK = 1 << 12  # agents per chunk of rule tables
 _SCAN_MAX_K = 5  # widest window whose chunks are composed as matrices
 _CHUNK_BYTES = 1 << 20  # bound on one chunk's per-agent arrays
 _BLOCK = 16  # agents per block of the composed law walk
+# Agents a sweep covers in about the time of a stretch of its own (one
+# block-start chain step and a short sweep: about 140 us, against about
+# 0.16 us per agent swept, on a 2-vCPU Xeon); closer checkpoints share a
+# sweep in ``designed_trajectory``.
+_JOIN_GAP = 1 << 10
 
 
 class ChainDriftError(RuntimeError):
@@ -272,10 +278,17 @@ def sweep(profile, model, N: int, record_after=()) -> dict:
         raise ValueError("record points must lie in [0, N]")
     d = np.zeros((2, 1 << profile.K))
     d[:, 0] = 1.0
+    return _sweep_from(profile, model, 1, d, points)
+
+
+def _sweep_from(profile, model, n0: int, d: np.ndarray, points: set) -> dict:
+    """``sweep`` begun at agent n0 from the laws d (2, S) of the window
+    before it, on the chunk grid of n0: {step: laws} for the steps of
+    ``points``, all at least n0 - 1."""
     sig = _signal_laws(model)
-    laws = {0: d.copy()} if 0 in points else {}
+    laws = {n0 - 1: d.copy()} if n0 - 1 in points else {}
     size = _chunk_agents(profile.K)
-    for lo, hi in agent_chunks(1, max(points, default=0), size):
+    for lo, hi in agent_chunks(n0, max(points, default=0), size):
         p_one = _palette_step_probs(*profile.rule_palette(lo, hi), sig)
         stretches = [(a - lo, b - lo) for a, b in agent_chunks(lo, hi, size, points)]
         if profile.K <= _SCAN_MAX_K:  # each stretch pairs its agents from its own first one
@@ -355,19 +368,26 @@ def _correct_probs(laws: np.ndarray) -> tuple[float, float]:
     return float(laws[0, 0::2].sum()), float(laws[1, 1::2].sum())
 
 
-def error_trajectory(profile, model, N: int, checkpoints=None) -> Trajectory:
-    """Exact P(x_n = theta) at the checkpoint agents via forward sweep."""
-    if checkpoints is None:
-        checkpoints = [N]
-    ns = sorted(set(int(n) for n in checkpoints))
+def _checkpoint_agents(checkpoints, N: int) -> list:
+    """The checkpoints (default [N]) sorted and deduplicated, all in [1, N]."""
+    ns = sorted(set(int(n) for n in ([N] if checkpoints is None else checkpoints)))
     if ns and (ns[0] < 1 or ns[-1] > N):
         raise CheckpointRangeError(f"checkpoints must lie in [1, {N}], got {ns[0]}..{ns[-1]}")
-    snaps = sweep(profile, model, N, ns)
+    return ns
+
+
+def _trajectory(ns: list, snaps: dict) -> Trajectory:
     p0 = np.empty(len(ns))
     p1 = np.empty(len(ns))
     for i, n in enumerate(ns):
         p0[i], p1[i] = _correct_probs(snaps[n])
     return Trajectory(ns=np.asarray(ns), p0_correct=p0, p1_correct=p1)
+
+
+def error_trajectory(profile, model, N: int, checkpoints=None) -> Trajectory:
+    """Exact P(x_n = theta) at the checkpoint agents via forward sweep."""
+    ns = _checkpoint_agents(checkpoints, N)
+    return _trajectory(ns, sweep(profile, model, N, ns))
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +434,94 @@ def block_start_trajectory(model, theta: int, segments: int) -> BlockStartChain:
     return BlockStartChain(theta=theta, pi=np.array(pi), up=np.array(up), down=np.array(down))
 
 
+def _block_maps(model, lo: int, hi: int) -> np.ndarray:
+    """The chain's maps across blocks lo..hi (lo odd), shape (2, n, 2, 2):
+    row w of theta's map of block i is the law of w_(i+1) given w_i = w,
+    [[1 - u_i, u_i], [d_i, 1 - d_i]] with u_i and d_i as in
+    ``block_start_trajectory``, and with the same bits."""
+    m = np.arange((lo + 1) // 2, (hi + 1) // 2 + 1)
+    k, r = block_sizes(m, model)
+    # Python's float ** as in block_start_trajectory, once per size up to
+    # the last, the largest, since sizes never decrease.
+    up = np.array([[p**j for j in range(k[-1] + 1)] for p in (model.p(0), model.p(1))])[:, k] / m
+    down = np.array([[q**j for j in range(r[-1] + 1)] for q in (model.q(0), model.q(1))])[:, r] / m
+    maps = np.zeros((2, len(m), 2, 2, 2))  # [theta, segment, S- or R-block, w, w']
+    maps[:, :, 0, 0, 0] = 1.0 - up
+    maps[:, :, 0, 0, 1] = up
+    maps[:, :, 0, 1, 1] = 1.0
+    maps[:, :, 1, 0, 0] = 1.0
+    maps[:, :, 1, 1, 0] = down
+    maps[:, :, 1, 1, 1] = 1.0 - down
+    return maps.reshape(2, -1, 2, 2)[:, : hi - lo + 1]
+
+
+def _block_start_laws(model, blocks) -> dict:
+    """{i: laws (2, 2)}: (P^theta(w_i = 0), P^theta(w_i = 1)) per theta for
+    the block indices i >= 1 of ``blocks``.
+
+    ``block_start_trajectory`` in chunks: the maps between consecutive
+    blocks of ``blocks`` are composed (``_compose``) and applied as one
+    product, and no array spans more than one chunk of _CHUNK_BYTES, so
+    memory does not grow with the block index.
+    """
+    points = set(blocks)
+    d = np.array([[1.0, 0.0], [1.0, 0.0]])  # w_1 is the decision x_2 = 0
+    laws = {1: d.copy()} if 1 in points else {}
+    size = _CHUNK_BYTES // 64  # 64 bytes of maps per block; even, so chunks start at S-blocks
+    cuts = [i - 1 for i in points]  # the maps after which a law is kept
+    for lo, hi in agent_chunks(1, max(points, default=1) - 1, size):
+        maps = _block_maps(model, lo, hi)
+        for a, b in agent_chunks(lo, hi, size, cuts):
+            d = np.matmul(d[:, None, :], _compose(maps[:, a - lo : b - lo + 1]))[:, 0]
+            d /= _mass(d)
+            if b + 1 in points:
+                laws[b + 1] = d.copy()
+    return laws
+
+
+def designed_trajectory(model, N: int, checkpoints=None) -> Trajectory:
+    """``error_trajectory`` of ``designed_profile(model)`` from its
+    block-start chain, in O(blocks) instead of O(agents) window steps.
+
+    A block start i holds window (0,0) or (1,1), with the law of w_i
+    (``_block_start_laws``).  Each checkpoint n is swept from its last
+    block start <= n, at most 2 k_m + 2 r_m agents; agents 1 and 2 from
+    agent 1, whose window is (0,0) like w_1.  A checkpoint whose stretch
+    begins at most _JOIN_GAP agents after the previous checkpoint is
+    swept in that checkpoint's stretch, so dense checkpoints cost one
+    sweep, as in ``error_trajectory``.
+    """
+    ns = _checkpoint_agents(checkpoints, N)
+    profile = designed_profile(model)
+    stretches = []  # [block i, its first agent, the checkpoints swept from it]
+    for n in ns:
+        last = stretches[-1][2][-1] if stretches else -_JOIN_GAP
+        if n > last + _JOIN_GAP:  # else its block start, at most n, is near too
+            i, a = profile.segments.last_block_start_before(n) if n >= 3 else (1, 1)
+            if a > last + _JOIN_GAP:
+                stretches.append((i, a, []))
+        stretches[-1][2].append(n)
+    starts = _block_start_laws(model, [i for i, _, _ in stretches])
+    snaps = {}
+    for i, a, points in stretches:
+        d = np.zeros((2, 4))
+        d[:, 0::3] = starts[i]  # on windows (0,0) and (1,1)
+        snaps.update(_sweep_from(profile, model, a, d, set(points)))
+    return _trajectory(ns, snaps)
+
+
 def block_start_masses(profile, model, segments: int):
     """Block-start consensus probabilities read off the full window chain.
 
     Returns per-theta arrays (pi0, pi1) of the window mass on (1,1) at
     the first agent of each block, plus per-theta impurity arrays (mass
     on the mixed windows (0,1) and (1,0), which the designed profile
-    forces to zero at block starts).
+    forces to zero at block starts).  The windows are K=2 windows.
     """
+    if profile.K != 2:
+        raise ValueError(f"block-start masses need a K=2 profile, got K={profile.K}")
+    if segments < 1:
+        raise ValueError("need at least one segment")
     k, _, start = segment_table(model).layout(segments)
     # The agent before each block start: S-block m at start_m, R-block m 2k_m later.
     before = (np.stack([start, start + 2 * k], axis=1).ravel() - 1).tolist()
@@ -461,8 +561,8 @@ def series_diagnostics(model, M: int, checkpoints=None) -> SeriesDiagnostics:
     if checkpoints is None:
         checkpoints = [M]
     cps = sorted(set(int(c) for c in checkpoints))
-    if cps[0] < 1 or cps[-1] > M:
-        raise ValueError("checkpoints must lie in [1, M]")
+    if not cps or cps[0] < 1 or cps[-1] > M:
+        raise ValueError("need checkpoints, all in [1, M]")
     k, r = block_sizes_arrays(M, model)
     m = np.arange(1, M + 1, dtype=np.float64)
     idx = np.asarray(cps) - 1

@@ -31,13 +31,21 @@ import numpy as np
 from . import __version__
 from .chain import (
     CheckpointRangeError,
+    designed_trajectory,
     error_trajectory,
     k1_diagnostics,
     series_diagnostics,
 )
 from .game import CheckArgumentError, Violation, certified_tail, check_equilibrium
 from .montecarlo import SimConfig, estimate_error
-from .profiles import MAX_K, baseline_profile, designed_profile, myopic_profile, profile_from_json
+from .profiles import (
+    MAX_K,
+    DesignedProfile,
+    baseline_profile,
+    designed_profile,
+    myopic_profile,
+    profile_from_json,
+)
 from .schedule import segment_table
 from .signals import ModelError, SignalModel, model_from_dict, quantize
 
@@ -216,7 +224,10 @@ def cmd_exact(args) -> int:
     model = quantize(parse_model(args.model))
     profile = parse_profile(args.profile, model, K=args.k, horizon=args.n)
     try:
-        traj = error_trajectory(profile, model, args.n, cps)
+        if isinstance(profile, DesignedProfile):  # its block starts hold a consensus
+            traj = designed_trajectory(model, args.n, cps)
+        else:
+            traj = error_trajectory(profile, model, args.n, cps)
     except CheckpointRangeError as exc:
         raise UsageError(str(exc)) from None
     columns = (traj.ns, traj.p0_correct, traj.p1_correct, traj.p_correct)

@@ -10,6 +10,7 @@ from tandemlearn import (
     block_start_trajectory,
     brute_force_oracle,
     designed_profile,
+    designed_trajectory,
     error_trajectory,
     k1_diagnostics,
     k1_error_floor,
@@ -434,6 +435,113 @@ def test_block_start_chain_learns_toward_truth(m37):
     bt0 = block_start_trajectory(m37, 0, 5000)
     assert bt1.pi[-1] > 0.9  # P^1(consensus = 1) at late block starts
     assert bt0.pi[-1] < 0.1
+
+
+def test_block_start_masses_refuse_other_windows_and_no_segment(m37):
+    with pytest.raises(ValueError):
+        block_start_masses(baseline_profile("copy", 3), m37, 5)
+    with pytest.raises(ValueError):
+        block_start_masses(baseline_profile("copy", 1), m37, 5)
+    for segments in (0, -3):
+        with pytest.raises(ValueError):
+            block_start_masses(designed_profile(m37), m37, segments)
+
+
+def _one_at_a_time(model, ns):
+    """designed_trajectory at each agent of ns by itself: every one is swept
+    from its own block start, whose law comes from the block-start chain."""
+    got = [designed_trajectory(model, max(ns), [n]) for n in ns]
+    return np.array([t.p0_correct[0] for t in got]), np.array([t.p1_correct[0] for t in got])
+
+
+def _assert_close_to_the_sweep(model, ns, p0, p1, tol=1e-12):
+    ref = error_trajectory(designed_profile(model), model, max(ns), ns)
+    assert np.max(np.abs(p0 - ref.p0_correct)) < tol
+    assert np.max(np.abs(p1 - ref.p1_correct)) < tol
+
+
+def test_designed_trajectory_equals_the_sweep_at_every_agent(m37):
+    ns = list(range(1, 3001))
+    _assert_close_to_the_sweep(m37, ns, *_one_at_a_time(m37, ns))
+
+
+@pytest.mark.parametrize(
+    "model_args", [(0.3, 0.7), (0.2, 0.9), (0.45, 0.55), (0.1, 0.8), (0.4, 0.6)]
+)
+def test_designed_trajectory_equals_the_sweep_around_the_size_runs(model_args):
+    """Agents around the segments where k_m or r_m grows (8, 55 and 2981
+    at 0.3/0.7, and the model's own up to 3000)."""
+    model = SignalModel(*model_args)
+    k, r = block_sizes_arrays(3000, model)
+    runs = 2 + np.flatnonzero((np.diff(k) != 0) | (np.diff(r) != 0))
+    table = segment_table(model)
+    ns = sorted({
+        n
+        for m in {8, 55, 2981, *runs.tolist()}
+        for n in range(table.segment_start(m) - 9, table.segment_start(m + 1) + 9)
+    })
+    _assert_close_to_the_sweep(model, ns, *_one_at_a_time(model, ns))
+
+
+def test_designed_trajectory_sweeps_close_checkpoints_once(m37, monkeypatch):
+    """The checkpoints before each of the 3374 block starts up to 2*10^4,
+    at each of them or every 7th agent lie closer than _JOIN_GAP, so each
+    set takes one sweep with the sweep's values; checkpoints further apart
+    take one short sweep each."""
+    k, _, start = segment_table(m37).layout(2000)
+    opened = np.stack([start, start + 2 * k], axis=1).ravel()
+    opened = opened[opened <= 20_000]
+    assert len(opened) == 3374
+    calls = []
+    sweep_from = chain._sweep_from
+    monkeypatch.setattr(chain, "_sweep_from", lambda *a: calls.append(a[2]) or sweep_from(*a))
+    for ns in ((opened - 1).tolist(), opened.tolist(), list(range(1, 20_000, 7))):
+        calls.clear()
+        got = designed_trajectory(m37, 20_000, ns)
+        assert len(calls) == 1
+        _assert_close_to_the_sweep(m37, ns, got.p0_correct, got.p1_correct)
+    calls.clear()
+    sparse = list(range(100, 20_000, chain._JOIN_GAP + 50))
+    got = designed_trajectory(m37, 20_000, sparse)
+    assert len(calls) == len(sparse)
+    _assert_close_to_the_sweep(m37, sparse, got.p0_correct, got.p1_correct)
+
+
+def test_block_start_chain_in_chunks_equals_the_loop(m37):
+    """Block starts on and around three chunk ends of the chunked chain."""
+    size = chain._CHUNK_BYTES // 64
+    segments = 2 * size  # 4 chunks of maps
+    ends = [c * size + e for c in (1, 2, 3) for e in (-1, 0, 1, 2)]
+    blocks = sorted({1, 2, 3, *range(5, 2 * segments, 613), *ends, 2 * segments})
+    laws = chain._block_start_laws(m37, blocks)
+    assert sorted(laws) == blocks
+    for theta in (0, 1):
+        pi = block_start_trajectory(m37, theta, segments).pi
+        got = np.array([laws[i][theta] for i in blocks])
+        assert np.max(np.abs(got[:, 1] - pi[np.array(blocks) - 1])) < 1e-12
+        assert np.max(np.abs(got.sum(axis=1) - 1.0)) < 1e-15
+
+
+def test_designed_trajectory_reproduces_the_frozen_plateau(m37):
+    """Criterion 3's values, from the block-start chain."""
+    _, n_star = segment_table(m37).last_block_start_before(16_000_000)
+    early, plateau = designed_trajectory(m37, n_star, [10_000, n_star]).p_correct
+    assert abs(plateau - 0.9512267602030317) < 1e-9
+    assert abs(early - 0.8825181300823625) < 1e-9
+
+
+def test_designed_trajectory_checks_its_checkpoints(m37):
+    with pytest.raises(chain.CheckpointRangeError):
+        designed_trajectory(m37, 10, [0, 5])
+    with pytest.raises(chain.CheckpointRangeError):
+        designed_trajectory(m37, 10, [11])
+    assert designed_trajectory(m37, 10, []).ns.size == 0
+    assert designed_trajectory(m37, 10).ns.tolist() == [10]
+
+
+def test_series_diagnostics_refuses_no_checkpoint(m37):
+    with pytest.raises(ValueError):
+        series_diagnostics(m37, 100, [])
 
 
 def test_series_diagnostics_closed_forms(m37):
