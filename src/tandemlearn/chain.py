@@ -4,15 +4,15 @@ The observed window of the K immediate predecessors is a non-homogeneous
 Markov chain over {0,1}^K under each state of the world.  This module
 propagates its distribution exactly (forward Chapman-Kolmogorov), plus:
 
-* the two-state block-start chain of the designed profile and its
-  closed-form transition probabilities,
+* the two-state block-start chain of the designed profile, as affine
+  maps of P^theta(w = 1) with closed-form coefficients,
 * convergence diagnostics for the block-size series,
 * per-step transition diagnostics for the K=1 chain,
 * a brute-force enumeration oracle over signal sequences.
 
 Probabilities are propagated in linear space; the state count is tiny
-and magnitudes stay near 1.  Periodic renormalization is guarded by a
-drift check.
+and magnitudes stay near 1.  Window laws are renormalized under a drift
+check; block-start laws are (1 - pi, pi) and need none.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .profiles import designed_profile
-from .schedule import block_sizes, block_sizes_arrays, segment_table
+from .schedule import block_sizes_arrays, segment_table
 
 # The sweep has no numba path; perfbench's environment stamp reads this name.
 HAVE_NUMBA = False
@@ -34,8 +34,8 @@ _SCAN_MAX_K = 5  # widest window whose chunks are composed as matrices
 _CHUNK_BYTES = 1 << 20  # bound on one chunk's per-agent arrays
 _BLOCK = 16  # agents per block of the composed law walk
 # Agents a sweep covers in about the time of a stretch of its own (one
-# block-start chain step and a short sweep: about 140 us, against about
-# 0.16 us per agent swept, on a 2-vCPU Xeon); closer checkpoints share a
+# block-start chain step and a short sweep: about 125 us, against about
+# 0.13 us per agent swept, on a 2-vCPU Xeon); closer checkpoints share a
 # sweep in ``designed_trajectory``.
 _JOIN_GAP = 1 << 10
 
@@ -434,49 +434,55 @@ def block_start_trajectory(model, theta: int, segments: int) -> BlockStartChain:
     return BlockStartChain(theta=theta, pi=np.array(pi), up=np.array(up), down=np.array(down))
 
 
-def _block_maps(model, lo: int, hi: int) -> np.ndarray:
-    """The chain's maps across blocks lo..hi (lo odd), shape (2, n, 2, 2):
-    row w of theta's map of block i is the law of w_(i+1) given w_i = w,
-    [[1 - u_i, u_i], [d_i, 1 - d_i]] with u_i and d_i as in
-    ``block_start_trajectory``, and with the same bits."""
-    m = np.arange((lo + 1) // 2, (hi + 1) // 2 + 1)
-    k, r = block_sizes(m, model)
-    # Python's float ** as in block_start_trajectory, once per size up to
-    # the last, the largest, since sizes never decrease.
-    up = np.array([[p**j for j in range(k[-1] + 1)] for p in (model.p(0), model.p(1))])[:, k] / m
-    down = np.array([[q**j for j in range(r[-1] + 1)] for q in (model.q(0), model.q(1))])[:, r] / m
-    maps = np.zeros((2, len(m), 2, 2, 2))  # [theta, segment, S- or R-block, w, w']
-    maps[:, :, 0, 0, 0] = 1.0 - up
-    maps[:, :, 0, 0, 1] = up
-    maps[:, :, 0, 1, 1] = 1.0
-    maps[:, :, 1, 0, 0] = 1.0
-    maps[:, :, 1, 1, 0] = down
-    maps[:, :, 1, 1, 1] = 1.0 - down
-    return maps.reshape(2, -1, 2, 2)[:, : hi - lo + 1]
+def _join(first: np.ndarray, then: np.ndarray) -> np.ndarray:
+    """Affine maps of pi = P^theta(w = 1), pairs (u, leak) on axis 0 with pi
+    -> pi + u - leak pi: ``first`` then ``then`` as one map."""
+    joined = first + then
+    joined -= then[1] * first  # in place: one temporary fewer
+    return joined
+
+
+def _join_all(maps: np.ndarray) -> np.ndarray:
+    """The ordered join (2, 2) of the maps (2, 2, n) on the last axis, in
+    log2(n) rounds; an odd last map joins the last pair of its round."""
+    while maps.shape[-1] > 1:
+        even = maps.shape[-1] & ~1
+        joined = _join(maps[..., 0:even:2], maps[..., 1:even:2])
+        if even < maps.shape[-1]:
+            joined[..., -1] = _join(joined[..., -1], maps[..., -1])
+        maps = joined
+    return maps[..., 0]
 
 
 def _block_start_laws(model, blocks) -> dict:
     """{i: laws (2, 2)}: (P^theta(w_i = 0), P^theta(w_i = 1)) per theta for
     the block indices i >= 1 of ``blocks``.
 
-    ``block_start_trajectory`` in chunks: the maps between consecutive
-    blocks of ``blocks`` are composed (``_compose``) and applied as one
-    product, and no array spans more than one chunk of _CHUNK_BYTES, so
-    memory does not grow with the block index.
+    ``block_start_trajectory`` with block i as the map (u_i, u_i) of an
+    S-block or (0, d_i) of an R-block (``_join``), with the same bits,
+    built per run of equal sizes in chunks of _CHUNK_BYTES and joined in
+    log depth between the blocks.  Keeping 1 - leak instead of the leak
+    would round away the low bits of the leaks near 1/m.
     """
     points = set(blocks)
-    d = np.array([[1.0, 0.0], [1.0, 0.0]])  # w_1 is the decision x_2 = 0
-    laws = {1: d.copy()} if 1 in points else {}
-    size = _CHUNK_BYTES // 64  # 64 bytes of maps per block; even, so chunks start at S-blocks
+    done = np.zeros((2, 2))  # the join of the maps before the current block: w_1 = x_2 = 0
+    laws = {1: done[0]} if 1 in points else {}
+    size = _CHUNK_BYTES // 64  # 32 B of maps, 32 B of temporaries per block; even: S-block first
     cuts = [i - 1 for i in points]  # the maps after which a law is kept
     for lo, hi in agent_chunks(1, max(points, default=1) - 1, size):
-        maps = _block_maps(model, lo, hi)
+        m0, m1 = (lo + 1) // 2, (hi + 1) // 2
+        k, r, count = segment_table(model).runs(m0, m1)
+        m = np.arange(m0, m1 + 1)
+        # Python's float ** as in block_start_trajectory, once per run.
+        up = np.repeat([[model.p(t) ** j for j in k] for t in (0, 1)], count, axis=1) / m
+        down = np.repeat([[model.q(t) ** j for j in r] for t in (0, 1)], count, axis=1) / m
+        maps = np.zeros((2, 2, m1 - m0 + 1, 2))  # [(u, leak), theta, segment, S- or R-block]
+        maps[:, :, :, 0], maps[1, :, :, 1] = up, down
         for a, b in agent_chunks(lo, hi, size, cuts):
-            d = np.matmul(d[:, None, :], _compose(maps[:, a - lo : b - lo + 1]))[:, 0]
-            d /= _mass(d)
+            done = _join(done, _join_all(maps.reshape(2, 2, -1)[..., a - lo : b - lo + 1]))
             if b + 1 in points:
-                laws[b + 1] = d.copy()
-    return laws
+                laws[b + 1] = done[0]
+    return {i: np.stack([1.0 - pi, pi], axis=-1) for i, pi in laws.items()}
 
 
 def designed_trajectory(model, N: int, checkpoints=None) -> Trajectory:

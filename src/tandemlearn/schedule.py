@@ -108,6 +108,14 @@ class SegmentTable:
             view.flags.writeable = False
         return k, r, starts
 
+    def runs(self, m0: int, m1: int) -> tuple[list, list, list]:
+        """Lists (k, r, count) of the runs over segments m0..m1, 1 <= m0 <= m1:
+        each run's block sizes k_m, r_m and its number of segments in range."""
+        j0, j1 = (bisect.bisect_right(self._firsts, m) - 1 for m in (m0, m1))
+        bounds = [m0, *self._firsts[j0 + 1 : j1 + 1], m1 + 1]
+        counts = [b - a for a, b in zip(bounds, bounds[1:])]
+        return self._k[j0 : j1 + 1], self._r[j0 : j1 + 1], counts
+
     def segment_start(self, m: int) -> int:
         if m < 1:
             raise ValueError("segment index must be >= 1")
@@ -183,7 +191,8 @@ class SegmentTable:
         if j0 == j1:  # one run: the sizes are scalars
             k, r = self._k[j0], self._r[j0]
         else:
-            k, r = block_sizes(np.arange(first, hi + 1), self.model)
+            k, r, count = self.runs(first, hi)
+            k, r = np.repeat(k, count), np.repeat(r, count)
         counts[:, 1] = 2 * k - 2
         counts[:, 4] = 2 * r - 2
         slots, counts = slots.ravel(), counts.ravel()

@@ -40,7 +40,7 @@ from tandemlearn.chain import (
     sweep,
 )
 from tandemlearn.profiles import profile_from_dict
-from tandemlearn.schedule import block_sizes_arrays, segment_table
+from tandemlearn.schedule import block_sizes, block_sizes_arrays, segment_table
 from tandemlearn.signals import blr_bounds
 from tandemlearn.profiles import profile_from_json
 from conftest import reference_step, table_profile
@@ -509,7 +509,7 @@ def test_designed_trajectory_sweeps_close_checkpoints_once(m37, monkeypatch):
 
 def test_block_start_chain_in_chunks_equals_the_loop(m37):
     """Block starts on and around three chunk ends of the chunked chain."""
-    size = chain._CHUNK_BYTES // 64
+    size = chain._CHUNK_BYTES // (32 + 32)  # per block: (u, leak) maps and join temporaries
     segments = 2 * size  # 4 chunks of maps
     ends = [c * size + e for c in (1, 2, 3) for e in (-1, 0, 1, 2)]
     blocks = sorted({1, 2, 3, *range(5, 2 * segments, 613), *ends, 2 * segments})
@@ -520,6 +520,77 @@ def test_block_start_chain_in_chunks_equals_the_loop(m37):
         got = np.array([laws[i][theta] for i in blocks])
         assert np.max(np.abs(got[:, 1] - pi[np.array(blocks) - 1])) < 1e-12
         assert np.max(np.abs(got.sum(axis=1) - 1.0)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "model_args", [(0.3, 0.7), (0.2, 0.9), (0.45, 0.55), (0.1, 0.8), (0.4, 0.6)]
+)
+def test_block_start_chain_around_the_size_runs_equals_the_loop(model_args):
+    """Block starts on and around the first blocks of every run up to
+    segment 2*10^5 (8, 55 and 2981 at 0.3/0.7), where the maps of a run
+    begin."""
+    model = SignalModel(*model_args)
+    segments = 200_000
+    count = segment_table(model).runs(1, segments)[2]
+    firsts = np.cumsum([1, *count[:-1]]).tolist()
+    if model_args == (0.3, 0.7):
+        assert firsts == [1, 8, 55, 2981]
+    blocks = sorted({i for m in firsts for i in range(2 * m - 4, 2 * m + 4) if i >= 1})
+    laws = chain._block_start_laws(model, blocks)
+    for theta in (0, 1):
+        pi = block_start_trajectory(model, theta, segments).pi
+        got = np.array([laws[i][theta, 1] for i in blocks])
+        assert np.max(np.abs(got - pi[np.array(blocks) - 1])) < 1e-12, (model_args, theta)
+
+
+def _long_double_chain(model, blocks, piece=1 << 16):
+    """P^theta(w_i = 1) per theta at the sorted block indices i of ``blocks``
+    by the affine recursion pi -> pi + u - leak pi in np.longdouble, from
+    the float64 u_i and d_i of ``block_start_trajectory``.  Each piece of
+    at most ``piece`` maps is joined pairwise, padded by the identity
+    (0, 0), and applied."""
+    pi = np.zeros(2, dtype=np.longdouble)
+    out = {}
+    done = 1  # pi is the law at block ``done``
+    for target in blocks:
+        while done < target:
+            i = np.arange(done, min(done + piece, target))  # the maps of blocks i
+            m = (i + 1) // 2
+            k, r = block_sizes(m, model)
+            u = np.zeros((2, len(i)), dtype=np.longdouble)
+            leak = np.zeros((2, len(i)), dtype=np.longdouble)
+            for t in (0, 1):
+                up = np.array([model.p(t) ** j for j in range(k.max() + 1)])[k] / m
+                down = np.array([model.q(t) ** j for j in range(r.max() + 1)])[r] / m
+                u[t] = np.where(i % 2 == 1, up, 0.0)
+                leak[t] = np.where(i % 2 == 1, up, down)
+            while u.shape[1] > 1:
+                if u.shape[1] % 2:
+                    u, leak = (np.pad(a, ((0, 0), (0, 1))) for a in (u, leak))
+                u, leak = (u[:, 0::2] + u[:, 1::2] - leak[:, 1::2] * u[:, 0::2],
+                           leak[:, 0::2] + leak[:, 1::2] - leak[:, 0::2] * leak[:, 1::2])
+            pi = pi + u[:, 0] - leak[:, 0] * pi
+            done = int(i[-1]) + 1
+        out[target] = pi.copy()
+    return out
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is no wider than float64 here",
+)
+@pytest.mark.parametrize("model_args", [(0.3, 0.7), (0.2, 0.9)])
+def test_block_start_chain_keeps_float64_accuracy_to_a_million_segments(model_args):
+    """The float64 chain against the same recursion in long double to 10^6
+    segments.  Keeping 1 - leak instead of the leak rounds away the low bits
+    of the leaks near 1/m, and the former 2x2 chain was up to 1.2e-13 off."""
+    model = SignalModel(*model_args)
+    blocks = sorted({1, 2, 999, 54_321, *range(1, 2 * 10**6, 2**18), 2 * 10**6})
+    laws = chain._block_start_laws(model, blocks)
+    ref = _long_double_chain(model, blocks)
+    for i in blocks:
+        err = np.abs(laws[i][:, 1].astype(np.longdouble) - ref[i])
+        assert float(err.max()) < 1e-14, (model_args, i, err)
 
 
 def test_designed_trajectory_reproduces_the_frozen_plateau(m37):

@@ -159,6 +159,24 @@ def test_runs_expand_to_the_block_sizes(model_args):
 
 
 @pytest.mark.parametrize("model_args", RUN_MODELS)
+def test_runs_over_a_range_are_the_block_sizes(model_args):
+    """``runs(m0, m1)`` expanded by its counts is ``block_sizes`` of m0..m1,
+    integer for integer, for ranges inside one run, across run starts and
+    far past 10^15."""
+    model = SignalModel(*model_args)
+    tab = segment_table(model)
+    ranges = [(1, 1), (1, 3000), (7, 56), (54, 2982), (2981, 2981), (100, 10**5)]
+    ranges += [(b - 3, b + 3) for b in tab._firsts[1:]]
+    ranges += [((1 << 61) - 5, 1 << 61)]
+    for m0, m1 in ranges:
+        k, r, count = tab.runs(max(m0, 1), m1)
+        assert min(count) >= 1 and sum(count) == m1 - max(m0, 1) + 1
+        k_ref, r_ref = block_sizes(np.arange(max(m0, 1), m1 + 1), model)
+        assert np.repeat(k, count).tolist() == k_ref.tolist(), (m0, m1)
+        assert np.repeat(r, count).tolist() == r_ref.tolist(), (m0, m1)
+
+
+@pytest.mark.parametrize("model_args", RUN_MODELS)
 def test_queries_reach_the_last_int64_agent(model_args):
     tab = segment_table(SignalModel(*model_args))
     for n in (10**9, 10**12, 10**18, (1 << 63) - 1):
