@@ -24,6 +24,7 @@ from .profiles import (
     profile_from_json,
 )
 from .chain import (
+    ArgumentError,
     BlockStartChain,
     ChainDriftError,
     Trajectory,
@@ -52,6 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentRole",
+    "ArgumentError",
     "BlockStartChain",
     "ChainDriftError",
     "DecisionRule",

@@ -24,6 +24,7 @@ import numpy as np
 
 from .profiles import designed_profile
 from .schedule import block_sizes_arrays, segment_table
+from .signals import blr_bounds
 
 # The sweep has no numba path; perfbench's environment stamp reads this name.
 HAVE_NUMBA = False
@@ -48,8 +49,8 @@ class ZeroProbabilityError(ValueError):
     """Conditioning on an event of probability zero."""
 
 
-class CheckpointRangeError(ValueError):
-    """A checkpoint outside the agents 1..N of the horizon."""
+class ArgumentError(ValueError):
+    """An argument outside the range its function accepts (CLI exit code 4)."""
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +276,7 @@ def sweep(profile, model, N: int, record_after=()) -> dict:
     """
     points = set(int(s) for s in record_after)
     if points and (min(points) < 0 or max(points) > N):
-        raise ValueError("record points must lie in [0, N]")
+        raise ArgumentError("record points must lie in [0, N]")
     d = np.zeros((2, 1 << profile.K))
     d[:, 0] = 1.0
     return _sweep_from(profile, model, 1, d, points)
@@ -326,7 +327,7 @@ def law_walk(profile, model, n0: int, n1: int, horizon: int = 0):
     _CHUNK_BYTES.
     """
     if not (1 <= n0 <= n1):
-        raise ValueError(f"need 1 <= n0 <= n1, got {n0}..{n1}")
+        raise ArgumentError(f"need 1 <= n0 <= n1, got {n0}..{n1}")
     sig = _signal_laws(model)
     d = sweep(profile, model, n0 - 1, [n0 - 1])[n0 - 1]
     size = max(1, _CHUNK_BYTES // (32 << profile.K) - horizon)
@@ -372,7 +373,7 @@ def _checkpoint_agents(checkpoints, N: int) -> list:
     """The checkpoints (default [N]) sorted and deduplicated, all in [1, N]."""
     ns = sorted(set(int(n) for n in ([N] if checkpoints is None else checkpoints)))
     if ns and (ns[0] < 1 or ns[-1] > N):
-        raise CheckpointRangeError(f"checkpoints must lie in [1, {N}], got {ns[0]}..{ns[-1]}")
+        raise ArgumentError(f"checkpoints must lie in [1, {N}], got {ns[0]}..{ns[-1]}")
     return ns
 
 
@@ -419,7 +420,7 @@ def block_start_trajectory(model, theta: int, segments: int) -> BlockStartChain:
     q^{r_m}/m, where m = m(i) indexes the block's segment.
     """
     if segments < 1:
-        raise ValueError("need at least one segment")
+        raise ArgumentError("need at least one segment")
     k, r = block_sizes_arrays(segments, model)
     p, q = model.p(theta), model.q(theta)
     # Python's float ** rather than np.power, whose last bit can differ.
@@ -525,9 +526,9 @@ def block_start_masses(profile, model, segments: int):
     forces to zero at block starts).  The windows are K=2 windows.
     """
     if profile.K != 2:
-        raise ValueError(f"block-start masses need a K=2 profile, got K={profile.K}")
+        raise ArgumentError(f"block-start masses need a K=2 profile, got K={profile.K}")
     if segments < 1:
-        raise ValueError("need at least one segment")
+        raise ArgumentError("need at least one segment")
     k, _, start = segment_table(model).layout(segments)
     # The agent before each block start: S-block m at start_m, R-block m 2k_m later.
     before = (np.stack([start, start + 2 * k], axis=1).ravel() - 1).tolist()
@@ -563,12 +564,10 @@ class SeriesDiagnostics:
 def series_diagnostics(model, M: int, checkpoints=None) -> SeriesDiagnostics:
     """Partial sums up to each checkpoint M' <= M plus tail exponents."""
     if M < 2:
-        raise ValueError("need M >= 2")
-    if checkpoints is None:
-        checkpoints = [M]
-    cps = sorted(set(int(c) for c in checkpoints))
-    if not cps or cps[0] < 1 or cps[-1] > M:
-        raise ValueError("need checkpoints, all in [1, M]")
+        raise ArgumentError("need M >= 2")
+    cps = _checkpoint_agents(checkpoints, M)
+    if not cps:
+        raise ArgumentError("need at least one checkpoint")
     k, r = block_sizes_arrays(M, model)
     m = np.arange(1, M + 1, dtype=np.float64)
     idx = np.asarray(cps) - 1
@@ -615,10 +614,8 @@ class K1Diagnostics:
 
 
 def k1_diagnostics(profile, model, N: int) -> K1Diagnostics:
-    from .signals import blr_bounds
-
     if profile.K != 1:
-        raise ValueError("k1_diagnostics requires a K=1 profile")
+        raise ArgumentError(f"k1_diagnostics requires a K=1 profile, got K={profile.K}")
     m_blr, M_blr = blr_bounds(model)
     sig = _signal_laws(model)
     palette, index = profile.rule_palette(1, N)
@@ -648,8 +645,6 @@ def k1_error_floor(model) -> float:
     Derived under the learning hypothesis; reported as a reference value,
     not asserted as a bound for arbitrary profiles.
     """
-    from .signals import blr_bounds
-
     m, M = blr_bounds(model)
     return 0.5 * min(
         (1.0 / 6.0) * (1.0 - math.exp(-1.0 / (2.0 * M))),
@@ -673,12 +668,8 @@ def brute_force_oracle(profile, model, N: int, checkpoints=None) -> Trajectory:
     beyond :data:`BRUTE_FORCE_MAX_N`.
     """
     if N > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force enumeration is limited to N <= {BRUTE_FORCE_MAX_N}")
-    if checkpoints is None:
-        checkpoints = range(1, N + 1)
-    ns = sorted(set(int(n) for n in checkpoints))
-    if ns[0] < 1 or ns[-1] > N:
-        raise ValueError("checkpoints must lie in [1, N]")
+        raise ArgumentError(f"brute force enumeration is limited to N <= {BRUTE_FORCE_MAX_N}")
+    ns = _checkpoint_agents(range(1, N + 1) if checkpoints is None else checkpoints, N)
     n_states = 1 << profile.K
     mask = n_states - 1
     correct = {0: {}, 1: {}}

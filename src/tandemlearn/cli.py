@@ -7,12 +7,12 @@ stamp, so reruns can be compared byte for byte: CSV floats are printed
 with 17 significant digits, and JSON floats as Python's shortest repr
 that reads back to the same value.
 
-Exit codes: 0 success, 2 invalid model, 4 invalid arguments (a flag
-outside the range its subcommand accepts, an unknown, unreadable or
-malformed profile, a profile whose window length the subcommand cannot
-use, a ``--config`` file that cannot be read or holds a value its flag
-rejects, or flags whose arrays the system refuses to allocate).  Codes 2
-and 4 print a JSON object with ``error`` and ``reason``.
+Exit codes: 0 success, 2 invalid model, 4 invalid arguments: any
+``tandemlearn.ArgumentError``, the library's one exit-4 error (a flag or
+profile outside what its subcommand accepts, an unreadable or malformed
+profile or ``--config`` file, a value a flag's type rejects), or flags
+whose arrays the system refuses to allocate.  ``main`` alone maps errors
+to codes 2 and 4, with a JSON object of ``error`` and ``reason``.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ import numpy as np
 
 from . import __version__
 from .chain import (
-    CheckpointRangeError,
+    ArgumentError,
     designed_trajectory,
     error_trajectory,
     k1_diagnostics,
     series_diagnostics,
 )
-from .game import CheckArgumentError, Violation, certified_tail, check_equilibrium
+from .game import Violation, certified_tail, check_equilibrium
 from .montecarlo import SimConfig, estimate_error
 from .profiles import (
     MAX_K,
@@ -52,10 +52,6 @@ from .signals import ModelError, SignalModel, model_from_dict, quantize
 EXIT_MODEL_ERROR = 2
 EXIT_USAGE_ERROR = 4
 MAX_N = (1 << 63) - 1  # the largest agent index an int64 agent array holds
-
-
-class UsageError(ValueError):
-    """A flag value outside the range the subcommand accepts."""
 
 
 def _jsonable(x):
@@ -152,7 +148,7 @@ def parse_profile(spec: str, model, K: int, horizon: int):
     """Profile from a name (designed, myopic, constant0, constant1, copy)
     or a JSON table path, for a binary signal model."""
     if not 1 <= K <= MAX_K:
-        raise UsageError(f"--k must lie in [1, {MAX_K}], got {K}")
+        raise ArgumentError(f"--k must lie in [1, {MAX_K}], got {K}")
     try:
         if spec.endswith(".json") or os.path.sep in spec:
             return profile_from_json(spec)
@@ -162,7 +158,7 @@ def parse_profile(spec: str, model, K: int, horizon: int):
             return myopic_profile(model, K=K, horizon=horizon)
         return baseline_profile(spec, K=K)
     except (OSError, ValueError, RecursionError) as exc:  # bad name or file, deep JSON
-        raise UsageError(f"--profile {spec}: {exc}") from None
+        raise ArgumentError(f"--profile {spec}: {exc}") from None
 
 
 def _integer(token: str):
@@ -193,9 +189,9 @@ def _checkpoints(text, N: int) -> list:
         return cps if cps and cps[-1] == N else cps + [N]
     cps = [_integer(tok) for tok in text.split(",") if tok.strip()]
     if None in cps:
-        raise UsageError(f"--checkpoints must be integers, got {text!r}")
+        raise ArgumentError(f"--checkpoints must be integers, got {text!r}")
     if not cps:
-        raise UsageError(f"--checkpoints lists no agent, got {text!r}")
+        raise ArgumentError(f"--checkpoints lists no agent, got {text!r}")
     return cps
 
 
@@ -205,12 +201,12 @@ def _resolved(args, keys) -> dict:
 
 def _check_count(flag: str, value: int) -> None:
     if not 1 <= value <= MAX_N:
-        raise UsageError(f"{flag} must lie in [1, 2^63 - 1], got {value}")
+        raise ArgumentError(f"{flag} must lie in [1, 2^63 - 1], got {value}")
 
 
 def cmd_schedule(args) -> int:
     if args.m < 1:
-        raise UsageError(f"--m must be >= 1, got {args.m}")
+        raise ArgumentError(f"--m must be >= 1, got {args.m}")
     k, r, start = segment_table(quantize(parse_model(args.model))).layout(args.m)
     columns = (range(1, args.m + 1), k, r, start, 2 * k + 2 * r)
     header = ["m", "k_m", "r_m", "segment_start", "segment_len"]
@@ -223,13 +219,10 @@ def cmd_exact(args) -> int:
     cps = _checkpoints(args.checkpoints, args.n)
     model = quantize(parse_model(args.model))
     profile = parse_profile(args.profile, model, K=args.k, horizon=args.n)
-    try:
-        if isinstance(profile, DesignedProfile):  # its block starts hold a consensus
-            traj = designed_trajectory(model, args.n, cps)
-        else:
-            traj = error_trajectory(profile, model, args.n, cps)
-    except CheckpointRangeError as exc:
-        raise UsageError(str(exc)) from None
+    if isinstance(profile, DesignedProfile):  # its block starts hold a consensus
+        traj = designed_trajectory(model, args.n, cps)
+    else:
+        traj = error_trajectory(profile, model, args.n, cps)
     columns = (traj.ns, traj.p0_correct, traj.p1_correct, traj.p_correct)
     # "k" records the window that ran, which a JSON profile sets itself.
     config = {**_resolved(args, ["model", "profile", "n", "checkpoints"]), "k": profile.K}
@@ -240,10 +233,7 @@ def cmd_exact(args) -> int:
 def cmd_series(args) -> int:
     model = quantize(parse_model(args.model))
     cps = _checkpoints(args.checkpoints, args.m)
-    try:
-        diag = series_diagnostics(model, args.m, cps)
-    except ValueError as exc:  # M < 2, a checkpoint outside [1, M]
-        raise UsageError(str(exc)) from None
+    diag = series_diagnostics(model, args.m, cps)
     columns = (diag.checkpoints, diag.sum_p1k, diag.sum_q1r, diag.sum_p0k, diag.sum_q0r)
     _write_csv(
         args.out,
@@ -264,24 +254,21 @@ def cmd_simulate(args) -> int:
         try:
             args.seed = int(seed)
         except ValueError:
-            raise UsageError(f"TANDEMLEARN_SEED must be an integer, got {seed!r}") from None
+            raise ArgumentError(f"TANDEMLEARN_SEED must be an integer, got {seed!r}") from None
     _check_count("--n", args.n)
     _check_count("--reps", args.reps)
     model = quantize(parse_model(args.model))
     cps = _checkpoints(args.checkpoints, args.n)
     profile = parse_profile(args.profile, model, K=args.k, horizon=args.n)
-    try:
-        config = SimConfig(
-            profile=profile,
-            model=model,
-            N=args.n,
-            reps=args.reps,
-            seed=args.seed,
-            theta=args.theta,
-            checkpoints=tuple(cps),
-        )
-    except ValueError as exc:  # a checkpoint outside [1, N]
-        raise UsageError(str(exc)) from None
+    config = SimConfig(
+        profile=profile,
+        model=model,
+        N=args.n,
+        reps=args.reps,
+        seed=args.seed,
+        theta=args.theta,
+        checkpoints=tuple(cps),
+    )
     stats = estimate_error(config)
     resolved = _resolved(args, ["model", "profile", "n", "reps", "seed", "theta"])
     resolved.update(k=profile.K, checkpoints=list(stats.ns))
@@ -305,13 +292,11 @@ def cmd_equilibrium(args) -> int:
     try:
         n1, n2 = (int(x) for x in args.range.split(".."))
     except ValueError:
-        raise UsageError(f"--range must read n1..n2 with integers, got {args.range!r}") from None
-    try:
-        certified_tail((n1, n2), args.delta, args.eps, args.horizon)
-    except CheckArgumentError as exc:
-        raise UsageError(str(exc)) from None
+        raise ArgumentError(f"--range must read n1..n2 with integers, got {args.range!r}") from None
+    certified_tail((n1, n2), args.delta, args.eps, args.horizon)  # before any profile is built
     if n2 + args.horizon + 1 > MAX_N:
-        raise UsageError(f"--range {args.range} and --horizon {args.horizon} pass agent 2^63 - 1")
+        reason = f"--range {args.range} and --horizon {args.horizon} pass agent 2^63 - 1"
+        raise ArgumentError(reason)
     model = quantize(parse_model(args.model))
     profile = parse_profile(args.profile, model, K=args.k, horizon=n2 + args.horizon + 1)
     report = check_equilibrium(
@@ -342,8 +327,6 @@ def cmd_k1diag(args) -> int:
     _check_count("--n", args.n)
     model = quantize(parse_model(args.model))
     profile = parse_profile(args.profile, model, K=1, horizon=args.n)
-    if profile.K != 1:
-        raise UsageError(f"k1diag requires a K=1 profile, got K={profile.K}")
     diag = k1_diagnostics(profile, model, args.n)
     columns = (
         range(1, args.n + 1), diag.a[:, 0, 1], diag.a[:, 1, 0], diag.abar[:, 0, 1],
@@ -433,9 +416,9 @@ def _config_values(path, command: str, given: set) -> dict:
         with open(path) as fh:
             config = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # unreadable, malformed or deep JSON
-        raise UsageError(f"--config {path}: {exc}") from None
+        raise ArgumentError(f"--config {path}: {exc}") from None
     if not isinstance(config, dict):
-        raise UsageError(f"--config {path}: expected a JSON object of flag values")
+        raise ArgumentError(f"--config {path}: expected a JSON object of flag values")
     parser = argparse.ArgumentParser(
         add_help=False, allow_abbrev=False, exit_on_error=False,
         argument_default=argparse.SUPPRESS,
@@ -449,7 +432,7 @@ def _config_values(path, command: str, given: set) -> dict:
     try:
         values, _ = parser.parse_known_args(tokens)
     except argparse.ArgumentError as exc:
-        raise UsageError(f"--config {path}: {exc}") from None
+        raise ArgumentError(f"--config {path}: {exc}") from None
     return vars(values)
 
 
@@ -466,7 +449,7 @@ def main(argv=None) -> int:
     except ModelError as exc:
         _write_json(None, {"error": "model", "reason": str(exc)}, {})
         return EXIT_MODEL_ERROR
-    except UsageError as exc:
+    except ArgumentError as exc:
         _write_json(None, {"error": "usage", "reason": str(exc)}, {})
         return EXIT_USAGE_ERROR
     except MemoryError as exc:  # the arrays the flags ask for are refused

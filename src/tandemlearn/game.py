@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chain
-from .chain import ZeroProbabilityError
+from .chain import ArgumentError, ZeroProbabilityError
 from .profiles import code_window, window_code
 from .signals import blr_bounds
 
@@ -35,11 +35,11 @@ class PayoffQuery:
 
     def __post_init__(self):
         if not (0.0 <= self.delta < 1.0):
-            raise ValueError("discount factor must lie in [0, 1)")
+            raise ArgumentError("discount factor must lie in [0, 1)")
         if self.horizon < 0:
-            raise ValueError("truncation horizon must be >= 0")
+            raise ArgumentError("truncation horizon must be >= 0")
         if self.action not in (0, 1) or self.s not in (0, 1):
-            raise ValueError("signal and action must be binary")
+            raise ArgumentError("signal and action must be binary")
 
 
 @dataclass
@@ -79,21 +79,17 @@ def _tail_bound(delta: float, horizon: int) -> float:
     return 0.0 if delta == 0.0 else delta ** (horizon + 1) / (1.0 - delta)
 
 
-class CheckArgumentError(ValueError):
-    """Equilibrium-check arguments under which nothing can be certified."""
-
-
 def certified_tail(n_range: tuple, delta: float, eps: float, horizon: int) -> float:
     """Truncation tail of a check, once the arguments are known to allow one."""
     if not (1 <= n_range[0] <= n_range[1]):
-        raise CheckArgumentError(f"need 1 <= n1 <= n2, got {n_range[0]}..{n_range[1]}")
+        raise ArgumentError(f"need 1 <= n1 <= n2, got {n_range[0]}..{n_range[1]}")
     if not (0.0 <= delta < 1.0) or horizon < 0:
-        raise CheckArgumentError("need a discount factor in [0, 1) and a horizon >= 0")
+        raise ArgumentError("need a discount factor in [0, 1) and a horizon >= 0")
     if not (math.isfinite(eps) and eps > 0.0):
-        raise CheckArgumentError(f"need a finite eps > 0, got {eps}")
+        raise ArgumentError(f"need a finite eps > 0, got {eps}")
     tail = _tail_bound(delta, horizon)
     if 2.0 * tail >= eps:
-        raise CheckArgumentError(f"horizon too short to certify eps={eps}: slack {2.0 * tail}")
+        raise ArgumentError(f"horizon too short to certify eps={eps}: slack {2.0 * tail}")
     return tail
 
 

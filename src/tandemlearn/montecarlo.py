@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .chain import agent_chunks
+from .chain import ArgumentError, _checkpoint_agents, agent_chunks
 
 
 @dataclass(frozen=True)
@@ -33,19 +33,17 @@ class SimConfig:
 
     def __post_init__(self):
         if self.reps < 1:
-            raise ValueError("need at least one replication")
+            raise ArgumentError("need at least one replication")
         if self.N < 1:
-            raise ValueError("need at least one agent")
+            raise ArgumentError("need at least one agent")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+            raise ArgumentError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
+            raise ArgumentError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.theta not in (None, 0, 1):
-            raise ValueError(f"theta must be None, 0 or 1, got {self.theta!r}")
-        cps = tuple(sorted(set(int(c) for c in self.checkpoints))) or (self.N,)
-        if cps[0] < 1 or cps[-1] > self.N:
-            raise ValueError("checkpoints must lie in [1, N]")
-        object.__setattr__(self, "checkpoints", cps)
+            raise ArgumentError(f"theta must be None, 0 or 1, got {self.theta!r}")
+        cps = _checkpoint_agents(tuple(self.checkpoints) or None, self.N)  # () is (N,)
+        object.__setattr__(self, "checkpoints", tuple(cps))
 
 
 @dataclass

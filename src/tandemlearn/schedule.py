@@ -59,6 +59,8 @@ def block_sizes(m, model) -> tuple[np.ndarray, np.ndarray]:
 
 def block_sizes_arrays(m_max: int, model) -> tuple[np.ndarray, np.ndarray]:
     """Block sizes (k_m, r_m) for m = 1..m_max, as int64 arrays."""
+    if m_max >= 1 << 59:  # 4 EiB: no system holds them, and numpy raises ValueError near 8 EiB
+        raise MemoryError(f"{m_max} int64 block sizes")
     return block_sizes(np.arange(1, m_max + 1), model)
 
 

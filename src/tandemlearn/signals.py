@@ -137,14 +137,17 @@ def likelihood_ratio(model, s) -> float:
     i = model._index(s)
     f0, f1 = model.f0[i], model.f1[i]
     if f1 == 0.0:
-        # Unreachable by the absolute-continuity invariant, but guard anyway.
+        # A support point may carry no mass under either law, and then it has no ratio.
         raise ModelError(f"zero mass under f1 at support point {s!r}")
     return f0 / f1
 
 
 def blr_bounds(model) -> tuple[float, float]:
-    """(m, M): the range of the likelihood ratio over the support."""
-    ratios = [likelihood_ratio(model, s) for s in model.support]
+    """(m, M): the likelihood ratio's range over the support points of positive mass."""
+    support = model.support
+    if isinstance(model, DiscreteGeneralModel):  # mass under f1 iff under f0
+        support = [s for s, mass in zip(support, model.f1) if mass > 0.0]
+    ratios = [likelihood_ratio(model, s) for s in support]
     return (min(ratios), max(ratios))
 
 

@@ -43,6 +43,7 @@ from tandemlearn.profiles import profile_from_dict
 from tandemlearn.schedule import block_sizes, block_sizes_arrays, segment_table
 from tandemlearn.signals import blr_bounds
 from tandemlearn.profiles import profile_from_json
+from tandemlearn.cli import EXIT_USAGE_ERROR, main
 from conftest import reference_step, table_profile
 
 
@@ -374,6 +375,15 @@ def test_enumeration_refuses_large_n(m37):
         brute_force_oracle(baseline_profile("copy", 2), m37, BRUTE_FORCE_MAX_N + 1)
 
 
+def test_enumeration_of_no_checkpoint_or_no_agent_is_empty(m37):
+    """As in ``error_trajectory``: an empty list, or no agent, is no checkpoint."""
+    copy = baseline_profile("copy", 2)
+    for N, checkpoints in ((5, []), (0, None), (0, [])):
+        traj = brute_force_oracle(copy, m37, N, checkpoints)
+        assert traj.ns.size == traj.p0_correct.size == traj.p1_correct.size == 0
+    assert error_trajectory(copy, m37, 5, []).ns.size == 0
+
+
 def test_block_start_transition_closed_form(m37):
     bt = block_start_trajectory(m37, 1, 8)
     # odd block index: upward switch probability p^{k_m}/m, no downward
@@ -602,9 +612,9 @@ def test_designed_trajectory_reproduces_the_frozen_plateau(m37):
 
 
 def test_designed_trajectory_checks_its_checkpoints(m37):
-    with pytest.raises(chain.CheckpointRangeError):
+    with pytest.raises(chain.ArgumentError):
         designed_trajectory(m37, 10, [0, 5])
-    with pytest.raises(chain.CheckpointRangeError):
+    with pytest.raises(chain.ArgumentError):
         designed_trajectory(m37, 10, [11])
     assert designed_trajectory(m37, 10, []).ns.size == 0
     assert designed_trajectory(m37, 10).ns.tolist() == [10]
@@ -613,6 +623,31 @@ def test_designed_trajectory_checks_its_checkpoints(m37):
 def test_series_diagnostics_refuses_no_checkpoint(m37):
     with pytest.raises(ValueError):
         series_diagnostics(m37, 100, [])
+
+
+_COPY2 = baseline_profile("copy", 2)
+
+
+@pytest.mark.parametrize("call, argv", [
+    (lambda m: sweep(_COPY2, m, 5, [6]), None),
+    (lambda m: block_start_trajectory(m, 1, 0), None),
+    (lambda m: k1_diagnostics(_COPY2, m, 5), ["k1diag", "--profile", "designed", "--n", "5"]),
+    (lambda m: brute_force_oracle(_COPY2, m, 5, [0, 3]), None),
+    (lambda m: brute_force_oracle(_COPY2, m, 5, [6]), None),
+    (lambda m: error_trajectory(_COPY2, m, 10, [11]),
+     ["exact", "--profile", "copy", "--n", "10", "--checkpoints", "11"]),
+    (lambda m: series_diagnostics(m, 1), ["series", "--m", "1"]),
+    (lambda m: series_diagnostics(m, 100, [200]), ["series", "--m", "100", "--checkpoints", "200"]),
+], ids=["sweep-record-point", "block-start-segments", "k1-window", "oracle-checkpoint-0",
+        "oracle-checkpoint-past-n", "trajectory-checkpoint", "series-m", "series-checkpoint"])
+def test_argument_checks_raise_argument_error(call, argv, m37, capsys):
+    """Each argument check of the module raises ``chain.ArgumentError``; a
+    command line that reaches it exits 4 with the library's reason."""
+    with pytest.raises(chain.ArgumentError) as info:
+        call(m37)
+    if argv is not None:
+        assert main([*argv, "--model", "0.3,0.7"]) == EXIT_USAGE_ERROR
+        assert json.loads(capsys.readouterr().out)["reason"] == str(info.value)
 
 
 def test_series_diagnostics_closed_forms(m37):

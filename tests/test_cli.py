@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tandemlearn import (
+    ModelError,
     SignalModel,
     __version__,
     check_equilibrium,
@@ -50,6 +51,32 @@ def test_parse_model_forms(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"p0": 0.4, "p1": 0.6}))
     assert parse_model(str(path)) == SignalModel(0.4, 0.6)
+
+
+def test_model_file_of_no_model_keys_exits_with_the_library_model_error(tmp_path, capsys):
+    """``parse_model`` passes the library's ``ModelError`` through unwrapped."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"x": 1}))
+    with pytest.raises(ModelError) as info:
+        parse_model(str(path))
+    argv = ["exact", "--model", str(path), "--profile", "copy", "--n", "3"]
+    assert main(argv) == EXIT_MODEL_ERROR
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["error"], payload["reason"]) == ("model", str(info.value))
+    assert str(info.value) == "model spec needs either p0/p1 or support/f0/f1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--m", str(2**62)],
+    ["series", "--m", str(2**63 - 1)],
+    ["schedule", "--m", str(2**62)],
+    ["schedule", "--m", str(2**64)],
+])
+def test_segment_counts_past_any_memory_exit_with_usage_error(argv, capsys):
+    """Sizes numpy will not describe are refused as memory, not as a traceback."""
+    assert main([*argv, "--model", "0.3,0.7"]) == EXIT_USAGE_ERROR
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "usage" and "do not fit in memory" in payload["reason"]
 
 
 def test_parse_profile_names(m37):

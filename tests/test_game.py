@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,8 @@ from tandemlearn import (
     posterior_sequence,
     window_distributions,
 )
-from tandemlearn import chain, game
+from tandemlearn import ArgumentError, chain, game
+from tandemlearn.cli import EXIT_USAGE_ERROR, main
 from tandemlearn.profiles import code_window, window_code
 from conftest import reference_step, table_profile
 from test_chain import _random_json_profile
@@ -88,6 +90,33 @@ def test_equilibrium_refuses_insufficient_horizon(m37):
     dp = designed_profile(m37)
     with pytest.raises(ValueError):
         check_equilibrium(dp, m37, delta=0.9, n_range=(1, 10), eps=0.01, horizon=5)
+
+
+_CERTIFY = ["equilibrium", "--profile", "designed", "--range"]
+
+
+@pytest.mark.parametrize("call, argv", [
+    (lambda: PayoffQuery(1, (1,), 1, 1, 1.0, 5), None),
+    (lambda: PayoffQuery(1, (1,), 1, 1, 0.5, -1), None),
+    (lambda: PayoffQuery(1, (1,), 2, 1, 0.5, 5), None),
+    (lambda: PayoffQuery(1, (1,), 1, 2, 0.5, 5), None),
+    (lambda: game.certified_tail((5, 1), 0.5, 0.01, 20), [*_CERTIFY, "5..1"]),
+    (lambda: game.certified_tail((1, 5), 1.0, 0.01, 20),
+     [*_CERTIFY, "1..5", "--delta", "1", "--eps", "0.01", "--horizon", "20"]),
+    (lambda: game.certified_tail((1, 5), 0.5, float("nan"), 20),
+     [*_CERTIFY, "1..5", "--delta", "0.5", "--eps", "nan", "--horizon", "20"]),
+    (lambda: game.certified_tail((1, 50), 0.9, 0.01, 5),
+     [*_CERTIFY, "1..50", "--delta", "0.9", "--eps", "0.01", "--horizon", "5"]),
+], ids=["payoff-discount", "payoff-horizon", "payoff-signal", "payoff-action",
+        "check-range", "check-discount", "check-eps", "check-horizon-too-short"])
+def test_argument_checks_raise_argument_error(call, argv, capsys):
+    """Each argument check of the module raises ``ArgumentError``; a command
+    line that reaches it exits 4 with the library's reason."""
+    with pytest.raises(ArgumentError) as info:
+        call()
+    if argv is not None:
+        assert main([*argv, "--model", "0.3,0.7"]) == EXIT_USAGE_ERROR
+        assert json.loads(capsys.readouterr().out)["reason"] == str(info.value)
 
 
 def test_posterior_sequence_cascade_values(m46):

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from conftest import reference_run
 
 from tandemlearn import (
+    ArgumentError,
     RoleKind,
     SimConfig,
     baseline_profile,
@@ -16,6 +19,7 @@ from tandemlearn import (
     simulate_path,
 )
 from tandemlearn.chain import agent_chunks, sweep
+from tandemlearn.cli import EXIT_USAGE_ERROR, main
 
 
 def _config(profile, model, **kw):
@@ -107,6 +111,24 @@ def test_searching_census_grows_with_horizon(m37):
     cfg = _config(dp, m37, N=20_000, reps=200, checkpoints=(1_000, 20_000))
     stats = estimate_error(cfg)
     assert stats.census_mean[1] > stats.census_mean[0]
+
+
+@pytest.mark.parametrize("fields, argv", [
+    (dict(reps=0), None),
+    (dict(N=0), None),
+    (dict(seed=-1), ["--n", "10", "--seed", "-1"]),
+    (dict(theta=2), None),
+    (dict(N=10, checkpoints=(0, 5)), ["--n", "10", "--checkpoints", "0,5"]),
+    (dict(N=10, checkpoints=(50,)), ["--n", "10", "--checkpoints", "50"]),
+], ids=["reps", "agents", "seed", "theta", "checkpoint-0", "checkpoint-past-n"])
+def test_config_checks_raise_argument_error(fields, argv, m37, capsys):
+    """Each check of ``SimConfig`` raises ``ArgumentError``; a command line
+    that reaches it exits 4 with the library's reason."""
+    with pytest.raises(ArgumentError) as info:
+        _config(designed_profile(m37), m37, **fields)
+    if argv is not None:
+        assert main(["simulate", *argv, "--model", "0.3,0.7"]) == EXIT_USAGE_ERROR
+        assert json.loads(capsys.readouterr().out)["reason"] == str(info.value)
 
 
 def test_seed_must_lie_in_the_uint64_range(m37):

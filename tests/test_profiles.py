@@ -18,11 +18,23 @@ from tandemlearn import (
 from tandemlearn.profiles import (
     DESIGNED_BASE,
     DESIGNED_DELTA,
+    Profile,
     _myopic_induction,
     code_window,
     window_code,
 )
 from conftest import reference_designed_table, reference_step, table_profile
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: window_code((1, 0, 1), 2),
+    lambda m: Profile(0, "empty"),
+    lambda m: baseline_profile("copy", 2).rule(0),
+    lambda m: myopic_profile(m, K=1, horizon=0),
+], ids=["window-length", "profile-window", "rule-agent", "myopic-horizon"])
+def test_argument_checks_raise_value_error(call, m37):
+    with pytest.raises(ValueError):
+        call(m37)
 
 
 def test_window_code_roundtrip():

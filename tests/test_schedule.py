@@ -11,6 +11,26 @@ RUN_MODELS = [(0.3, 0.7), (0.2, 0.9), (0.01, 0.99), (0.9, 0.99), (0.45, 0.55), (
               (0.1, 0.8), (0.001, 0.002)]
 
 
+@pytest.mark.parametrize("call", [
+    lambda t: t.segment_start(0),
+    lambda t: t.segment_of(2),
+    lambda t: t.role_of(0),
+    lambda t: t.block_start_agent(0),
+    lambda t: t.role_palette(0, 3),
+], ids=["segment-start", "segment-of", "role-of", "block-start", "role-palette"])
+def test_argument_checks_raise_value_error(call, m37):
+    with pytest.raises(ValueError):
+        call(segment_table(m37))
+
+
+def test_block_sizes_past_any_memory_are_refused_at_once(m37):
+    """No system holds 2^59 int64 sizes; past about 2^60 numpy itself would
+    raise ``ValueError`` rather than ``MemoryError``."""
+    for m in (1 << 59, 1 << 62, (1 << 63) - 1, 1 << 64):
+        with pytest.raises(MemoryError):
+            block_sizes_arrays(m, m37)
+
+
 def test_block_sizes_below_cutoff(m37):
     # while ln m <= max(1/pbar, 1/qbar) both block sizes stay at 1
     ks, rs = block_sizes_arrays(7, m37)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from tandemlearn import (
     likelihood_ratio,
     quantize,
 )
+from tandemlearn.cli import EXIT_MODEL_ERROR, main
 from tandemlearn.signals import THETA_PRIOR, model_from_dict
 
 
@@ -95,6 +97,44 @@ def test_general_model_rejects_revealing_signal():
     # bounded-likelihood-ratio requirement
     with pytest.raises(ModelError):
         DiscreteGeneralModel(support=(0, 1, 2), f0=(0.5, 0.5, 0.0), f1=(0.3, 0.3, 0.4))
+
+
+def test_blr_bounds_skip_support_points_of_no_mass():
+    """A point of zero mass under both laws is allowed and has no ratio."""
+    model = DiscreteGeneralModel(support=(0, 1, 2), f0=(0.5, 0.5, 0.0), f1=(0.3, 0.7, 0.0))
+    assert quantize(model) == SignalModel(0.5, 0.7)
+    assert blr_bounds(model) == pytest.approx((5 / 7, 5 / 3), rel=1e-15)
+    with pytest.raises(ModelError, match="zero mass"):
+        likelihood_ratio(model, 2)
+
+
+# A degenerate quantization: f1 passes the sum check 5e-13 above 1.
+_DEGENERATE = {"support": [0, 1], "f0": [1.0, 0.0], "f1": [1.0 + 5e-13, 0.0]}
+_ZERO_POINT = DiscreteGeneralModel(support=(0, 1, 2), f0=(0.5, 0.5, 0.0), f1=(0.3, 0.7, 0.0))
+
+
+@pytest.mark.parametrize("call, spec", [
+    (model_from_dict, {"support": [0, 1], "f0": [0.5, 0.5], "f1": [1.0]}),
+    (model_from_dict, {"support": [0, 0], "f0": [0.5, 0.5], "f1": [0.3, 0.7]}),
+    (model_from_dict, {"support": [0, 1], "f0": [-0.5, 1.5], "f1": [0.3, 0.7]}),
+    (lambda spec: likelihood_ratio(_ZERO_POINT, 5), None),
+    (lambda spec: likelihood_ratio(SignalModel(0.3, 0.7), 2), None),
+    (lambda spec: likelihood_ratio(_ZERO_POINT, 2), None),
+    (lambda spec: quantize(model_from_dict(spec)), _DEGENERATE),
+    (model_from_dict, {"support": [0, 1]}),
+], ids=["lengths", "distinct-support", "negative-mass", "not-in-support", "binary-not-in-support",
+        "zero-mass", "degenerate-quantization", "no-model-keys"])
+def test_model_checks_raise_model_error(call, spec, tmp_path, capsys):
+    """Each check of the module raises ``ModelError``; a ``--model`` file
+    that reaches it exits 2 with the library's reason."""
+    with pytest.raises(ModelError) as info:
+        call(spec)
+    if spec is not None:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(spec))
+        argv = ["exact", "--model", str(path), "--profile", "copy", "--n", "3"]
+        assert main(argv) == EXIT_MODEL_ERROR
+        assert json.loads(capsys.readouterr().out)["reason"] == str(info.value)
 
 
 def test_model_from_dict_binary_and_general():
