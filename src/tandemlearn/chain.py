@@ -370,8 +370,10 @@ def _correct_probs(laws: np.ndarray) -> tuple[float, float]:
 
 
 def _checkpoint_agents(checkpoints, N: int) -> list:
-    """The checkpoints (default [N]) sorted and deduplicated, all in [1, N]."""
-    ns = sorted(set(int(n) for n in ([N] if checkpoints is None else checkpoints)))
+    """The checkpoints (default [N], or none if N < 1) sorted and deduplicated, in [1, N]."""
+    if checkpoints is None:
+        checkpoints = [N] if N >= 1 else []
+    ns = sorted(set(int(n) for n in checkpoints))
     if ns and (ns[0] < 1 or ns[-1] > N):
         raise ArgumentError(f"checkpoints must lie in [1, {N}], got {ns[0]}..{ns[-1]}")
     return ns

@@ -55,11 +55,7 @@ MAX_N = (1 << 63) - 1  # the largest agent index an int64 agent array holds
 
 
 def _jsonable(x):
-    if isinstance(x, np.generic):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    return str(x)
+    return x.item()  # a numpy scalar, the one non-JSON type a config or payload holds
 
 
 def _emit(path, text: str):
@@ -195,26 +191,22 @@ def _checkpoints(text, N: int) -> list:
     return cps
 
 
-def _resolved(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys}
-
-
 def _check_count(flag: str, value: int) -> None:
     if not 1 <= value <= MAX_N:
         raise ArgumentError(f"{flag} must lie in [1, 2^63 - 1], got {value}")
 
 
-def cmd_schedule(args) -> int:
+def cmd_schedule(args, config: dict) -> int:
     if args.m < 1:
         raise ArgumentError(f"--m must be >= 1, got {args.m}")
     k, r, start = segment_table(quantize(parse_model(args.model))).layout(args.m)
     columns = (range(1, args.m + 1), k, r, start, 2 * k + 2 * r)
     header = ["m", "k_m", "r_m", "segment_start", "segment_len"]
-    _write_csv(args.out, header, columns, _resolved(args, ["model", "m"]))
+    _write_csv(args.out, header, columns, config)
     return 0
 
 
-def cmd_exact(args) -> int:
+def cmd_exact(args, config: dict) -> int:
     _check_count("--n", args.n)
     cps = _checkpoints(args.checkpoints, args.n)
     model = quantize(parse_model(args.model))
@@ -225,42 +217,28 @@ def cmd_exact(args) -> int:
         traj = error_trajectory(profile, model, args.n, cps)
     columns = (traj.ns, traj.p0_correct, traj.p1_correct, traj.p_correct)
     # "k" records the window that ran, which a JSON profile sets itself.
-    config = {**_resolved(args, ["model", "profile", "n", "checkpoints"]), "k": profile.K}
+    config = {**config, "k": profile.K}
     _write_csv(args.out, ["n", "p0_correct", "p1_correct", "p_correct"], columns, config)
     return 0
 
 
-def cmd_series(args) -> int:
+def cmd_series(args, config: dict) -> int:
     model = quantize(parse_model(args.model))
     cps = _checkpoints(args.checkpoints, args.m)
     diag = series_diagnostics(model, args.m, cps)
     columns = (diag.checkpoints, diag.sum_p1k, diag.sum_q1r, diag.sum_p0k, diag.sum_q0r)
-    _write_csv(
-        args.out,
-        ["M", "sum_p1^k/m", "sum_q1^r/m", "sum_p0^k/m", "sum_q0^r/m"],
-        columns,
-        {
-            **_resolved(args, ["model", "m"]),
-            "alpha": {t: diag.alpha[t] for t in (0, 1)},
-            "beta": {t: diag.beta[t] for t in (0, 1)},
-        },
-    )
+    header = ["M", "sum_p1^k/m", "sum_q1^r/m", "sum_p0^k/m", "sum_q0^r/m"]
+    _write_csv(args.out, header, columns, {**config, "alpha": diag.alpha, "beta": diag.beta})
     return 0
 
 
-def cmd_simulate(args) -> int:
-    if args.seed is None:
-        seed = os.environ.get("TANDEMLEARN_SEED", "0")
-        try:
-            args.seed = int(seed)
-        except ValueError:
-            raise ArgumentError(f"TANDEMLEARN_SEED must be an integer, got {seed!r}") from None
+def cmd_simulate(args, config: dict) -> int:
     _check_count("--n", args.n)
     _check_count("--reps", args.reps)
     model = quantize(parse_model(args.model))
     cps = _checkpoints(args.checkpoints, args.n)
     profile = parse_profile(args.profile, model, K=args.k, horizon=args.n)
-    config = SimConfig(
+    stats = estimate_error(SimConfig(
         profile=profile,
         model=model,
         N=args.n,
@@ -268,11 +246,9 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         theta=args.theta,
         checkpoints=tuple(cps),
-    )
-    stats = estimate_error(config)
-    resolved = _resolved(args, ["model", "profile", "n", "reps", "seed", "theta"])
-    resolved.update(k=profile.K, checkpoints=list(stats.ns))
-    _write_csv(args.out, ["n", "mean", "se"], (stats.ns, stats.mean, stats.se), resolved)
+    ))
+    config = {**config, "k": profile.K, "checkpoints": list(stats.ns)}
+    _write_csv(args.out, ["n", "mean", "se"], (stats.ns, stats.mean, stats.se), config)
     if args.out_json:
         _write_json(
             args.out_json,
@@ -283,12 +259,12 @@ def cmd_simulate(args) -> int:
                 "last_switch_median": stats.last_switch_median,
                 "reps": stats.reps,
             },
-            resolved,
+            config,
         )
     return 0
 
 
-def cmd_equilibrium(args) -> int:
+def cmd_equilibrium(args, config: dict) -> int:
     try:
         n1, n2 = (int(x) for x in args.range.split(".."))
     except ValueError:
@@ -316,14 +292,13 @@ def cmd_equilibrium(args) -> int:
             "tail_bound": report.tail_bound,
             "violations": violations,
         },
-        {**_resolved(args, ["model", "profile", "delta", "eps", "range", "horizon"]),
-         "k": profile.K},
+        {**config, "k": profile.K},
         by_column="violations",
     )
     return 0
 
 
-def cmd_k1diag(args) -> int:
+def cmd_k1diag(args, config: dict) -> int:
     _check_count("--n", args.n)
     model = quantize(parse_model(args.model))
     profile = parse_profile(args.profile, model, K=1, horizon=args.n)
@@ -333,13 +308,15 @@ def cmd_k1diag(args) -> int:
         diag.abar[:, 1, 0], diag.sum_a01, diag.sum_a10,
     )
     header = ["n", "a01", "a10", "abar01", "abar10", "sum_a01", "sum_a10"]
-    _write_csv(args.out, header, columns, _resolved(args, ["model", "profile", "n"]))
+    _write_csv(args.out, header, columns, config)
     return 0
 
 
 _COMMON_FLAGS = {"--model": dict(default="p0=0.3,p1=0.7"), "--out": dict(default=None)}
 
-# Subcommand -> (handler, flags beside _COMMON_FLAGS).
+# Subcommand -> (handler, flags beside _COMMON_FLAGS).  A handler takes the
+# resolved flags and the config its artifacts record, to which it adds
+# only the values it resolves itself.
 _COMMANDS = {
     "schedule": (cmd_schedule, {"--m": dict(type=int, default=10)}),
     "exact": (
@@ -362,7 +339,7 @@ _COMMANDS = {
             "--n": dict(type=int, default=10**4),
             "--k": dict(type=int, default=2),
             "--reps": dict(type=int, default=100),
-            "--seed": dict(type=int, default=None),
+            "--seed": dict(type=int, default=0),
             "--theta": dict(type=int, default=None, choices=(0, 1)),
             "--checkpoints": dict(default=None),
             "--out-json": dict(default=None),
@@ -445,7 +422,9 @@ def main(argv=None) -> int:
         if given.config:
             values.update(_config_values(given.config, given.command, set(vars(given))))
         args = argparse.Namespace(**{**values, **vars(given)})
-        rc = _COMMANDS[args.command][0](args)
+        # An artifact records every flag of its subcommand but where it is written.
+        config = {key: getattr(args, key) for key in values.keys() - {"out", "out_json"}}
+        rc = _COMMANDS[args.command][0](args, config)
     except ModelError as exc:
         _write_json(None, {"error": "model", "reason": str(exc)}, {})
         return EXIT_MODEL_ERROR

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import rng
 from .chain import ArgumentError, _checkpoint_agents, agent_chunks
+from .schedule import refuse_past_memory
 
 
 @dataclass(frozen=True)
@@ -261,6 +262,7 @@ def simulate_path(config: SimConfig, replication: int) -> PathRecord:
 
 def estimate_error(config: SimConfig) -> PathStats:
     """Empirical P(x_n = theta) with standard errors over all streams."""
+    refuse_past_memory(config.reps, "replications")
     theta, decisions, census, switches, searching, last_switch = _run(
         config, np.arange(config.reps)
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import RoleKind, segment_table
+from .schedule import RoleKind, refuse_past_memory, segment_table
 
 MAX_K = 16  # widest window a profile may have; a rule table has 2^K x 2 entries
 
@@ -112,6 +112,7 @@ class TableProfile(Profile):
 
     def rule_palette(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
         """The default table, then the tables of the range's listed agents."""
+        refuse_past_memory(n1 - n0 + 1, "agent rule indices")
         lo, hi = np.searchsorted(self._agents, [n0, n1 + 1])
         index = np.zeros(n1 - n0 + 1, dtype=np.intp)
         index[self._agents[lo:hi] - n0] = np.arange(1, hi - lo + 1)

@@ -57,10 +57,16 @@ def block_sizes(m, model) -> tuple[np.ndarray, np.ndarray]:
     return k, r
 
 
+def refuse_past_memory(count: int, what: str) -> None:
+    """Raise MemoryError for an array of ``count`` entries from 2^59 on:
+    4 EiB of int64 fits no system, and numpy raises ValueError near 8 EiB."""
+    if count >= 1 << 59:
+        raise MemoryError(f"{count} {what}")
+
+
 def block_sizes_arrays(m_max: int, model) -> tuple[np.ndarray, np.ndarray]:
     """Block sizes (k_m, r_m) for m = 1..m_max, as int64 arrays."""
-    if m_max >= 1 << 59:  # 4 EiB: no system holds them, and numpy raises ValueError near 8 EiB
-        raise MemoryError(f"{m_max} int64 block sizes")
+    refuse_past_memory(m_max, "int64 block sizes")
     return block_sizes(np.arange(1, m_max + 1), model)
 
 
@@ -181,6 +187,7 @@ class SegmentTable:
         """
         if not (1 <= n0 <= n1):
             raise ValueError("need 1 <= n0 <= n1")
+        refuse_past_memory(n1 - n0 + 1, "agent roles")
         j0, lo, start = self._locate(n0) if n0 >= 3 else (0, 0, 1)  # 0: preamble
         j1, hi, _ = self._locate(n1) if n1 >= 3 else (0, 0, 1)
         first = max(lo, 1)

@@ -376,12 +376,13 @@ def test_enumeration_refuses_large_n(m37):
 
 
 def test_enumeration_of_no_checkpoint_or_no_agent_is_empty(m37):
-    """As in ``error_trajectory``: an empty list, or no agent, is no checkpoint."""
+    """In every trajectory, an empty list, or no agent, is no checkpoint."""
     copy = baseline_profile("copy", 2)
     for N, checkpoints in ((5, []), (0, None), (0, [])):
-        traj = brute_force_oracle(copy, m37, N, checkpoints)
-        assert traj.ns.size == traj.p0_correct.size == traj.p1_correct.size == 0
-    assert error_trajectory(copy, m37, 5, []).ns.size == 0
+        for traj in (brute_force_oracle(copy, m37, N, checkpoints),
+                     error_trajectory(copy, m37, N, checkpoints),
+                     designed_trajectory(m37, N, checkpoints)):
+            assert traj.ns.size == traj.p0_correct.size == traj.p1_correct.size == 0
 
 
 def test_block_start_transition_closed_form(m37):

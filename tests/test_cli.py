@@ -19,6 +19,8 @@ from tandemlearn import (
     error_trajectory,
 )
 from tandemlearn.cli import (
+    _COMMANDS,
+    _COMMON_FLAGS,
     EXIT_MODEL_ERROR,
     EXIT_USAGE_ERROR,
     _checkpoints,
@@ -159,6 +161,33 @@ def test_config_records_the_window_that_ran(argv, k, tmp_path, capsys):
     else:
         config = json.loads(text.splitlines()[1].removeprefix("# config: "))
     assert config["k"] == k
+
+
+@pytest.mark.parametrize("argv", [
+    ["schedule", "--m", "3"],
+    ["exact", "--profile", "copy", "--n", "5"],
+    ["series", "--m", "10"],
+    ["simulate", "--profile", "copy", "--n", "5", "--reps", "2", "--out-json", "{tmp}/sim.json"],
+    ["equilibrium", "--profile", "myopic", "--k", "1", "--range", "1..3"],
+    ["k1diag", "--n", "5"],
+], ids=lambda argv: argv[0])
+def test_every_artifact_records_every_flag_it_ran_with(argv, tmp_path):
+    """An artifact's config holds each flag of its subcommand but --out and
+    --out-json, given or not; ``series`` adds its exponents alpha and beta."""
+    out = tmp_path / "out"
+    assert main([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == 0
+    flags = {**_COMMON_FLAGS, **_COMMANDS[argv[0]][1]}.keys() - {"--out", "--out-json"}
+    expected = {flag[2:].replace("-", "_") for flag in flags}
+    expected |= {"alpha", "beta"} if argv[0] == "series" else set()
+    text = out.read_text()
+    if argv[0] == "equilibrium":
+        configs = [json.loads(text)["config"]]
+    else:
+        configs = [json.loads(text.splitlines()[1].removeprefix("# config: "))]
+    if argv[0] == "simulate":
+        configs.append(json.loads((tmp_path / "sim.json").read_text())["config"])
+    for config in configs:
+        assert config.keys() == expected
 
 
 def test_series_command(tmp_path):
@@ -469,6 +498,14 @@ def test_equilibrium_rejects_bad_arguments_with_usage_error(flags, capsys):
         ["series", "--m", "1000000000000"],
         ["schedule", "--m", "1000000000000"],
         ["k1diag", "--profile", "copy", "--n", "1000000000000"],
+        # Arrays of 2^59 entries and more are refused before numpy, which
+        # would raise ValueError for them.
+        ["k1diag", "--profile", "copy", "--n", str(2**62)],
+        ["equilibrium", "--profile", "copy", "--range", "1..5", "--delta", "0.5", "--eps", "0.01",
+         "--horizon", str(2**61)],
+        ["equilibrium", "--profile", "designed", "--range", "1..5", "--delta", "0.5",
+         "--eps", "0.01", "--horizon", str(2**62)],
+        ["simulate", "--profile", "copy", "--n", "10", "--reps", str(2**62)],
     ],
 )
 def test_bad_arguments_exit_with_usage_error(argv, capsys):
@@ -476,12 +513,6 @@ def test_bad_arguments_exit_with_usage_error(argv, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == "usage"
     assert payload["reason"]
-
-
-def test_non_integer_seed_variable_exits_with_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("TANDEMLEARN_SEED", "abc")
-    assert main(["simulate", "--model", "0.3,0.7", "--n", "10"]) == EXIT_USAGE_ERROR
-    assert "TANDEMLEARN_SEED" in json.loads(capsys.readouterr().out)["reason"]
 
 
 @pytest.mark.parametrize("eps", ["nan", "-1", "0", "inf"])
@@ -599,27 +630,18 @@ def test_cli_fuzz_exits_cleanly(data):
             for key in keys
         }
         config = data.draw(st.sampled_from([config, config, [config], "{not json"]))
-    env_seed = data.draw(st.sampled_from([None, "3", "x", "-1"]))
     out, err = io.StringIO(), io.StringIO()
-    saved = os.environ.pop("TANDEMLEARN_SEED", None)
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:
             path = os.path.join(tmp, "run.json")
             with open(path, "w") as fh:
                 fh.write(config if isinstance(config, str) else json.dumps(config))
             argv = ["--config", path] + argv
-        try:
-            if env_seed is not None:
-                os.environ["TANDEMLEARN_SEED"] = env_seed
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    rc = main(argv)
-                except SystemExit as exc:  # argparse rejects the flag itself
-                    rc = exc.code
-        finally:
-            os.environ.pop("TANDEMLEARN_SEED", None)
-            if saved is not None:
-                os.environ["TANDEMLEARN_SEED"] = saved
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse rejects the flag itself
+                rc = exc.code
     assert rc in (0, 2, 4), (argv, config, rc)
     if command == "equilibrium" and rc == 0:
         text = argv[argv.index("--eps") + 1] if "--eps" in argv else None
