@@ -17,6 +17,7 @@ check; block-start laws are (1 - pi, pi) and need none.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -34,11 +35,12 @@ _CHUNK = 1 << 12  # agents per chunk of rule tables
 _SCAN_MAX_K = 5  # widest window whose chunks are composed as matrices
 _CHUNK_BYTES = 1 << 20  # bound on one chunk's per-agent arrays
 _BLOCK = 16  # agents per block of the composed law walk
-# Agents a sweep covers in about the time of a stretch of its own (one
-# block-start chain step and a short sweep: about 125 us, against about
-# 0.13 us per agent swept, on a 2-vCPU Xeon); closer checkpoints share a
-# sweep in ``designed_trajectory``.
-_JOIN_GAP = 1 << 10
+# Agents a sweep walks in about the time of a stretch of its own (one
+# block-start chain step and a short sweep, 100-200 us, against 0.5-0.8 us
+# per agent of a chunk walked for its record points: checkpoints 128 apart
+# ran faster joined, 256 apart on their own, on a 2-vCPU Xeon); closer
+# checkpoints share a sweep in ``designed_trajectory``.
+_JOIN_GAP = 1 << 8
 
 
 class ChainDriftError(RuntimeError):
@@ -116,10 +118,9 @@ def _transition_operators(p_one: np.ndarray) -> np.ndarray:
     return ops
 
 
-def _pair_products(p_one: np.ndarray, first=None) -> np.ndarray:
-    """``T_a @ T_(a+1)`` for the agents a of ``first``, offsets into the
-    agents of p_one (2, n, S), or for a = 0, 2, 4, ... by default: shape
-    (2, pairs, S, S), the first round of ``_compose``.
+def _pair_products(p_one: np.ndarray) -> np.ndarray:
+    """``T_a @ T_(a+1)`` for the agents a = 0, 2, 4, ... of p_one (2, n, S):
+    shape (2, n // 2, S, S), the first round of ``_compose``.
 
     For K >= 2 window u reaches v = (4u + 2x_a + x_b) mod S through one
     window w only, so an entry is the one product P(x_a | u) P(x_b | w)
@@ -128,22 +129,17 @@ def _pair_products(p_one: np.ndarray, first=None) -> np.ndarray:
     and the operators are multiplied.
     """
     even = p_one.shape[1] & ~1
-
-    def pick(values, b):  # the first (b = 0) or second (b = 1) agents of the pairs
-        return values[..., b:even:2] if first is None else values.take(first + b, axis=-1)
-
-    by_agent = p_one.transpose(0, 2, 1)  # [theta, u, agent]
     n_states = p_one.shape[2]
     if n_states == 2:
-        pair = [_transition_operators(pick(by_agent, b).transpose(0, 2, 1)) for b in (0, 1)]
-        return np.matmul(*pair)
-    by_agent = np.ascontiguousarray(by_agent)  # so that each product below loops over the pairs
+        return np.matmul(*(_transition_operators(p_one[:, b:even:2]) for b in (0, 1)))
+    # [theta, u, agent], contiguous so that each product below loops over the pairs
+    by_agent = np.ascontiguousarray(p_one.transpose(0, 2, 1))
     # u = (t, r) by its top two bits and the rest, w = (t mod 2, r, x_a) and
     # v = (r, x_a, x_b): the entries u -> v lie on the strided diagonal r = r'.
     quarter = n_states >> 2
     steps = (1.0 - by_agent, by_agent)  # P(x = 0 | u) and P(x = 1 | u)
-    steps_a = [pick(step, 0).reshape(2, 4, quarter, -1) for step in steps]
-    steps_b = [pick(step, 1).reshape(2, 2, quarter, 2, -1) for step in steps]
+    steps_a = [step[..., 0:even:2].reshape(2, 4, quarter, -1) for step in steps]  # agents a
+    steps_b = [step[..., 1:even:2].reshape(2, 2, quarter, 2, -1) for step in steps]  # agents a + 1
     n = steps_a[0].shape[-1]
     out = np.zeros((2, n, n_states, n_states))
     paths = out.reshape(2, n, 4, quarter * quarter, 4)[:, :, :, :: quarter + 1]
@@ -238,7 +234,7 @@ def _chunk_agents(K: int) -> int:
     # Agents per chunk: _CHUNK, or fewer where 16 S^2 bytes per agent up
     # to _SCAN_MAX_K (16 S above it) would pass 1 MB; a chunk's pair
     # products take half of that.  The grid fixes the bits of every law:
-    # every stretch ends on a chunk end and is renormalised there.
+    # each chunk is applied or walked whole and renormalised at its end.
     n_states = 1 << K
     per_agent = 16 * n_states * (n_states if K <= _SCAN_MAX_K else 1)
     return max(1, min(_CHUNK, _CHUNK_BYTES // per_agent))
@@ -266,13 +262,14 @@ def sweep(profile, model, N: int, record_after=()) -> dict:
     under each state of the world after the decision of agent ``step``
     (step 0 is the initial zero-padded point mass, i.e. the law of v_1).
 
-    The agents up to the last record point are taken in chunks.  Each
-    chunk's step probabilities are made once per distinct rule table of
-    its ``rule_palette`` and the products of its agent pairs
-    (``_pair_products``) once per chunk; the stretches of a chunk between
-    record points are applied as one composed product each.  Composing
-    costs O(S^3) per agent, so for K > _SCAN_MAX_K agents are applied one
-    at a time in O(S) instead.
+    The agents up to the last record point are taken in chunks on one
+    fixed grid, with step probabilities made once per distinct rule
+    table of a chunk's ``rule_palette``.  A chunk with no record point
+    before its last agent is applied as one product of its agent pairs
+    (``_pair_products``, composed in log depth); any other chunk, and
+    every chunk for K > _SCAN_MAX_K (O(S) per agent against O(S^3)), is
+    walked (``_walk``) and its record laws are read off the laws before
+    its agents.  Each chunk is renormalised at its end, and only there.
     """
     points = set(int(s) for s in record_after)
     if points and (min(points) < 0 or max(points) > N):
@@ -288,28 +285,21 @@ def _sweep_from(profile, model, n0: int, d: np.ndarray, points: set) -> dict:
     ``points``, all at least n0 - 1."""
     sig = _signal_laws(model)
     laws = {n0 - 1: d.copy()} if n0 - 1 in points else {}
-    size = _chunk_agents(profile.K)
-    for lo, hi in agent_chunks(n0, max(points, default=0), size):
+    ends = sorted(points)
+    for lo, hi in agent_chunks(n0, max(points, default=0), _chunk_agents(profile.K)):
         p_one = _palette_step_probs(*profile.rule_palette(lo, hi), sig)
-        stretches = [(a - lo, b - lo) for a, b in agent_chunks(lo, hi, size, points)]
-        if profile.K <= _SCAN_MAX_K:  # each stretch pairs its agents from its own first one
-            first = None  # slices when no record point cuts the chunk
-            if len(stretches) > 1:
-                first = np.concatenate([np.arange(a, b, 2) for a, b in stretches])
-            pairs = _pair_products(p_one, first)
-            done = 0
-        for a, b in stretches:
-            if profile.K > _SCAN_MAX_K:
-                d = _advance(d, p_one[:, a : b + 1])[1]
-            else:
-                ops = pairs[:, done : done + (b - a + 1) // 2]
-                done += ops.shape[1]
-                if (b - a) % 2 == 0:  # an odd stretch's last agent carries over
-                    ops = np.concatenate([ops, _transition_operators(p_one[:, b : b + 1])], axis=1)
-                d = np.matmul(d[:, None, :], _compose(ops))[:, 0]
-            d /= _mass(d)
-            if lo + b in points:
-                laws[lo + b] = d.copy()
+        inner = ends[bisect.bisect_left(ends, lo) : bisect.bisect_left(ends, hi)]
+        if inner or profile.K > _SCAN_MAX_K:
+            before, d = _walk(d, p_one)
+            laws.update((n, before[:, n + 1 - lo].copy()) for n in inner)
+        else:
+            ops = _pair_products(p_one)
+            if (hi - lo) % 2 == 0:  # an odd chunk's last agent carries over
+                ops = np.concatenate([ops, _transition_operators(p_one[:, -1:])], axis=1)
+            d = np.matmul(d[:, None, :], _compose(ops))[:, 0]
+        d /= _mass(d)
+        if hi in points:
+            laws[hi] = d.copy()
     return laws
 
 
@@ -364,11 +354,6 @@ class Trajectory:
         return 0.5 * (self.p0_correct + self.p1_correct)
 
 
-def _correct_probs(laws: np.ndarray) -> tuple[float, float]:
-    # After agent n acts, the low bit of the window code is x_n.
-    return float(laws[0, 0::2].sum()), float(laws[1, 1::2].sum())
-
-
 def _checkpoint_agents(checkpoints, N: int) -> list:
     """The checkpoints (default [N], or none if N < 1) sorted and deduplicated, in [1, N]."""
     if checkpoints is None:
@@ -380,10 +365,9 @@ def _checkpoint_agents(checkpoints, N: int) -> list:
 
 
 def _trajectory(ns: list, snaps: dict) -> Trajectory:
-    p0 = np.empty(len(ns))
-    p1 = np.empty(len(ns))
-    for i, n in enumerate(ns):
-        p0[i], p1[i] = _correct_probs(snaps[n])
+    laws = np.array([snaps[n] for n in ns] or np.zeros((0, 2, 2)))  # [checkpoint, theta, window]
+    # After agent n acts, the low bit of the window code is x_n.
+    p0, p1 = laws[:, 0, 0::2].sum(axis=-1), laws[:, 1, 1::2].sum(axis=-1)
     return Trajectory(ns=np.asarray(ns), p0_correct=p0, p1_correct=p1)
 
 

@@ -22,6 +22,12 @@ from .chain import ArgumentError, _checkpoint_agents, agent_chunks
 from .schedule import refuse_past_memory
 
 
+def _check_key(name: str, key) -> None:
+    """A seed or stream id: an integer, not a bool, in [0, 2^64)."""
+    if isinstance(key, bool) or not isinstance(key, (int, np.integer)) or not 0 <= key < 1 << 64:
+        raise ArgumentError(f"{name} must be an integer in [0, 2^64), got {key!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     profile: object
@@ -37,10 +43,7 @@ class SimConfig:
             raise ArgumentError("need at least one replication")
         if self.N < 1:
             raise ArgumentError("need at least one agent")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ArgumentError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ArgumentError(f"seed must lie in [0, 2^64), got {self.seed}")
+        _check_key("seed", self.seed)
         if self.theta not in (None, 0, 1):
             raise ArgumentError(f"theta must be None, 0 or 1, got {self.theta!r}")
         cps = _checkpoint_agents(tuple(self.checkpoints) or None, self.N)  # () is (N,)
@@ -246,6 +249,7 @@ def _run(config: SimConfig, streams: np.ndarray):
 
 def simulate_path(config: SimConfig, replication: int) -> PathRecord:
     """Single replication; deterministic given (seed, replication)."""
+    _check_key("replication", replication)
     theta, decisions, census, switches, searching, last_switch = _run(
         config, np.array([replication])
     )

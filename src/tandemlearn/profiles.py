@@ -252,6 +252,8 @@ def myopic_profile(model, K: int, horizon: int) -> TableProfile:
     profile, built against the exact window laws the profile itself
     induces, so it is a myopic best-response fixed point.  Agents past the
     stored tables (the laws' fixed point, or the horizon) play the last."""
+    if K < 1:  # Profile's own check, made before the induction that needs a window
+        raise ValueError("window length K must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     tables = _myopic_induction(model, K, horizon)

@@ -161,22 +161,27 @@ def test_sweep_matches_sequential_propagation(name, m37, m46, tmp_path):
 
 
 def _reference_sweep(profile, model, N, points):
-    """The sweep with one dense operator per agent: each stretch between
-    record points is composed by ``_compose`` from its own first agent,
-    applied and renormalised.  The reference for ``sweep``'s pair products."""
+    """The sweep with one dense operator per agent: a chunk with no record
+    point before its last agent is composed by ``_compose`` and applied,
+    any other is walked by ``_walk`` on its dense step probabilities;
+    each is renormalised at its end.  The reference for ``sweep``'s pair
+    products and rule palettes."""
     points = set(points)
     d = np.zeros((2, 1 << profile.K))
     d[:, 0] = 1.0
     sig = _signal_laws(model)
     laws = {0: d.copy()} if 0 in points else {}
-    size = _chunk_agents(profile.K)
-    for lo, hi in agent_chunks(1, N, size):
-        ops = _transition_operators(_step_probs(profile.rule_table_chunk(lo, hi), sig))
-        for a, b in agent_chunks(lo, hi, size, points):
-            d = np.matmul(d[:, None, :], _compose(ops[:, a - lo : b - lo + 1]))[:, 0]
-            d /= _mass(d)
-            if b in points:
-                laws[b] = d.copy()
+    for lo, hi in agent_chunks(1, N, _chunk_agents(profile.K)):
+        p_one = _step_probs(profile.rule_table_chunk(lo, hi), sig)
+        inner = [n for n in range(lo, hi) if n in points]
+        if inner:
+            before, d = _walk(d, p_one)
+            laws.update((n, before[:, n + 1 - lo].copy()) for n in inner)
+        else:
+            d = np.matmul(d[:, None, :], _compose(_transition_operators(p_one)))[:, 0]
+        d /= _mass(d)
+        if hi in points:
+            laws[hi] = d.copy()
     return laws
 
 
@@ -229,9 +234,24 @@ def test_pair_products_equal_the_operator_matmul(K, m37):
         got = _pair_products(p_one[:, : 2 * pairs + 1])  # slices; the lone last agent is left out
         assert got.shape == (2, pairs, 1 << K, 1 << K)
         assert np.array_equal(got, ref), (K, pairs)
-        first = np.sort(rng.choice(4098, size=pairs, replace=False))  # index arrays
-        ref = np.matmul(_transition_operators(p_one[:, first]), _transition_operators(p_one[:, first + 1]))
-        assert np.array_equal(_pair_products(p_one, first), ref), (K, pairs)
+
+
+def test_a_chunk_with_dense_record_points_is_composed_once(m37, monkeypatch):
+    """The agents before the 3374 block starts up to 2*10^4 lie in 5
+    chunks; each chunk is walked as one unit, with one ``_compose`` call,
+    however many record points it holds."""
+    k, _, start = segment_table(m37).layout(2000)
+    opened = np.stack([start, start + 2 * k], axis=1).ravel()
+    points = (opened[opened <= 20_000] - 1).tolist()
+    assert len(points) == 3374
+    chunks = list(agent_chunks(1, max(points), _chunk_agents(2)))
+    assert len(chunks) == 5
+    calls = []
+    compose = chain._compose
+    monkeypatch.setattr(chain, "_compose", lambda ops: calls.append(ops.shape) or compose(ops))
+    laws = sweep(designed_profile(m37), m37, 2 * 10**4, points)
+    assert sorted(laws) == points
+    assert 1 <= len(calls) <= len(chunks)
 
 
 @pytest.mark.parametrize("K", [_SCAN_MAX_K + 1, 12])

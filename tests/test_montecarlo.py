@@ -139,6 +139,17 @@ def test_seed_must_lie_in_the_uint64_range(m37):
     assert _config(dp, m37, seed=(1 << 64) - 1).seed == (1 << 64) - 1
 
 
+def test_replication_is_checked_as_the_seed_is(m37):
+    """A replication outside [0, 2^64), a float or a bool is refused, not
+    wrapped, truncated or recorded as given."""
+    cfg = _config(designed_profile(m37), m37, N=20, checkpoints=(20,))
+    for replication in (-1, 1 << 64, 1.5, "3", True):
+        with pytest.raises(ArgumentError, match="replication must be an integer"):
+            simulate_path(cfg, replication)
+    assert simulate_path(cfg, (1 << 64) - 1).stream == (1 << 64) - 1
+    assert simulate_path(cfg, np.uint64(7)) == simulate_path(cfg, 7)
+
+
 # ---------------------------------------------------------------------------
 # Block draws and the chunked loop against the agent-by-agent reference.
 # ---------------------------------------------------------------------------

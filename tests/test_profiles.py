@@ -37,6 +37,12 @@ def test_argument_checks_raise_value_error(call, m37):
         call(m37)
 
 
+def test_myopic_profile_checks_its_window_length_first(m37):
+    # Profile's own check, before the induction builds laws of no window.
+    with pytest.raises(ValueError, match="window length K must be >= 1"):
+        myopic_profile(m37, K=0, horizon=5)
+
+
 def test_window_code_roundtrip():
     for K in (1, 2, 3):
         for code in range(1 << K):
