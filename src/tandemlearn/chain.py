@@ -34,13 +34,10 @@ DRIFT_TOLERANCE = 1e-9
 _CHUNK = 1 << 12  # agents per chunk of rule tables
 _SCAN_MAX_K = 5  # widest window whose chunks are composed as matrices
 _CHUNK_BYTES = 1 << 20  # bound on one chunk's per-agent arrays
-_BLOCK = 16  # agents per block of the composed law walk
-# Agents a sweep walks in about the time of a stretch of its own (one
-# block-start chain step and a short sweep, 100-200 us, against 0.5-0.8 us
-# per agent of a chunk walked for its record points: checkpoints 128 apart
-# ran faster joined, 256 apart on their own, on a 2-vCPU Xeon); closer
-# checkpoints share a sweep in ``designed_trajectory``.
-_JOIN_GAP = 1 << 8
+# Agents walked in about the time of a stretch of its own (120-170 us at 0.2-0.25 us
+# per agent: checkpoints 512 apart from 10^5 and 10^6 ran as fast or faster joined,
+# 768 apart alone, on a 2-vCPU Xeon); closer ones share a ``designed_trajectory`` sweep.
+_JOIN_GAP = 1 << 9
 
 
 class ChainDriftError(RuntimeError):
@@ -53,6 +50,13 @@ class ZeroProbabilityError(ValueError):
 
 class ArgumentError(ValueError):
     """An argument outside the range its function accepts (CLI exit code 4)."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is an integer (numpy's too), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +82,7 @@ def _signal_laws(model) -> np.ndarray:
 def _mass(d: np.ndarray) -> np.ndarray:
     """Total mass of each law in d (..., S); drift beyond DRIFT_TOLERANCE raises."""
     total = d.sum(axis=-1, keepdims=True)
-    if np.abs(total - 1.0).max() > DRIFT_TOLERANCE:
+    if not all(abs(t - 1.0) <= DRIFT_TOLERANCE for t in total.ravel().tolist()):  # NaN too
         raise ChainDriftError(f"probability mass drifted to {total.ravel()!r}")
     return total
 
@@ -120,13 +124,12 @@ def _transition_operators(p_one: np.ndarray) -> np.ndarray:
 
 def _pair_products(p_one: np.ndarray) -> np.ndarray:
     """``T_a @ T_(a+1)`` for the agents a = 0, 2, 4, ... of p_one (2, n, S):
-    shape (2, n // 2, S, S), the first round of ``_compose``.
+    shape (2, n // 2, S, S), the bottom level of ``_tree``.
 
     For K >= 2 window u reaches v = (4u + 2x_a + x_b) mod S through one
-    window w only, so an entry is the one product P(x_a | u) P(x_b | w)
-    and ``np.matmul`` of the two operators, whose other terms are exact
-    zeros, gives the same bits.  For K = 1 two paths reach each window,
-    and the operators are multiplied.
+    window w only, so an entry is the one product P(x_a | u) P(x_b | w),
+    the bits of ``np.matmul`` of the two operators, whose other terms are
+    exact zeros.  For K = 1 two paths reach each window: a matmul.
     """
     even = p_one.shape[1] & ~1
     n_states = p_one.shape[2]
@@ -152,21 +155,23 @@ def _pair_products(p_one: np.ndarray) -> np.ndarray:
     return out
 
 
-def _compose(ops: np.ndarray) -> np.ndarray:
-    """Ordered product ``ops[..., 0, :, :] @ ops[..., 1, :, :] @ ...`` over axis
-    -3: (2, n, S, S) gives (2, S, S) and (2, b, n, S, S) gives b products.
+def _tree(pairs: np.ndarray):
+    """The levels of the product tree over ``pairs`` (2, n, S, S) up to one
+    node, each a batched matmul of adjacent nodes with an odd last one carried
+    over: node i of level l is pairs i 2^l .. (i + 1) 2^l - 1 if one follows."""
+    yield pairs
+    while pairs.shape[1] > 1:
+        even = pairs.shape[1] & ~1
+        paired = np.matmul(pairs[:, 0:even:2], pairs[:, 1:even:2])
+        if even < pairs.shape[1]:
+            paired = np.concatenate([paired, pairs[:, even:]], axis=1)
+        pairs = paired
+        yield pairs
 
-    Adjacent pairs are multiplied in one batched matmul per round, which
-    halves the count (an odd last factor carries over), so the product
-    takes log2(n) rounds of numpy work instead of n Python steps.
-    """
-    while ops.shape[-3] > 1:
-        even = ops.shape[-3] & ~1
-        paired = np.matmul(ops[..., 0:even:2, :, :], ops[..., 1:even:2, :, :])
-        if even < ops.shape[-3]:
-            paired = np.concatenate([paired, ops[..., even:, :, :]], axis=-3)
-        ops = paired
-    return ops[..., 0, :, :]
+
+def _apply(d: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Laws d (..., S) through ops (..., S, S): the walk's one form, bits free of the batch."""
+    return np.matmul(d[..., None, :], ops)[..., 0, :]
 
 
 def _step(d: np.ndarray, p_one: np.ndarray) -> np.ndarray:
@@ -176,9 +181,11 @@ def _step(d: np.ndarray, p_one: np.ndarray) -> np.ndarray:
     Windows u and u + S/2 differ only in the bit that drops out, so both
     move to windows 2r and 2r + 1 for r = u mod S/2.
     """
-    mass = d.reshape(*d.shape[:-1], 2, -1, 1)  # [..., dropped bit, r, 1]
-    p = p_one.reshape(mass.shape)
-    return (mass * np.concatenate([1.0 - p, p], axis=-1)).sum(axis=-3).reshape(d.shape)
+    half, zero, one = d.shape[-1] // 2, d * (1.0 - p_one), d * p_one
+    out = np.empty(d.shape)
+    out[..., 0::2] = zero[..., :half] + zero[..., half:]
+    out[..., 1::2] = one[..., :half] + one[..., half:]
+    return out
 
 
 def _advance(d: np.ndarray, p_one: np.ndarray):
@@ -196,45 +203,54 @@ def _advance(d: np.ndarray, p_one: np.ndarray):
     return before, d
 
 
-def _walk(d: np.ndarray, p_one: np.ndarray):
-    """``_advance`` in log depth for K <= _SCAN_MAX_K, equal to rounding
-    and with the same zero pattern.  Pieces of ``_chunk_agents`` agents
-    are cut into blocks of _BLOCK; the block products (``_compose``,
-    batched) and their prefix products give each block's first law, and
-    then all blocks step side by side.  So a law depends on its place on
-    that grid, never on the agents after it.
-    """
-    n_states = d.shape[-1]
-    if n_states > 1 << _SCAN_MAX_K:
-        return _advance(d, p_one)
-    before = np.empty((2, p_one.shape[1] + 1, n_states))  # and the law after the last
-    size = _chunk_agents(n_states.bit_length() - 1)
-    for lo in range(0, p_one.shape[1], size):
-        count = min(size, p_one.shape[1] - lo)
-        steps = np.zeros((2, (count // _BLOCK + 1) * _BLOCK, n_states))  # p = 0 past the piece
-        steps[:, :count] = p_one[:, lo : lo + count]
-        steps = steps.reshape(2, -1, _BLOCK, n_states)
-        pairs = _pair_products(steps[:, :-1].reshape(2, -1, n_states))  # no pair crosses a block
-        prefix = _compose(pairs.reshape(2, -1, _BLOCK // 2, n_states, n_states))
-        shift = 1
-        while shift < prefix.shape[1]:  # inclusive prefix products (Hillis-Steele)
-            prefix = np.concatenate([prefix[:, :shift], prefix[:, :-shift] @ prefix[:, shift:]], 1)
-            shift *= 2
-        laws = np.concatenate([d[:, None], (d[:, None, None] @ prefix)[:, :, 0]], axis=1)
-        out = np.empty(steps.shape)
-        for i in range(_BLOCK):
-            out[:, :, i], laws = laws, _step(laws, steps[:, :, i])
-        before[:, lo : lo + count + 1] = out.reshape(2, -1, n_states)[:, : count + 1]
-        d = before[:, lo + count]
+def _walk(d: np.ndarray, p_one: np.ndarray, at=None, held=None):
+    """Laws (2, len(at), S) before the agents ``at`` (ascending; all if None)
+    of p_one (2, n, S) and the law after the last, from d (2, S): ``_advance``
+    in log depth for K <= _SCAN_MAX_K, equal to rounding and with its zero
+    pattern.  d passes the nodes of each piece's ``_tree`` named by the
+    binary digits of its pair count, highest first.  Wanted laws pass down
+    the levels (a left child starts where its node does, a right child after
+    its sibling), so they never depend on the piece's end; odd agents take
+    one ``_step`` more.  A list ``held`` keeps the last piece's pair products."""
+    if d.shape[-1] > 1 << _SCAN_MAX_K:
+        before, d = _advance(d, p_one)
+        return (before if at is None else before[:, at]), d
+    at = np.arange(p_one.shape[1]) if at is None else np.asarray(at, dtype=np.intp)
+    laws, held = np.empty((2, at.size, d.shape[-1])), [] if held is None else held
+    size = _chunk_agents(d.shape[-1].bit_length() - 1)
+    ends = at.searchsorted(np.arange(0, p_one.shape[1] + size, size)).tolist()  # per piece
+    for lo, a, b in zip(range(0, p_one.shape[1], size), ends, ends[1:]):
+        piece, levels, digits = p_one[:, lo : lo + size], [], []
+        pairs = piece.shape[1] >> 1
+        held[:] = [_pair_products(piece)]  # the previous piece's go once these exist
+        for level, nodes in enumerate(_tree(held[0])):
+            if b > a:
+                levels.append(nodes)
+            if pairs >> level & 1:
+                digits.append(nodes[:, (pairs >> level) - 1].copy())
+        starts = d[:, None]  # the law before each node of the level above
+        for node in reversed(digits):
+            d = _apply(d, node)
+        for nodes in reversed(levels):  # a level has twice the nodes of the one above, or one fewer
+            below = np.empty((2, nodes.shape[1], d.shape[-1]))
+            below[:, 0::2] = starts
+            below[:, 1::2] = _apply(starts[:, : nodes.shape[1] // 2], nodes[:, 0:-1:2])
+            starts = below
+        if b > a:  # d is the law after the pairs, before a lone last agent
+            wanted = at[a:b] - lo
+            laws[:, a:b] = np.concatenate([starts, d[:, None]], axis=1)[:, wanted >> 1]
+            odd = a + np.flatnonzero(wanted & 1)
+            laws[:, odd] = _step(laws[:, odd], p_one[:, at[odd] - 1])
+        if piece.shape[1] & 1:
+            d = _step(d, piece[:, -1])
     _mass(d)
-    return before[:, :-1], d
+    return laws, d
 
 
 def _chunk_agents(K: int) -> int:
     # Agents per chunk: _CHUNK, or fewer where 16 S^2 bytes per agent up
-    # to _SCAN_MAX_K (16 S above it) would pass 1 MB; a chunk's pair
-    # products take half of that.  The grid fixes the bits of every law:
-    # each chunk is applied or walked whole and renormalised at its end.
+    # to _SCAN_MAX_K (16 S above it) would pass 1 MB; its pair products
+    # take half.  The grid fixes the bits: a chunk is one renormalised walk.
     n_states = 1 << K
     per_agent = 16 * n_states * (n_states if K <= _SCAN_MAX_K else 1)
     return max(1, min(_CHUNK, _CHUNK_BYTES // per_agent))
@@ -261,15 +277,9 @@ def sweep(profile, model, N: int, record_after=()) -> dict:
     Returns {step: laws}, where laws (2, S) holds the window distribution
     under each state of the world after the decision of agent ``step``
     (step 0 is the initial zero-padded point mass, i.e. the law of v_1).
-
     The agents up to the last record point are taken in chunks on one
-    fixed grid, with step probabilities made once per distinct rule
-    table of a chunk's ``rule_palette``.  A chunk with no record point
-    before its last agent is applied as one product of its agent pairs
-    (``_pair_products``, composed in log depth); any other chunk, and
-    every chunk for K > _SCAN_MAX_K (O(S) per agent against O(S^3)), is
-    walked (``_walk``) and its record laws are read off the laws before
-    its agents.  Each chunk is renormalised at its end, and only there.
+    fixed grid, with step probabilities made once per table of a chunk's
+    ``rule_palette``; each chunk is one ``_walk``, renormalised at its end.
     """
     points = set(int(s) for s in record_after)
     if points and (min(points) < 0 or max(points) > N):
@@ -285,19 +295,14 @@ def _sweep_from(profile, model, n0: int, d: np.ndarray, points: set) -> dict:
     ``points``, all at least n0 - 1."""
     sig = _signal_laws(model)
     laws = {n0 - 1: d.copy()} if n0 - 1 in points else {}
-    ends = sorted(points)
+    ends, held = sorted(points), []  # held keeps the last chunk's pair products: freed
+    # with the rest of it, glibc gave back the heap top per chunk (55,000 minor faults, not 400)
     for lo, hi in agent_chunks(n0, max(points, default=0), _chunk_agents(profile.K)):
         p_one = _palette_step_probs(*profile.rule_palette(lo, hi), sig)
         inner = ends[bisect.bisect_left(ends, lo) : bisect.bisect_left(ends, hi)]
-        if inner or profile.K > _SCAN_MAX_K:
-            before, d = _walk(d, p_one)
-            laws.update((n, before[:, n + 1 - lo].copy()) for n in inner)
-        else:
-            ops = _pair_products(p_one)
-            if (hi - lo) % 2 == 0:  # an odd chunk's last agent carries over
-                ops = np.concatenate([ops, _transition_operators(p_one[:, -1:])], axis=1)
-            d = np.matmul(d[:, None, :], _compose(ops))[:, 0]
-        d /= _mass(d)
+        before, d = _walk(d, p_one, [n + 1 - lo for n in inner], held)
+        laws.update(zip(inner, before.swapaxes(0, 1)))  # one (2, S) view of before per point
+        d /= d.sum(axis=-1, keepdims=True)  # _walk has checked the drift
         if hi in points:
             laws[hi] = d.copy()
     return laws
@@ -309,12 +314,9 @@ def law_walk(profile, model, n0: int, n1: int, horizon: int = 0):
     Yields (lo, tables, p_one, before) for each chunk lo..hi: the rule
     tables (n, S, 2) and step probabilities (2, n, S) of agents lo..hi +
     horizon, and the per-theta laws (2, hi - lo + 1, S) of the window
-    before each agent lo..hi.  The law before n0 comes from ``sweep``;
-    from there ``_walk`` advances the laws with nothing rescaled, so they
-    depend on the chunks only to rounding, and never on n1.  A chunk and
-    its horizon hold at most _CHUNK_BYTES / (32 S) agents, so the step
-    probabilities and a caller's [n, u, s, y] arrays stay within
-    _CHUNK_BYTES.
+    before each agent lo..hi, from ``sweep`` and then ``_walk`` with nothing
+    rescaled, so never dependent on n1.  A chunk and its horizon hold at most
+    _CHUNK_BYTES / (32 S) agents: a caller's [n, u, s, y] arrays stay in it.
     """
     if not (1 <= n0 <= n1):
         raise ArgumentError(f"need 1 <= n0 <= n1, got {n0}..{n1}")
@@ -323,10 +325,9 @@ def law_walk(profile, model, n0: int, n1: int, horizon: int = 0):
     size = max(1, _CHUNK_BYTES // (32 << profile.K) - horizon)
     for lo, hi in agent_chunks(n0, n1, size):
         palette, index = profile.rule_palette(lo, hi + horizon)
-        tables = palette.take(index, axis=0)
         p_one = _palette_step_probs(palette, index, sig)
         before, d = _walk(d, p_one[:, : hi - lo + 1])
-        yield lo, tables, p_one, before
+        yield lo, palette.take(index, axis=0), p_one, before
 
 
 def window_distributions(profile, model, ns) -> dict:
@@ -356,6 +357,7 @@ class Trajectory:
 
 def _checkpoint_agents(checkpoints, N: int) -> list:
     """The checkpoints (default [N], or none if N < 1) sorted and deduplicated, in [1, N]."""
+    N = _integer("N", N)
     if checkpoints is None:
         checkpoints = [N] if N >= 1 else []
     ns = sorted(set(int(n) for n in checkpoints))
@@ -405,7 +407,7 @@ def block_start_trajectory(model, theta: int, segments: int) -> BlockStartChain:
     p^{k_m}/m; downward only across R-blocks (even i), with probability
     q^{r_m}/m, where m = m(i) indexes the block's segment.
     """
-    if segments < 1:
+    if _integer("segments", segments) < 1:
         raise ArgumentError("need at least one segment")
     k, r = block_sizes_arrays(segments, model)
     p, q = model.p(theta), model.q(theta)
@@ -480,9 +482,8 @@ def designed_trajectory(model, N: int, checkpoints=None) -> Trajectory:
     (``_block_start_laws``).  Each checkpoint n is swept from its last
     block start <= n, at most 2 k_m + 2 r_m agents; agents 1 and 2 from
     agent 1, whose window is (0,0) like w_1.  A checkpoint whose stretch
-    begins at most _JOIN_GAP agents after the previous checkpoint is
-    swept in that checkpoint's stretch, so dense checkpoints cost one
-    sweep, as in ``error_trajectory``.
+    begins at most _JOIN_GAP agents after the previous checkpoint is swept
+    in that one's stretch, so dense checkpoints cost one sweep.
     """
     ns = _checkpoint_agents(checkpoints, N)
     profile = designed_profile(model)
@@ -513,7 +514,7 @@ def block_start_masses(profile, model, segments: int):
     """
     if profile.K != 2:
         raise ArgumentError(f"block-start masses need a K=2 profile, got K={profile.K}")
-    if segments < 1:
+    if _integer("segments", segments) < 1:
         raise ArgumentError("need at least one segment")
     k, _, start = segment_table(model).layout(segments)
     # The agent before each block start: S-block m at start_m, R-block m 2k_m later.
@@ -549,7 +550,7 @@ class SeriesDiagnostics:
 
 def series_diagnostics(model, M: int, checkpoints=None) -> SeriesDiagnostics:
     """Partial sums up to each checkpoint M' <= M plus tail exponents."""
-    if M < 2:
+    if _integer("M", M) < 2:
         raise ArgumentError("need M >= 2")
     cps = _checkpoint_agents(checkpoints, M)
     if not cps:
@@ -602,6 +603,8 @@ class K1Diagnostics:
 def k1_diagnostics(profile, model, N: int) -> K1Diagnostics:
     if profile.K != 1:
         raise ArgumentError(f"k1_diagnostics requires a K=1 profile, got K={profile.K}")
+    if _integer("N", N) < 0:
+        raise ArgumentError(f"need N >= 0, got {N}")
     m_blr, M_blr = blr_bounds(model)
     sig = _signal_laws(model)
     palette, index = profile.rule_palette(1, N)
@@ -613,15 +616,8 @@ def k1_diagnostics(profile, model, N: int) -> K1Diagnostics:
     a, abar = np.where(seen[..., None], np.stack([1.0 - one, one], axis=-1), np.nan)
     inside = (m_blr * abar - 1e-12 <= a) & (a <= M_blr * abar + 1e-12)
     violations = np.argwhere(seen.all(axis=0)[..., None] & ~inside)
-    return K1Diagnostics(
-        a=a,
-        abar=abar,
-        sum_a01=np.nancumsum(a[:, 0, 1]),
-        sum_a10=np.nancumsum(a[:, 1, 0]),
-        sum_abar01=np.nancumsum(abar[:, 0, 1]),
-        sum_abar10=np.nancumsum(abar[:, 1, 0]),
-        coupling_violations=[(int(n) + 1, int(i), int(j)) for n, i, j in violations],
-    )
+    sums = [np.nancumsum(x[:, i, 1 - i]) for x in (a, abar) for i in (0, 1)]  # a01, a10, then abar
+    return K1Diagnostics(a, abar, *sums, [(int(n) + 1, int(i), int(j)) for n, i, j in violations])
 
 
 def k1_error_floor(model) -> float:
@@ -653,7 +649,7 @@ def brute_force_oracle(profile, model, N: int, checkpoints=None) -> Trajectory:
     randomization integrated analytically at each step.  Refuses N
     beyond :data:`BRUTE_FORCE_MAX_N`.
     """
-    if N > BRUTE_FORCE_MAX_N:
+    if _integer("N", N) > BRUTE_FORCE_MAX_N:
         raise ArgumentError(f"brute force enumeration is limited to N <= {BRUTE_FORCE_MAX_N}")
     ns = _checkpoint_agents(range(1, N + 1) if checkpoints is None else checkpoints, N)
     n_states = 1 << profile.K

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chain
-from .chain import ArgumentError, ZeroProbabilityError
+from .chain import ArgumentError, ZeroProbabilityError, _integer
 from .profiles import code_window, window_code
 from .signals import blr_bounds
 
@@ -36,7 +36,7 @@ class PayoffQuery:
     def __post_init__(self):
         if not (0.0 <= self.delta < 1.0):
             raise ArgumentError("discount factor must lie in [0, 1)")
-        if self.horizon < 0:
+        if _integer("horizon", self.horizon) < 0:
             raise ArgumentError("truncation horizon must be >= 0")
         if self.action not in (0, 1) or self.s not in (0, 1):
             raise ArgumentError("signal and action must be binary")
@@ -81,9 +81,9 @@ def _tail_bound(delta: float, horizon: int) -> float:
 
 def certified_tail(n_range: tuple, delta: float, eps: float, horizon: int) -> float:
     """Truncation tail of a check, once the arguments are known to allow one."""
-    if not (1 <= n_range[0] <= n_range[1]):
+    if not (1 <= _integer("n1", n_range[0]) <= _integer("n2", n_range[1])):
         raise ArgumentError(f"need 1 <= n1 <= n2, got {n_range[0]}..{n_range[1]}")
-    if not (0.0 <= delta < 1.0) or horizon < 0:
+    if not (0.0 <= delta < 1.0) or _integer("horizon", horizon) < 0:
         raise ArgumentError("need a discount factor in [0, 1) and a horizon >= 0")
     if not (math.isfinite(eps) and eps > 0.0):
         raise ArgumentError(f"need a finite eps > 0, got {eps}")

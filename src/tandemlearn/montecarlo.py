@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .chain import ArgumentError, _checkpoint_agents, agent_chunks
+from .chain import ArgumentError, _checkpoint_agents, _integer, agent_chunks
 from .schedule import refuse_past_memory
 
 
 def _check_key(name: str, key) -> None:
     """A seed or stream id: an integer, not a bool, in [0, 2^64)."""
-    if isinstance(key, bool) or not isinstance(key, (int, np.integer)) or not 0 <= key < 1 << 64:
+    if not 0 <= _integer(name, key) < 1 << 64:
         raise ArgumentError(f"{name} must be an integer in [0, 2^64), got {key!r}")
 
 
@@ -39,12 +39,12 @@ class SimConfig:
     checkpoints: tuple = ()
 
     def __post_init__(self):
-        if self.reps < 1:
+        if _integer("reps", self.reps) < 1:
             raise ArgumentError("need at least one replication")
         if self.N < 1:
             raise ArgumentError("need at least one agent")
         _check_key("seed", self.seed)
-        if self.theta not in (None, 0, 1):
+        if self.theta is not None and _integer("theta", self.theta) not in (0, 1):
             raise ArgumentError(f"theta must be None, 0 or 1, got {self.theta!r}")
         cps = _checkpoint_agents(tuple(self.checkpoints) or None, self.N)  # () is (N,)
         object.__setattr__(self, "checkpoints", tuple(cps))

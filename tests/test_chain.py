@@ -23,11 +23,9 @@ from tandemlearn.chain import (
     BRUTE_FORCE_MAX_N,
     _SCAN_MAX_K,
     ChainDriftError,
-    _BLOCK,
     _CHUNK_BYTES,
     _advance,
     _chunk_agents,
-    _compose,
     _mass,
     _pair_products,
     _signal_laws,
@@ -161,11 +159,15 @@ def test_sweep_matches_sequential_propagation(name, m37, m46, tmp_path):
 
 
 def _reference_sweep(profile, model, N, points):
-    """The sweep with one dense operator per agent: a chunk with no record
-    point before its last agent is composed by ``_compose`` and applied,
-    any other is walked by ``_walk`` on its dense step probabilities;
-    each is renormalised at its end.  The reference for ``sweep``'s pair
-    products and rule palettes."""
+    """The sweep with one dense operator per agent: each chunk's pair
+    products are matmuls of ``_transition_operators``, multiplied up a
+    tree level by level (an odd last node carries over).  The law before
+    agent j of a chunk passes the chunk's first law through the nodes
+    named by the binary digits of j // 2, highest first, one at a time,
+    and one ``_step`` more for an odd j; the chunk's end is the law
+    before its agent count.  Each chunk is renormalised at its end.  The
+    reference for ``sweep``'s pair products, rule palettes and batched
+    down-sweep."""
     points = set(points)
     d = np.zeros((2, 1 << profile.K))
     d[:, 0] = 1.0
@@ -173,12 +175,25 @@ def _reference_sweep(profile, model, N, points):
     laws = {0: d.copy()} if 0 in points else {}
     for lo, hi in agent_chunks(1, N, _chunk_agents(profile.K)):
         p_one = _step_probs(profile.rule_table_chunk(lo, hi), sig)
-        inner = [n for n in range(lo, hi) if n in points]
-        if inner:
-            before, d = _walk(d, p_one)
-            laws.update((n, before[:, n + 1 - lo].copy()) for n in inner)
-        else:
-            d = np.matmul(d[:, None, :], _compose(_transition_operators(p_one)))[:, 0]
+        ops = _transition_operators(p_one)
+        even = ops.shape[1] & ~1
+        levels = [np.matmul(ops[:, 0:even:2], ops[:, 1:even:2])]
+        while levels[-1].shape[1] > 1:
+            nodes, even = levels[-1], levels[-1].shape[1] & ~1
+            pairs = np.matmul(nodes[:, 0:even:2], nodes[:, 1:even:2])
+            levels.append(np.concatenate([pairs, nodes[:, even:]], axis=1))
+
+        def before(j):
+            law = d
+            for level in reversed(range(len(levels))):
+                if j >> 1 >> level & 1:
+                    law = np.matmul(law[:, None, :], levels[level][:, (j >> 1 >> level) - 1])[:, 0]
+            return chain._step(law, p_one[:, j - 1]) if j & 1 else law
+
+        for n in range(lo, hi):
+            if n in points:
+                laws[n] = before(n + 1 - lo)
+        d = before(hi + 1 - lo)
         d /= _mass(d)
         if hi in points:
             laws[hi] = d.copy()
@@ -238,8 +253,8 @@ def test_pair_products_equal_the_operator_matmul(K, m37):
 
 def test_a_chunk_with_dense_record_points_is_composed_once(m37, monkeypatch):
     """The agents before the 3374 block starts up to 2*10^4 lie in 5
-    chunks; each chunk is walked as one unit, with one ``_compose`` call,
-    however many record points it holds."""
+    chunks; each chunk is walked as one tree, with one ``_pair_products``
+    call, however many record points it holds."""
     k, _, start = segment_table(m37).layout(2000)
     opened = np.stack([start, start + 2 * k], axis=1).ravel()
     points = (opened[opened <= 20_000] - 1).tolist()
@@ -247,11 +262,30 @@ def test_a_chunk_with_dense_record_points_is_composed_once(m37, monkeypatch):
     chunks = list(agent_chunks(1, max(points), _chunk_agents(2)))
     assert len(chunks) == 5
     calls = []
-    compose = chain._compose
-    monkeypatch.setattr(chain, "_compose", lambda ops: calls.append(ops.shape) or compose(ops))
+    pair_products = chain._pair_products
+    monkeypatch.setattr(chain, "_pair_products", lambda p: calls.append(p.shape) or pair_products(p))
     laws = sweep(designed_profile(m37), m37, 2 * 10**4, points)
     assert sorted(laws) == points
-    assert 1 <= len(calls) <= len(chunks)
+    assert len(calls) == len(chunks)
+
+
+def test_one_record_point_per_chunk_steps_a_few_laws(m37, monkeypatch):
+    """A chunk with one record point passes one law down its tree: at
+    most two laws per theta reach ``_step`` per chunk (the point's odd
+    agent and an odd last agent), not every agent of the chunk."""
+    points = list(range(2000, 10**5, 4096))
+    chunks = list(agent_chunks(1, max(points), _chunk_agents(2)))
+    rows = []
+    step = chain._step
+
+    def counting(d, p_one):
+        rows.append(d.size // d.shape[-1] // 2)
+        return step(d, p_one)
+
+    monkeypatch.setattr(chain, "_step", counting)
+    laws = sweep(designed_profile(m37), m37, 10**5, points)
+    assert sorted(laws) == points
+    assert sum(rows) <= 2 * len(chunks)
 
 
 @pytest.mark.parametrize("K", [_SCAN_MAX_K + 1, 12])
@@ -309,18 +343,19 @@ def test_advance_matches_reference_step_at_every_agent(K, m37):
 
 def test_advance_rejects_drifted_mass(m37):
     p_one = _step_probs(np.full((3, 4, 2), 0.5), _signal_laws(m37))
-    d = np.array([[1.0 + 1e-6, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-    with pytest.raises(ChainDriftError):
-        _advance(d, p_one)
+    for first in (1.0 + 1e-6, np.nan):  # a NaN mass is no mass
+        d = np.array([[first, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(ChainDriftError):
+            _advance(d, p_one)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6])
 def test_walk_matches_advance_at_every_agent(K, m37):
     # Random tables with entries 0, 1 and signal-independent ones, so
-    # that some windows carry no mass; the lengths end on a block end,
-    # inside a block and past several pieces of _chunk_agents agents.
+    # that some windows carry no mass; the lengths end around pair and
+    # tree-level boundaries and past several pieces of _chunk_agents agents.
     rng = np.random.default_rng(20 + K)
-    n = 2 * _chunk_agents(K) + 3 * _BLOCK + 5
+    n = 2 * _chunk_agents(K) + 53
     tables = rng.random((n, 1 << K, 2))
     tables[rng.random((n, 1 << K)) < 0.2] = 0.0
     tables[rng.random((n, 1 << K)) < 0.2] = 1.0
@@ -329,7 +364,7 @@ def test_walk_matches_advance_at_every_agent(K, m37):
     p_one = _step_probs(tables, _signal_laws(m37))
     start = np.zeros((2, 1 << K))
     start[:, 0] = 1.0
-    for length in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _chunk_agents(K), n):
+    for length in (1, 2, 3, 31, 32, 33, _chunk_agents(K), n):
         ref, ref_after = _advance(start, p_one[:, :length])
         got, after = _walk(start, p_one[:, :length])
         assert np.array_equal(got == 0.0, ref == 0.0), (K, length)
@@ -338,17 +373,37 @@ def test_walk_matches_advance_at_every_agent(K, m37):
         assert np.max(np.abs(after - ref_after)) <= 1e-13, (K, length)
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6])
+def test_walk_at_some_agents_equals_the_walk_at_every_agent(K, m37):
+    # Random ascending subsets of the agents of three pieces, with repeats,
+    # odd and even offsets alike: the same bits as the laws before every
+    # agent, and the same law after the last.
+    rng = np.random.default_rng(40 + K)
+    n = 3 * _chunk_agents(K) - 7
+    p_one = _step_probs(_random_tables(rng, n, K), _signal_laws(m37))
+    start = np.zeros((2, 1 << K))
+    start[:, 0] = 1.0
+    every, end = _walk(start, p_one)
+    for at in ([], [0], [n - 1], [0, 1, 1], np.sort(rng.integers(0, n, size=5)),
+               np.sort(rng.integers(0, n, size=200)), np.flatnonzero(rng.random(n) < 0.5)):
+        got, after = _walk(start, p_one, at)
+        assert got.shape == (2, len(at), 1 << K)
+        assert np.array_equal(got, every[:, np.asarray(at, dtype=int)]), (K, len(at))
+        assert np.array_equal(after, end), (K, len(at))
+
+
 def test_walk_rejects_drifted_mass(m37):
     p_one = _step_probs(np.full((40, 4, 2), 0.5), _signal_laws(m37))
-    d = np.array([[1.0 + 1e-6, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-    with pytest.raises(ChainDriftError):
-        _walk(d, p_one)
+    for first in (1.0 + 1e-6, np.nan):  # a NaN mass is no mass
+        d = np.array([[first, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(ChainDriftError):
+            _walk(d, p_one)
 
 
 @pytest.mark.parametrize("name", ["designed", "random3"])
 def test_laws_before_an_agent_do_not_depend_on_the_range_end(name, m37):
     # The laws before agents n0..j are the same bits whatever n1 >= j,
-    # across block, piece and law_walk chunk ends.
+    # across pair, tree-level, piece and law_walk chunk ends.
     if name == "designed":
         prof = designed_profile(m37)
     else:
@@ -368,7 +423,9 @@ def test_laws_before_an_agent_do_not_depend_on_the_range_end(name, m37):
         return np.concatenate(befores, axis=1)
 
     longest = laws(n0 + 2 * size + 50)
-    for n1 in (n0, n0 + _BLOCK - 2, n0 + 100, n0 + _chunk_agents(prof.K) + 3, n0 + size + 9):
+    chunk = _chunk_agents(prof.K)
+    for length in (1, 2, 3, 31, 32, 33, 101, chunk, chunk + 4, size + 10):
+        n1 = n0 + length - 1
         assert np.array_equal(laws(n1), longest[:, : n1 - n0 + 1]), (name, n1)
 
 
@@ -646,7 +703,7 @@ def test_series_diagnostics_refuses_no_checkpoint(m37):
         series_diagnostics(m37, 100, [])
 
 
-_COPY2 = baseline_profile("copy", 2)
+_COPY1, _COPY2 = baseline_profile("copy", 1), baseline_profile("copy", 2)
 
 
 @pytest.mark.parametrize("call, argv", [
@@ -659,8 +716,19 @@ _COPY2 = baseline_profile("copy", 2)
      ["exact", "--profile", "copy", "--n", "10", "--checkpoints", "11"]),
     (lambda m: series_diagnostics(m, 1), ["series", "--m", "1"]),
     (lambda m: series_diagnostics(m, 100, [200]), ["series", "--m", "100", "--checkpoints", "200"]),
+    (lambda m: error_trajectory(_COPY2, m, 2.5), None),
+    (lambda m: designed_trajectory(m, 2.5), None),
+    (lambda m: designed_trajectory(m, True), None),
+    (lambda m: brute_force_oracle(_COPY2, m, 2.5), None),
+    (lambda m: series_diagnostics(m, 2.5), None),
+    (lambda m: k1_diagnostics(_COPY1, m, -1), None),
+    (lambda m: k1_diagnostics(_COPY1, m, 2.5), None),
+    (lambda m: block_start_trajectory(m, 1, 2.5), None),
 ], ids=["sweep-record-point", "block-start-segments", "k1-window", "oracle-checkpoint-0",
-        "oracle-checkpoint-past-n", "trajectory-checkpoint", "series-m", "series-checkpoint"])
+        "oracle-checkpoint-past-n", "trajectory-checkpoint", "series-m", "series-checkpoint",
+        "trajectory-n-fraction", "designed-n-fraction",
+        "designed-n-bool", "oracle-n-fraction", "series-m-fraction", "k1-n-negative",
+        "k1-n-fraction", "block-start-segments-fraction"])
 def test_argument_checks_raise_argument_error(call, argv, m37, capsys):
     """Each argument check of the module raises ``chain.ArgumentError``; a
     command line that reaches it exits 4 with the library's reason."""

@@ -7,6 +7,7 @@ import pytest
 
 from tandemlearn import (
     PayoffQuery,
+    SignalModel,
     ZeroProbabilityError,
     baseline_profile,
     check_equilibrium,
@@ -93,6 +94,8 @@ def test_equilibrium_refuses_insufficient_horizon(m37):
 
 
 _CERTIFY = ["equilibrium", "--profile", "designed", "--range"]
+_M37 = SignalModel(0.3, 0.7)
+_DESIGNED = designed_profile(_M37)
 
 
 @pytest.mark.parametrize("call, argv", [
@@ -107,8 +110,14 @@ _CERTIFY = ["equilibrium", "--profile", "designed", "--range"]
      [*_CERTIFY, "1..5", "--delta", "0.5", "--eps", "nan", "--horizon", "20"]),
     (lambda: game.certified_tail((1, 50), 0.9, 0.01, 5),
      [*_CERTIFY, "1..50", "--delta", "0.9", "--eps", "0.01", "--horizon", "5"]),
+    (lambda: PayoffQuery(1, (1,), 1, 1, 0.5, 2.5), None),
+    (lambda: PayoffQuery(1, (1,), 1, 1, 0.5, True), None),
+    (lambda: check_equilibrium(_DESIGNED, _M37, 0.5, (1, 3.5), 0.01, 20), None),
+    (lambda: check_equilibrium(_DESIGNED, _M37, 0.5, (1, 3), 0.01, 20.5), None),
 ], ids=["payoff-discount", "payoff-horizon", "payoff-signal", "payoff-action",
-        "check-range", "check-discount", "check-eps", "check-horizon-too-short"])
+        "check-range", "check-discount", "check-eps", "check-horizon-too-short",
+        "payoff-horizon-fraction", "payoff-horizon-bool", "check-range-fraction",
+        "check-horizon-fraction"])
 def test_argument_checks_raise_argument_error(call, argv, capsys):
     """Each argument check of the module raises ``ArgumentError``; a command
     line that reaches it exits 4 with the library's reason."""

@@ -120,7 +120,12 @@ def test_searching_census_grows_with_horizon(m37):
     (dict(theta=2), None),
     (dict(N=10, checkpoints=(0, 5)), ["--n", "10", "--checkpoints", "0,5"]),
     (dict(N=10, checkpoints=(50,)), ["--n", "10", "--checkpoints", "50"]),
-], ids=["reps", "agents", "seed", "theta", "checkpoint-0", "checkpoint-past-n"])
+    (dict(reps=2.5), None),
+    (dict(N=1.5, checkpoints=()), None),
+    (dict(N=True, checkpoints=()), None),
+    (dict(theta=True), None),
+], ids=["reps", "agents", "seed", "theta", "checkpoint-0", "checkpoint-past-n",
+        "reps-fraction", "agents-fraction", "agents-bool", "theta-bool"])
 def test_config_checks_raise_argument_error(fields, argv, m37, capsys):
     """Each check of ``SimConfig`` raises ``ArgumentError``; a command line
     that reaches it exits 4 with the library's reason."""
