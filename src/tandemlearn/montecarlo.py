@@ -13,6 +13,7 @@ index).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,7 @@ class SimConfig:
     def __post_init__(self):
         if _integer("reps", self.reps) < 1:
             raise ArgumentError("need at least one replication")
-        if self.N < 1:
+        if _integer("N", self.N) < 1:
             raise ArgumentError("need at least one agent")
         _check_key("seed", self.seed)
         if self.theta is not None and _integer("theta", self.theta) not in (0, 1):
@@ -80,7 +81,11 @@ class PathStats:
 
 _GROUP = 1 << 15  # streams walked together; bounds every draw block
 _TABLE_BYTES = 1 << 21  # bound on one chunk's per-(agent, window) tables
-_WINDOW_BYTES = 128  # bytes of those tables per (agent, window)
+# Peak bytes of those tables per (agent, window): about 125 while _jump_tables
+# doubles pointers (18 of rule entries and search flags included), 70 after it
+# (40 of them edge tables), and 102 once the first draw adds the draw tables
+# (a uint64 bar and step key per edge, 32).
+_WINDOW_BYTES = 128
 _DRAWS = (rng.KIND_SIGNAL, rng.KIND_RULE)  # drawn together at every stop
 
 
@@ -96,19 +101,29 @@ class _Jumps:
     i = count is the chunk end) and edges ``(state << 1) | x`` (that agent
     decides x, or sees signal x).  A stop is a state whose row reads the
     signal, has an entry strictly inside (0, 1) or can start a search;
-    every other state has one edge, which it takes without a draw.  Both
-    edges of a chunk-end state lead back to it with no counts, so a stream
-    that has left the chunk can keep stepping without effect (``entry``
-    stops at the chunk end and is read clipped).  Counts run from the chunk
-    start and pack the decision switches in the low 32 bits and the
-    searches started above them; a last switch at agent n0 + i reads i + 1."""
+    every other state has one edge, which it takes without a draw.  Stops
+    are given by their edge base ``stop << 1``.  Both edges of a chunk-end
+    state lead back to it with no counts, so a stream that has left the
+    chunk can keep stepping without effect (``entry`` stops at the chunk
+    end and its bars are read clipped).  Counts run from the chunk start
+    and pack the decision switches in the low 32 bits and the searches
+    started above them; a last switch at agent n0 + i reads i + 1."""
 
     n0: int
     end: int  # the first chunk-end state
     entry: np.ndarray  # per edge: the rule entry under that signal
-    start: tuple  # per window u: (next stop, counts, last switch) from state u
-    edge: tuple  # per edge: (next stop, counts, last switch) from that decision on;
+    start: tuple  # per window u: (next stop's edge base, counts, last switch) from state u
+    edge: tuple  # per edge: (next stop's edge base, counts, last switch) from that decision on;
     # Nones in a chunk without stops, where every stream leaves in its first jump
+
+    @functools.cached_property
+    def draws(self) -> tuple:
+        """Per edge: the bar (``rng.bar``) of its rule entry, and the step
+        key of its agent (chunk ends included).  Built at the chunk's first
+        draw and kept for every stream group."""
+        n_states = len(self.start[0])
+        agents = np.arange(self.n0, self.n0 + self.end // n_states + 1, dtype=np.uint64)
+        return rng.bar(self.entry), np.repeat(rng.step_key(agents), 2 * n_states)
 
 
 def _jump_tables(tables: np.ndarray, search: np.ndarray, n0: int) -> _Jumps:
@@ -150,6 +165,7 @@ def _jump_tables(tables: np.ndarray, search: np.ndarray, n0: int) -> _Jumps:
         sw += sw.take(nxt)
         np.maximum(lst, lst.take(nxt), out=lst)
         nxt = ahead
+    nxt <<= 1  # stops by their edge base
     start = (nxt[:n_states], sw[:n_states].astype(np.int64), lst[:n_states])
     if not stop.any():  # no stream stops, so none takes an edge
         return _Jumps(n0=n0, end=end, entry=entry, start=start, edge=(None, None, None))
@@ -161,33 +177,35 @@ def _jump_tables(tables: np.ndarray, search: np.ndarray, n0: int) -> _Jumps:
     np.add(sw.take(succ), last > 0, out=counts)
     np.add(counts, 1 << 32, out=counts, where=search)
     np.maximum(last, lst.take(succ), out=later)
-    edge[0][2 * end :] = end + (low >> 1)
+    edge[0][2 * end :] = (end + (low >> 1)) << 1
     edge[1][2 * end :] = edge[2][2 * end :] = 0
     return _Jumps(n0=n0, end=end, entry=entry, start=start, edge=edge)
 
 
-def _walk(jumps: _Jumps, keys, p_sig, win, switches, last_switch, searching):
+def _walk(jumps: _Jumps, keys, sig, win, switches, last_switch, searching):
     """Move every stream through one chunk, stop to stop, adding the
     chunk's counts to the per-stream arrays.  Each pass draws for every
     stream still carried, at its own next stop, from its key (see
-    ``rng.stream_key``) and its state's step key, and moves it on to the
-    stop after.  A stop whose row draws nothing (it can start a search)
-    has entries of 0 or 1, which every draw in [0, 1) reads alike.  A
-    stream that has reached the chunk end stays there at no count; the
-    streams are written out and dropped once at least half of those
-    carried have arrived."""
-    n_states = len(jumps.start[0])
-    steps = None  # per-state step keys, built at the first draw
+    ``rng.stream_key``) and its stop's step key, and moves it on to the
+    stop after: a draw of ``rng.bits`` below ``sig``, the bar of the
+    stream's P(s=1 | theta), is signal 1, and one below the bar of the
+    rule entry under that signal is decision 1.  A stop whose row draws
+    nothing (it can start a search) has entries of 0 or 1, which every
+    draw reads alike.  A stream that has reached the chunk end stays there
+    at no count; the streams are written out and dropped once at least
+    half of those carried have arrived."""
     stop, counts, last = jumps.start
     live = np.arange(len(keys))
     at, counts, last = stop.take(win), counts.take(win), last.take(win)
     stop, more, later = jumps.edge
+    end = jumps.end << 1  # the first chunk-end edge
+    bars = None
     while True:
-        done = at >= jumps.end
+        done = at >= end
         arrived = np.count_nonzero(done)
         if 2 * arrived >= len(live):
             out, got, since = live[done], counts[done], last[done]
-            win[out] = at[done] - jumps.end
+            win[out] = (at[done] >> 1) - jumps.end
             switches[out] += got & 0xFFFFFFFF
             searching[out] += got >> 32
             last_switch[out] = np.where(since > 0, since + np.int64(jumps.n0 - 1), last_switch[out])
@@ -195,13 +213,12 @@ def _walk(jumps: _Jumps, keys, p_sig, win, switches, last_switch, searching):
                 return
             keep = ~done
             live, at, counts, last = live[keep], at[keep], counts[keep], last[keep]
-            keys, p_sig = keys[keep], p_sig[keep]
-        if steps is None:
-            agents = np.arange(jumps.n0, jumps.n0 + jumps.end // n_states + 1, dtype=np.uint64)
-            steps = np.repeat(rng.step_key(agents), n_states)  # per state, chunk ends included
-        u = rng.finish(keys, steps.take(at), _DRAWS)
-        edge = at << 1
-        edge |= u[1] < jumps.entry.take(edge | (u[0] < p_sig), mode="clip")
+            keys, sig = keys[keep], sig[keep]
+        if bars is None:
+            bars, steps = jumps.draws
+        x = rng.bits(keys, steps.take(at), _DRAWS)
+        edge = at | (x[0] < sig)
+        edge = at | (x[1] < bars.take(edge, mode="clip"))
         counts += more.take(edge)
         np.maximum(last, later.take(edge), out=last)
         at = stop.take(edge)
@@ -228,7 +245,7 @@ def _run(config: SimConfig, streams: np.ndarray):
         theta = np.concatenate(world).astype(np.int64)
     else:
         theta = np.full(R, int(config.theta), dtype=np.int64)
-    p_sig = np.where(theta == 1, model.p1, model.p0)
+    sig = rng.bar(np.where(theta == 1, model.p1, model.p0))
     keys = rng.stream_key(config.seed, streams)
     win = np.zeros(R, dtype=np.int64)  # the window before agent 1 is zero
     switches = np.zeros(R, dtype=np.int64)
@@ -240,7 +257,7 @@ def _run(config: SimConfig, streams: np.ndarray):
         tables = profile.rule_table_chunk(n0, n1)
         jumps = _jump_tables(tables, profile.search_table_chunk(n0, n1), n0)
         for g in groups:
-            _walk(jumps, keys[g], p_sig[g], win[g], switches[g], last_switch[g], searching[g])
+            _walk(jumps, keys[g], sig[g], win[g], switches[g], last_switch[g], searching[g])
         if n1 in config.checkpoints:
             decisions[n1] = win & 1  # the low bit of the window is the last decision
             census[n1] = searching.copy()
@@ -281,7 +298,8 @@ def estimate_error(config: SimConfig) -> PathStats:
         se[i] = np.sqrt(hit * (1.0 - hit) / config.reps)
         census_median[i] = np.median(census[n])
         census_mean[i] = census[n].mean()
-    quantiles = {q: float(np.percentile(switches, q)) for q in (10, 50, 90)}
+    qs = (10, 50, 90)
+    quantiles = dict(zip(qs, np.percentile(switches, qs).tolist()))
     return PathStats(
         ns=ns,
         mean=mean,

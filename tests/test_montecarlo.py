@@ -123,9 +123,12 @@ def test_searching_census_grows_with_horizon(m37):
     (dict(reps=2.5), None),
     (dict(N=1.5, checkpoints=()), None),
     (dict(N=True, checkpoints=()), None),
+    (dict(N="5", checkpoints=()), None),
+    (dict(N=None, checkpoints=()), None),
     (dict(theta=True), None),
 ], ids=["reps", "agents", "seed", "theta", "checkpoint-0", "checkpoint-past-n",
-        "reps-fraction", "agents-fraction", "agents-bool", "theta-bool"])
+        "reps-fraction", "agents-fraction", "agents-bool", "agents-text", "agents-none",
+        "theta-bool"])
 def test_config_checks_raise_argument_error(fields, argv, m37, capsys):
     """Each check of ``SimConfig`` raises ``ArgumentError``; a command line
     that reaches it exits 4 with the library's reason."""
@@ -364,8 +367,8 @@ def _reference_jumps(tables, search, n0):
         n0=n0,
         end=end,
         entry=table.reshape(-1),
-        start=(nxt[:S], sw[:S], lst[:S]),
-        edge=(nxt[e_succ], counts, np.maximum(e_last, lst[e_succ])),
+        start=(nxt[:S] << 1, sw[:S], lst[:S]),  # stops by their edge base
+        edge=(nxt[e_succ] << 1, counts, np.maximum(e_last, lst[e_succ])),
     )
 
 
@@ -384,7 +387,8 @@ def test_jump_tables_equal_every_round(name, n0, n1, m37):
     """Pointer doubling that ends once every pointer rests on a stop or a
     chunk end gives the tables of all (count - 1).bit_length() rounds: on
     chunks with stops, on the stopless copy profile (every round needed)
-    and on a profile whose every row is a stop."""
+    and on a profile whose every row is a stop.  A chunk with stops also
+    tables the bar of every edge and the step key of its agent."""
     profile = _random_k2() if name == "random-k2" else PROFILES[name](m37)[0]
     tables, search = profile.rule_table_chunk(n0, n1), profile.search_table_chunk(n0, n1)
     got = montecarlo._jump_tables(tables, search, n0)
@@ -394,10 +398,14 @@ def test_jump_tables_equal_every_round(name, n0, n1, m37):
     for a, b in zip(got.start, want.start):
         assert np.array_equal(a, b)
     if got.edge[0] is None:  # only where every edge leads out of the chunk
-        assert name == "copy-k3" and (want.edge[0] >= want.end).all()
+        assert name == "copy-k3" and (want.edge[0] >= 2 * want.end).all()
     else:
         for a, b in zip(got.edge, want.edge):
             assert np.array_equal(a, b)
+        bars, steps = got.draws  # per edge, chunk ends included in the step keys
+        agents = n0 + (np.arange(len(steps)) // (2 * tables.shape[1]))
+        assert np.array_equal(steps, rng.step_key(agents))
+        assert np.array_equal(bars, rng.bar(want.entry))
 
 
 def test_checkpoint_inside_a_jump_cuts_it(m37):
@@ -456,18 +464,18 @@ def test_draws_stay_within_the_group_bound(reps, group, m37, monkeypatch):
     """Every draw array holds at most one entry per kind and stream of a
     group, and the designed profile at N=2500, R=1000 draws at most 0.25
     uniforms per agent-replication (its stops are about 9% of them).
-    Every draw, the walk's and the world's, is finished by ``rng.finish``."""
+    Every draw, the walk's and the world's, is made by ``rng.bits``."""
     if group is not None:
         monkeypatch.setattr(montecarlo, "_GROUP", group)
     shapes = []
-    real = rng.finish
+    real = rng.bits
 
     def counted(*args):
         out = real(*args)
         shapes.append(np.shape(out))
         return out
 
-    monkeypatch.setattr(rng, "finish", counted)
+    monkeypatch.setattr(rng, "bits", counted)
     N = 2500
     cfg = SimConfig(profile=designed_profile(m37), model=m37, N=N, reps=reps, seed=2,
                     checkpoints=(1000, N))

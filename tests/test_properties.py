@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tandemlearn import SignalModel, blr_bounds, designed_profile
 from tandemlearn.chain import agent_chunks, block_start_masses, propagate_dist
 from tandemlearn.rng import (
-    KIND_RULE, KIND_SIGNAL, KIND_WORLD, finish, step_key, stream_key, uniform,
+    KIND_RULE, KIND_SIGNAL, KIND_WORLD, bar, bits, finish, step_key, stream_key, uniform,
 )
 from tandemlearn.schedule import segment_table
 from conftest import table_profile
@@ -139,6 +139,54 @@ def test_split_draw_invariant(seed, streams, agents):
         for i, agent in enumerate(agents):
             for j, stream in enumerate(streams):
                 assert block[k, i, j] == uniform(seed, stream, agent, kind)
+
+
+# Probabilities where a bar could slip: the ends, the smallest subnormal
+# and the multiples of 2^-53, beside any float in [0, 1].
+bar_points = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0, 5e-324]),
+    st.integers(0, 2**53).map(lambda k: k * 2.0**-53),
+)
+
+
+@CASES
+@given(
+    base=bar_points, side=st.sampled_from((-1, 0, 1)),
+    x=st.integers(0, 2**53 - 1), near=st.integers(-2, 2),
+)
+def test_bar_invariant(base, side, x, near):
+    """For a 53-bit draw x and p in [0, 1], x < bar(p) holds exactly when
+    x * 2^-53 < p: at p and at its float neighbours, for any draw and for
+    the draws next to p * 2^53, in the uint64 arrays the walk compares."""
+    p = float(np.clip(np.nextafter(base, side * np.inf), 0.0, 1.0)) if side else base
+    cut = int(p * 2**53)  # exact: p * 2^53 is a float with no rounding
+    for draw in (x, min(max(cut + near, 0), 2**53 - 1)):
+        want = draw * 2.0**-53 < p
+        assert bool(np.uint64(draw) < bar(p)) == want
+        assert (np.array([draw], dtype=np.uint64) < bar(np.array([p]))).tolist() == [want]
+
+
+@CASES
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    streams=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    agents=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=4),
+    kind=st.sampled_from((KIND_WORLD, KIND_SIGNAL, KIND_RULE)),
+)
+def test_finish_scales_bits_invariant(seed, streams, agents, kind):
+    """``finish`` is the 53-bit draw of ``bits`` times 2^-53, bit for bit,
+    for a scalar kind and for a tuple of kinds, on blocks and on scalars."""
+    keys = stream_key(seed, np.array(streams, dtype=np.uint64))
+    steps = step_key(np.array(agents, dtype=np.int64))[:, None]
+    for kinds in (kind, (KIND_SIGNAL, KIND_RULE)):
+        x = bits(keys, steps, kinds)
+        assert x.dtype == np.uint64 and not (x >> np.uint64(53)).any()
+        scaled = (x * 2.0**-53).view(np.uint64)
+        assert np.array_equal(scaled, finish(keys, steps, kinds).view(np.uint64))
+        one = bits(keys[0], steps[0, 0], kinds) * 2.0**-53
+        assert np.array_equal(np.asarray(one), finish(keys[0], steps[0, 0], kinds))
+    assert isinstance(finish(keys[0], steps[0, 0], kind), float)
 
 
 @CASES
