@@ -18,6 +18,7 @@ check; block-start laws are (1 - pi, pi) and need none.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -34,10 +35,10 @@ DRIFT_TOLERANCE = 1e-9
 _CHUNK = 1 << 12  # agents per chunk of rule tables
 _SCAN_MAX_K = 5  # widest window whose chunks are composed as matrices
 _CHUNK_BYTES = 1 << 20  # bound on one chunk's per-agent arrays
-# Agents walked in about the time of a stretch of its own (120-170 us at 0.2-0.25 us
-# per agent: checkpoints 512 apart from 10^5 and 10^6 ran as fast or faster joined,
-# 768 apart alone, on a 2-vCPU Xeon); closer ones share a ``designed_trajectory`` sweep.
-_JOIN_GAP = 1 << 9
+# Agents walked in about the time of a stretch of its own (90-115 us at 0.3-0.4 us
+# per agent: 64 checkpoints 256 apart from 10^5 and 10^6 ran faster joined, 320
+# apart alone, on a 2-vCPU Xeon); closer ones share a ``designed_trajectory`` sweep.
+_JOIN_GAP = 1 << 8
 
 
 class ChainDriftError(RuntimeError):
@@ -141,17 +142,20 @@ def _pair_products(p_one: np.ndarray) -> np.ndarray:
     # v = (r, x_a, x_b): the entries u -> v lie on the strided diagonal r = r'.
     quarter = n_states >> 2
     steps = (1.0 - by_agent, by_agent)  # P(x = 0 | u) and P(x = 1 | u)
-    steps_a = [step[..., 0:even:2].reshape(2, 4, quarter, -1) for step in steps]  # agents a
-    steps_b = [step[..., 1:even:2].reshape(2, 2, quarter, 2, -1) for step in steps]  # agents a + 1
+    steps_a = [step[..., 0:even:2].reshape(2, 2, 2, quarter, -1) for step in steps]  # agents a
+    steps_b = [step[..., 1:even:2].reshape(2, 1, 2, quarter, 2, -1) for step in steps]  # a + 1
     n = steps_a[0].shape[-1]
     out = np.zeros((2, n, n_states, n_states))
-    paths = out.reshape(2, n, 4, quarter * quarter, 4)[:, :, :, :: quarter + 1]
-    paths = paths.transpose(0, 2, 3, 4, 1)  # [theta, t, r, 2 x_a + x_b, pair]
-    for t in range(4):
+    paths = out.reshape(2, n, 2, 2, quarter * quarter, 4)[..., :: quarter + 1, :]
+    paths = paths.transpose(0, 2, 3, 4, 5, 1)  # [theta, t // 2, t mod 2, r, 2 x_a + x_b, pair]
+    # One product per (x_a, x_b), broadcast over t; from 2^10 pairs one per t too, which
+    # keeps the rows of out that four products share in cache (K = 2 chunks no slower).
+    tops = [(slice(None),) * 3] if n < 1 << 10 else [(h, l, 0) for h in (0, 1) for l in (0, 1)]
+    for hi, lo, b_hi in tops:  # b_hi indexes the t // 2 axis of steps_b, of size one
         for x_a in (0, 1):
             for x_b in (0, 1):
-                step_b = steps_b[x_b][:, t & 1, :, x_a]
-                np.multiply(steps_a[x_a][:, t], step_b, out=paths[:, t, :, 2 * x_a + x_b])
+                a, b = steps_a[x_a][:, hi, lo], steps_b[x_b][:, b_hi, lo, :, x_a]
+                np.multiply(a, b, out=paths[:, hi, lo, :, 2 * x_a + x_b])
     return out
 
 
@@ -218,9 +222,10 @@ def _walk(d: np.ndarray, p_one: np.ndarray, at=None, held=None):
     at = np.arange(p_one.shape[1]) if at is None else np.asarray(at, dtype=np.intp)
     laws, held = np.empty((2, at.size, d.shape[-1])), [] if held is None else held
     size = _chunk_agents(d.shape[-1].bit_length() - 1)
-    ends = at.searchsorted(np.arange(0, p_one.shape[1] + size, size)).tolist()  # per piece
-    for lo, a, b in zip(range(0, p_one.shape[1], size), ends, ends[1:]):
-        piece, levels, digits = p_one[:, lo : lo + size], [], []
+    one = p_one.shape[1] <= size  # one piece (every _sweep_from chunk): no bounds to find
+    ends = [0, at.size] if one else at.searchsorted(range(0, p_one.shape[1] + size, size)).tolist()
+    for lo, a, b in zip(range(0, p_one.shape[1], size), ends, ends[1:]):  # a..b: wanted in piece
+        piece, levels, digits = p_one if one else p_one[:, lo : lo + size], [], []
         pairs = piece.shape[1] >> 1
         held[:] = [_pair_products(piece)]  # the previous piece's go once these exist
         for level, nodes in enumerate(_tree(held[0])):
@@ -228,6 +233,8 @@ def _walk(d: np.ndarray, p_one: np.ndarray, at=None, held=None):
                 levels.append(nodes)
             if pairs >> level & 1:
                 digits.append(nodes[:, (pairs >> level) - 1].copy())
+            if b == a and pairs >> level <= 1:
+                break  # no digit above: the levels above are not needed
         starts = d[:, None]  # the law before each node of the level above
         for node in reversed(digits):
             d = _apply(d, node)
@@ -431,47 +438,59 @@ def _join(first: np.ndarray, then: np.ndarray) -> np.ndarray:
     return joined
 
 
-def _join_all(maps: np.ndarray) -> np.ndarray:
-    """The ordered join (2, 2) of the maps (2, 2, n) on the last axis, in
-    log2(n) rounds; an odd last map joins the last pair of its round."""
-    while maps.shape[-1] > 1:
-        even = maps.shape[-1] & ~1
-        joined = _join(maps[..., 0:even:2], maps[..., 1:even:2])
-        if even < maps.shape[-1]:
-            joined[..., -1] = _join(joined[..., -1], maps[..., -1])
-        maps = joined
-    return maps[..., 0]
+def _join_all(pieces: list) -> list:
+    """The ordered join (2, 2) of each array of maps (2, 2, n) in ``pieces``: one
+    tree of adjacent joins each, padded by the identity (0, 0) to a power of two,
+    laid widest first in one array so that each level of all trees is one ``_join``."""
+    widths = [1 << max(piece.shape[-1] - 1, 0).bit_length() for piece in pieces]
+    order = sorted(range(len(pieces)), key=widths.__getitem__, reverse=True)
+    ends = list(itertools.accumulate(widths[j] for j in order))
+    maps, joined, width = np.zeros((2, 2, ends[-1])), [None] * len(pieces), 1
+    for j, end in zip(order, ends):
+        maps[..., end - widths[j] : end - widths[j] + pieces[j].shape[-1]] = pieces[j]
+    for j, end in zip(order[::-1], ends[::-1]):
+        maps = maps[..., : end // width]  # the narrower pieces after this one are joined
+        while width < widths[j]:
+            maps, width = _join(maps[..., 0::2], maps[..., 1::2]), 2 * width
+        joined[j] = maps[..., end // width - 1]
+    return joined
 
 
 def _block_start_laws(model, blocks) -> dict:
     """{i: laws (2, 2)}: (P^theta(w_i = 0), P^theta(w_i = 1)) per theta for
     the block indices i >= 1 of ``blocks``.
 
-    ``block_start_trajectory`` with block i as the map (u_i, u_i) of an
-    S-block or (0, d_i) of an R-block (``_join``), with the same bits,
-    built per run of equal sizes in chunks of _CHUNK_BYTES and joined in
-    log depth between the blocks.  Keeping 1 - leak instead of the leak
-    would round away the low bits of the leaks near 1/m.
+    ``block_start_trajectory`` with block i as the map (u_i, u_i) of an S-block
+    or (0, d_i) of an R-block (``_join``), built per run of equal sizes in chunks
+    as one map per segment, (u - d u, u + d - d u): the bits of its blocks' join.
+    Pieces of segments between the blocks needed are joined in log depth, a lone
+    block at a piece's end alone.  Keeping 1 - leak instead of the leak would
+    round away the low bits of the leaks near 1/m.
     """
     points = set(blocks)
     done = np.zeros((2, 2))  # the join of the maps before the current block: w_1 = x_2 = 0
     laws = {1: done[0]} if 1 in points else {}
-    size = _CHUNK_BYTES // 64  # 32 B of maps, 32 B of temporaries per block; even: S-block first
+    size = _CHUNK_BYTES // 64  # blocks per chunk, even: each chunk starts on an S-block
     cuts = [i - 1 for i in points]  # the maps after which a law is kept
     for lo, hi in agent_chunks(1, max(points, default=1) - 1, size):
         m0, m1 = (lo + 1) // 2, (hi + 1) // 2
         k, r, count = segment_table(model).runs(m0, m1)
-        m = np.arange(m0, m1 + 1)
-        # Python's float ** as in block_start_trajectory, once per run.
-        up = np.repeat([[model.p(t) ** j for j in k] for t in (0, 1)], count, axis=1) / m
-        down = np.repeat([[model.q(t) ** j for j in r] for t in (0, 1)], count, axis=1) / m
-        maps = np.zeros((2, 2, m1 - m0 + 1, 2))  # [(u, leak), theta, segment, S- or R-block]
-        maps[:, :, :, 0], maps[1, :, :, 1] = up, down
-        for a, b in agent_chunks(lo, hi, size, cuts):
-            done = _join(done, _join_all(maps.reshape(2, 2, -1)[..., a - lo : b - lo + 1]))
+        # Python's float ** as in block_start_trajectory, once per run: u, then d.
+        powers = [[f(t) ** j for j in n] for f, n in ((model.p, k), (model.q, r)) for t in (0, 1)]
+        up, down = np.repeat(powers, count, axis=1).reshape(2, 2, -1) / np.arange(m0, m1 + 1.0)
+        segments = np.stack([up, up + down])
+        segments -= down * up  # [(u, leak), theta, segment]
+        pieces = list(agent_chunks(lo, hi, size, cuts))  # block a is in segment (a + 1) // 2
+        joined = _join_all([segments[..., a // 2 + 1 - m0 : b // 2 + 1 - m0] for a, b in pieces])
+        for (a, b), piece in zip(pieces, joined):
+            if a % 2 == 0:  # the R-block of segment a / 2
+                done = _join(done, [[0.0], [1.0]] * down[:, a // 2 - m0])
+            done = _join(done, piece)
+            if b % 2:  # the S-block of segment (b + 1) / 2
+                done = _join(done, [[1.0], [1.0]] * up[:, b // 2 + 1 - m0])
             if b + 1 in points:
                 laws[b + 1] = done[0]
-    return {i: np.stack([1.0 - pi, pi], axis=-1) for i, pi in laws.items()}
+    return {i: np.array([1.0 - pi, pi]).T for i, pi in laws.items()}
 
 
 def designed_trajectory(model, N: int, checkpoints=None) -> Trajectory:

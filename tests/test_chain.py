@@ -243,12 +243,15 @@ def test_sweep_equals_the_stretch_by_stretch_composition(name, m37, m46):
 def test_pair_products_equal_the_operator_matmul(K, m37):
     rng = np.random.default_rng(30 + K)
     p_one = _step_probs(_random_tables(rng, 4099, K), _signal_laws(m37))
-    for pairs in (1, 2, 2048):
+    # Tiny and odd counts, and pair counts on both sides of 2^10, where the
+    # products go from one per (x_a, x_b) to one per (t, x_a, x_b).
+    for agents in (1, 2, 3, 13, 2047, 2048, 2049, 4097):
+        pairs = agents // 2
         first = np.arange(0, 2 * pairs, 2)
         ref = np.matmul(_transition_operators(p_one[:, first]), _transition_operators(p_one[:, first + 1]))
-        got = _pair_products(p_one[:, : 2 * pairs + 1])  # slices; the lone last agent is left out
+        got = _pair_products(p_one[:, :agents])  # slices; a lone last agent is left out
         assert got.shape == (2, pairs, 1 << K, 1 << K)
-        assert np.array_equal(got, ref), (K, pairs)
+        assert np.array_equal(got, ref), (K, agents)
 
 
 def test_a_chunk_with_dense_record_points_is_composed_once(m37, monkeypatch):
@@ -267,6 +270,20 @@ def test_a_chunk_with_dense_record_points_is_composed_once(m37, monkeypatch):
     laws = sweep(designed_profile(m37), m37, 2 * 10**4, points)
     assert sorted(laws) == points
     assert len(calls) == len(chunks)
+
+
+def test_designed_trajectory_joins_each_tree_level_once(m37, monkeypatch):
+    """The benchmark's ``exact --n 50000 --checkpoints 10000,50000`` joins
+    the maps of its two pieces, 853 and 3032 segments padded to 1024 and
+    4096, in 12 levels shared by both, then each piece onto the chain: 14
+    ``_join`` calls (35 when every block had its own map and each piece its
+    own tree with odd-count fix-ups)."""
+    calls = []
+    join = chain._join
+    monkeypatch.setattr(chain, "_join", lambda *a: calls.append(a[1].shape) or join(*a))
+    designed_trajectory(m37, 50_000, [10_000, 50_000])
+    assert len(calls) == 14
+    assert max(shape[-1] for shape in calls) == (1024 + 4096) // 2
 
 
 def test_one_record_point_per_chunk_steps_a_few_laws(m37, monkeypatch):

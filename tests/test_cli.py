@@ -110,6 +110,20 @@ def test_exact_command_matches_library(tmp_path, m37):
         assert float(row[3]) == pytest.approx(p, abs=1e-15)
 
 
+def test_exact_designed_rows_equal_the_golden_file(tmp_path):
+    """The rows of the benchmark's exact call, byte for byte as written
+    before the block-start maps were joined per segment."""
+    out = tmp_path / "exact.csv"
+    assert main([
+        "exact", "--model", "0.3,0.7", "--profile", "designed",
+        "--n", "50000", "--checkpoints", "10000,50000", "--out", str(out),
+    ]) == 0
+    rows = [line for line in out.read_text().splitlines(True) if not line.startswith("#")]
+    golden = os.path.join(os.path.dirname(__file__), "data", "exact_designed_n50000.csv")
+    with open(golden) as f:
+        assert "".join(rows) == f.read()
+
+
 def test_simulate_command_reproducible(tmp_path):
     """Two identical calls in one process, which share the parser built by
     the first, write the same artifacts byte for byte."""
