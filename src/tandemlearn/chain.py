@@ -18,7 +18,6 @@ check; block-start laws are (1 - pi, pi) and need none.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -35,10 +34,10 @@ DRIFT_TOLERANCE = 1e-9
 _CHUNK = 1 << 12  # agents per chunk of rule tables
 _SCAN_MAX_K = 5  # widest window whose chunks are composed as matrices
 _CHUNK_BYTES = 1 << 20  # bound on one chunk's per-agent arrays
-# Agents walked in about the time of a stretch of its own (90-115 us at 0.3-0.4 us
-# per agent: 64 checkpoints 256 apart from 10^5 and 10^6 ran faster joined, 320
-# apart alone, on a 2-vCPU Xeon); closer ones share a ``designed_trajectory`` sweep.
-_JOIN_GAP = 1 << 8
+# Agents walked in about the time of a stretch of its own (95-120 us at 0.25-0.33 us
+# per agent: 64 checkpoints 320 apart from 10^5 and 10^6 ran faster joined, 384 apart
+# as fast, 512 apart slower, on a 2-vCPU Xeon); closer ones share a ``designed_trajectory`` sweep.
+_JOIN_GAP = 384
 
 
 class ChainDriftError(RuntimeError):
@@ -142,20 +141,17 @@ def _pair_products(p_one: np.ndarray) -> np.ndarray:
     # v = (r, x_a, x_b): the entries u -> v lie on the strided diagonal r = r'.
     quarter = n_states >> 2
     steps = (1.0 - by_agent, by_agent)  # P(x = 0 | u) and P(x = 1 | u)
-    steps_a = [step[..., 0:even:2].reshape(2, 2, 2, quarter, -1) for step in steps]  # agents a
-    steps_b = [step[..., 1:even:2].reshape(2, 1, 2, quarter, 2, -1) for step in steps]  # a + 1
+    steps_a = [step[..., 0:even:2].reshape(2, 4, quarter, -1) for step in steps]  # agents a
+    steps_b = [step[..., 1:even:2].reshape(2, 2, quarter, 2, -1) for step in steps]  # agents a + 1
     n = steps_a[0].shape[-1]
     out = np.zeros((2, n, n_states, n_states))
-    paths = out.reshape(2, n, 2, 2, quarter * quarter, 4)[..., :: quarter + 1, :]
-    paths = paths.transpose(0, 2, 3, 4, 5, 1)  # [theta, t // 2, t mod 2, r, 2 x_a + x_b, pair]
-    # One product per (x_a, x_b), broadcast over t; from 2^10 pairs one per t too, which
-    # keeps the rows of out that four products share in cache (K = 2 chunks no slower).
-    tops = [(slice(None),) * 3] if n < 1 << 10 else [(h, l, 0) for h in (0, 1) for l in (0, 1)]
-    for hi, lo, b_hi in tops:  # b_hi indexes the t // 2 axis of steps_b, of size one
+    paths = out.reshape(2, n, 4, quarter * quarter, 4)[:, :, :, :: quarter + 1]
+    paths = paths.transpose(0, 2, 3, 4, 1)  # [theta, t, r, 2 x_a + x_b, pair]
+    for t in range(4):
         for x_a in (0, 1):
             for x_b in (0, 1):
-                a, b = steps_a[x_a][:, hi, lo], steps_b[x_b][:, b_hi, lo, :, x_a]
-                np.multiply(a, b, out=paths[:, hi, lo, :, 2 * x_a + x_b])
+                step_b = steps_b[x_b][:, t & 1, :, x_a]
+                np.multiply(steps_a[x_a][:, t], step_b, out=paths[:, t, :, 2 * x_a + x_b])
     return out
 
 
@@ -222,10 +218,9 @@ def _walk(d: np.ndarray, p_one: np.ndarray, at=None, held=None):
     at = np.arange(p_one.shape[1]) if at is None else np.asarray(at, dtype=np.intp)
     laws, held = np.empty((2, at.size, d.shape[-1])), [] if held is None else held
     size = _chunk_agents(d.shape[-1].bit_length() - 1)
-    one = p_one.shape[1] <= size  # one piece (every _sweep_from chunk): no bounds to find
-    ends = [0, at.size] if one else at.searchsorted(range(0, p_one.shape[1] + size, size)).tolist()
-    for lo, a, b in zip(range(0, p_one.shape[1], size), ends, ends[1:]):  # a..b: wanted in piece
-        piece, levels, digits = p_one if one else p_one[:, lo : lo + size], [], []
+    ends = at.searchsorted(np.arange(0, p_one.shape[1] + size, size)).tolist()  # per piece
+    for lo, a, b in zip(range(0, p_one.shape[1], size), ends, ends[1:]):
+        piece, levels, digits = p_one[:, lo : lo + size], [], []
         pairs = piece.shape[1] >> 1
         held[:] = [_pair_products(piece)]  # the previous piece's go once these exist
         for level, nodes in enumerate(_tree(held[0])):
@@ -233,8 +228,6 @@ def _walk(d: np.ndarray, p_one: np.ndarray, at=None, held=None):
                 levels.append(nodes)
             if pairs >> level & 1:
                 digits.append(nodes[:, (pairs >> level) - 1].copy())
-            if b == a and pairs >> level <= 1:
-                break  # no digit above: the levels above are not needed
         starts = d[:, None]  # the law before each node of the level above
         for node in reversed(digits):
             d = _apply(d, node)
@@ -430,29 +423,35 @@ def block_start_trajectory(model, theta: int, segments: int) -> BlockStartChain:
     return BlockStartChain(theta=theta, pi=np.array(pi), up=np.array(up), down=np.array(down))
 
 
-def _join(first: np.ndarray, then: np.ndarray) -> np.ndarray:
+def _join(first: np.ndarray, then: np.ndarray, out=None) -> np.ndarray:
     """Affine maps of pi = P^theta(w = 1), pairs (u, leak) on axis 0 with pi
-    -> pi + u - leak pi: ``first`` then ``then`` as one map."""
-    joined = first + then
+    -> pi + u - leak pi: ``first`` then ``then`` as one map, into ``out`` if given."""
+    joined = np.add(first, then, out=out)
     joined -= then[1] * first  # in place: one temporary fewer
     return joined
 
 
-def _join_all(pieces: list) -> list:
-    """The ordered join (2, 2) of each array of maps (2, 2, n) in ``pieces``: one
-    tree of adjacent joins each, padded by the identity (0, 0) to a power of two,
-    laid widest first in one array so that each level of all trees is one ``_join``."""
-    widths = [1 << max(piece.shape[-1] - 1, 0).bit_length() for piece in pieces]
-    order = sorted(range(len(pieces)), key=widths.__getitem__, reverse=True)
-    ends = list(itertools.accumulate(widths[j] for j in order))
-    maps, joined, width = np.zeros((2, 2, ends[-1])), [None] * len(pieces), 1
-    for j, end in zip(order, ends):
-        maps[..., end - widths[j] : end - widths[j] + pieces[j].shape[-1]] = pieces[j]
-    for j, end in zip(order[::-1], ends[::-1]):
-        maps = maps[..., : end // width]  # the narrower pieces after this one are joined
+def _join_all(ud: np.ndarray, spans: list, widths: list, maps: np.ndarray) -> list:
+    """The ordered join (2, 2) of the segment maps (u - d u, u + d - d u) in each span
+    [s, e) of ud (2, 2, n), their (u, d): one tree of adjacent joins each, padded by the
+    identity (0, 0) to its power of two in ``widths`` and laid widest first in the first
+    half of the flat ``maps``, so that each level of all trees is one ``_join``, written after."""
+    order = sorted(range(len(spans)), key=widths.__getitem__, reverse=True)
+    level, width, joined, at = maps[: len(maps) // 2].reshape(2, 2, -1), 1, [None] * len(spans), 0
+    for j in order:
+        (s, e), piece = spans[j], level[..., at : at + widths[j]]
+        (u, d), du, leak = ud[..., s:e], piece[0, :, : e - s], piece[1, :, : e - s]
+        np.subtract(np.add(u, d, out=leak), np.multiply(d, u, out=du), out=leak)
+        np.subtract(u, du, out=du)
+        piece[..., e - s :], at = 0.0, at + widths[j]
+    top = len(maps) // 2
+    for j in order[::-1]:
+        level = level[..., : at // width]  # the narrower pieces after this one are joined
         while width < widths[j]:
-            maps, width = _join(maps[..., 0::2], maps[..., 1::2]), 2 * width
-        joined[j] = maps[..., end // width - 1]
+            half, top = level.shape[-1] // 2, top + 2 * level.shape[-1]
+            out = maps[top - 4 * half : top].reshape(2, 2, half)
+            level, width = _join(level[..., 0::2], level[..., 1::2], out), 2 * width
+        joined[j], at = level[..., at // width - 1], at - widths[j]
     return joined
 
 
@@ -460,12 +459,12 @@ def _block_start_laws(model, blocks) -> dict:
     """{i: laws (2, 2)}: (P^theta(w_i = 0), P^theta(w_i = 1)) per theta for
     the block indices i >= 1 of ``blocks``.
 
-    ``block_start_trajectory`` with block i as the map (u_i, u_i) of an S-block
-    or (0, d_i) of an R-block (``_join``), built per run of equal sizes in chunks
-    as one map per segment, (u - d u, u + d - d u): the bits of its blocks' join.
-    Pieces of segments between the blocks needed are joined in log depth, a lone
-    block at a piece's end alone.  Keeping 1 - leak instead of the leak would
-    round away the low bits of the leaks near 1/m.
+    ``block_start_trajectory`` with block i as the map (u_i, u_i) of an S-block or
+    (0, d_i) of an R-block (``_join``), built per run of equal sizes in chunks as one
+    map per segment, the bits of its blocks' join, and joined in log depth between
+    the blocks needed.  A chunk's arrays are one, freed whole, so glibc's trim threshold
+    (twice the largest block freed) stays above its heap: no page is faulted in anew per
+    chunk.  Keeping 1 - leak instead of the leak would round away the low bits near 1/m.
     """
     points = set(blocks)
     done = np.zeros((2, 2))  # the join of the maps before the current block: w_1 = x_2 = 0
@@ -475,14 +474,16 @@ def _block_start_laws(model, blocks) -> dict:
     for lo, hi in agent_chunks(1, max(points, default=1) - 1, size):
         m0, m1 = (lo + 1) // 2, (hi + 1) // 2
         k, r, count = segment_table(model).runs(m0, m1)
+        pieces = list(agent_chunks(lo, hi, size, cuts))  # block a is in segment (a + 1) // 2
+        spans = [(a // 2 + 1 - m0, b // 2 + 1 - m0) for a, b in pieces]  # its whole segments
+        widths = [1 << max(e - s - 1, 0).bit_length() for s, e in spans]
+        nud = 4 * (m1 - m0 + 1)  # (u, d), then the pieces and their trees
+        work = np.empty(nud + 8 * sum(widths))
         # Python's float ** as in block_start_trajectory, once per run: u, then d.
         powers = [[f(t) ** j for j in n] for f, n in ((model.p, k), (model.q, r)) for t in (0, 1)]
-        up, down = np.repeat(powers, count, axis=1).reshape(2, 2, -1) / np.arange(m0, m1 + 1.0)
-        segments = np.stack([up, up + down])
-        segments -= down * up  # [(u, leak), theta, segment]
-        pieces = list(agent_chunks(lo, hi, size, cuts))  # block a is in segment (a + 1) // 2
-        joined = _join_all([segments[..., a // 2 + 1 - m0 : b // 2 + 1 - m0] for a, b in pieces])
-        for (a, b), piece in zip(pieces, joined):
+        powers = np.repeat(powers, count, axis=1).reshape(2, 2, -1)
+        up, down = ud = np.divide(powers, np.arange(m0, m1 + 1.0), out=work[:nud].reshape(2, 2, -1))
+        for (a, b), piece in zip(pieces, _join_all(ud, spans, widths, work[nud:])):
             if a % 2 == 0:  # the R-block of segment a / 2
                 done = _join(done, [[0.0], [1.0]] * down[:, a // 2 - m0])
             done = _join(done, piece)

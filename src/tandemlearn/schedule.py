@@ -34,8 +34,8 @@ class RoleKind(IntEnum):
 
 # Slots of a segment's six role runs in ``SegmentTable.role_palette``; the
 # block-first slots 0 and 3 are set per segment.
-_SEGMENT_SLOTS = np.array([0, RoleKind.S_BODY, RoleKind.SR_TRANSIENT, 0, RoleKind.R_BODY,
-                           RoleKind.RS_TRANSIENT])
+_SEGMENT_SLOTS = (0, RoleKind.S_BODY, RoleKind.SR_TRANSIENT, 0, RoleKind.R_BODY,
+                  RoleKind.RS_TRANSIENT)
 
 
 @dataclass(frozen=True)

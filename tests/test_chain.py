@@ -243,9 +243,8 @@ def test_sweep_equals_the_stretch_by_stretch_composition(name, m37, m46):
 def test_pair_products_equal_the_operator_matmul(K, m37):
     rng = np.random.default_rng(30 + K)
     p_one = _step_probs(_random_tables(rng, 4099, K), _signal_laws(m37))
-    # Tiny and odd counts, and pair counts on both sides of 2^10, where the
-    # products go from one per (x_a, x_b) to one per (t, x_a, x_b).
-    for agents in (1, 2, 3, 13, 2047, 2048, 2049, 4097):
+    # Tiny, even and odd counts, and a full chunk's with a lone last agent.
+    for agents in (1, 2, 3, 13, 4097):
         pairs = agents // 2
         first = np.arange(0, 2 * pairs, 2)
         ref = np.matmul(_transition_operators(p_one[:, first]), _transition_operators(p_one[:, first + 1]))
@@ -284,6 +283,22 @@ def test_designed_trajectory_joins_each_tree_level_once(m37, monkeypatch):
     designed_trajectory(m37, 50_000, [10_000, 50_000])
     assert len(calls) == 14
     assert max(shape[-1] for shape in calls) == (1024 + 4096) // 2
+
+
+def test_block_start_laws_fault_in_no_page_per_chunk(m37):
+    """A chunk of ``_block_start_laws`` frees its one array whole, so the
+    heap it takes is not given back and faulted in again by the next chunk:
+    64 chunks more make fewer than 64 minor page faults more."""
+    resource = pytest.importorskip("resource")
+    size = chain._CHUNK_BYTES // 64  # blocks per chunk
+
+    def faults(chunks):
+        chain._block_start_laws(m37, [chunks * size + 1])  # sets the heap up
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        chain._block_start_laws(m37, [chunks * size + 1])
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    assert faults(80) - faults(16) < 64
 
 
 def test_one_record_point_per_chunk_steps_a_few_laws(m37, monkeypatch):
