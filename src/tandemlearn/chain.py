@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .profiles import designed_profile
+from .profiles import ArgumentError, designed_profile
 from .schedule import block_sizes_arrays, segment_table
 from .signals import blr_bounds
 
@@ -46,10 +46,6 @@ class ChainDriftError(RuntimeError):
 
 class ZeroProbabilityError(ValueError):
     """Conditioning on an event of probability zero."""
-
-
-class ArgumentError(ValueError):
-    """An argument outside the range its function accepts (CLI exit code 4)."""
 
 
 def _integer(name: str, value) -> int:
@@ -314,14 +310,18 @@ def law_walk(profile, model, n0: int, n1: int, horizon: int = 0):
     Yields (lo, tables, p_one, before) for each chunk lo..hi: the rule
     tables (n, S, 2) and step probabilities (2, n, S) of agents lo..hi +
     horizon, and the per-theta laws (2, hi - lo + 1, S) of the window
-    before each agent lo..hi, from ``sweep`` and then ``_walk`` with nothing
-    rescaled, so never dependent on n1.  A chunk and its horizon hold at most
+    before each agent lo..hi: the zero window's point mass, swept through
+    agents 1..n0 - 1 if n0 > 1, then ``_walk`` with nothing rescaled, so
+    never dependent on n1.  A chunk and its horizon hold at most
     _CHUNK_BYTES / (32 S) agents: a caller's [n, u, s, y] arrays stay in it.
     """
     if not (1 <= n0 <= n1):
         raise ArgumentError(f"need 1 <= n0 <= n1, got {n0}..{n1}")
     sig = _signal_laws(model)
-    d = sweep(profile, model, n0 - 1, [n0 - 1])[n0 - 1]
+    d = np.zeros((2, 1 << profile.K))
+    d[:, 0] = 1.0
+    if n0 > 1:
+        d = _sweep_from(profile, model, 1, d, {n0 - 1})[n0 - 1]
     size = max(1, _CHUNK_BYTES // (32 << profile.K) - horizon)
     for lo, hi in agent_chunks(n0, n1, size):
         palette, index = profile.rule_palette(lo, hi + horizon)

@@ -18,13 +18,11 @@ to codes 2 and 4, with a JSON object of ``error`` and ``reason``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 
 import numpy as np
 
@@ -36,7 +34,7 @@ from .chain import (
     k1_diagnostics,
     series_diagnostics,
 )
-from .game import Violation, certified_tail, check_equilibrium
+from .game import certified_tail, check_equilibrium
 from .montecarlo import SimConfig, estimate_error
 from .profiles import (
     MAX_K,
@@ -61,9 +59,9 @@ def _jsonable(x):
 def _emit(path, text: str):
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    else:  # the text is ASCII; a binary file skips the text layer's set-up
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
 
 
 def _columns(columns, float_conversion: str):
@@ -278,11 +276,8 @@ def cmd_equilibrium(args, config: dict) -> int:
     report = check_equilibrium(
         profile, model, delta=args.delta, n_range=(n1, n2), eps=args.eps, horizon=args.horizon
     )
-    violations = {
-        f.name: list(map(attrgetter(f.name), report.violations))
-        for f in dataclasses.fields(Violation)
-    }
-    text = {w: "".join(map(str, w)) for w in set(violations["window"])}
+    violations = dict(report.columns)
+    text = {u: format(u, f"0{report.K}b") for u in set(violations["window"])}
     violations["window"] = list(map(text.__getitem__, violations["window"]))
     _write_json(
         args.out,

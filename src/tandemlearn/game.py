@@ -13,8 +13,9 @@ window chain.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,7 +39,8 @@ class PayoffQuery:
             raise ArgumentError("discount factor must lie in [0, 1)")
         if _integer("horizon", self.horizon) < 0:
             raise ArgumentError("truncation horizon must be >= 0")
-        if self.action not in (0, 1) or self.s not in (0, 1):
+        _integer("n", self.n)
+        if _integer("action", self.action) not in (0, 1) or _integer("s", self.s) not in (0, 1):
             raise ArgumentError("signal and action must be binary")
 
 
@@ -62,7 +64,12 @@ class Violation:
 
 @dataclass
 class EquilibriumReport:
-    violations: list
+    """A check's violations by column: ``columns`` maps each field of
+    ``Violation`` to its values in the order found, the window as its
+    code for window length ``K``.  ``violations`` builds the records."""
+
+    columns: dict
+    K: int
     n_range: tuple
     eps: float
     delta: float
@@ -72,7 +79,14 @@ class EquilibriumReport:
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not self.columns["n"]
+
+    @functools.cached_property
+    def violations(self) -> list:
+        columns = dict(self.columns)
+        windows = {u: code_window(u, self.K) for u in set(columns["window"])}
+        columns["window"] = map(windows.__getitem__, columns["window"])
+        return list(map(Violation, *columns.values()))
 
 
 def _tail_bound(delta: float, horizon: int) -> float:
@@ -169,12 +183,13 @@ def _values(dists, p_one, sig, delta: float, horizon: int):
     u, s, y] is the truncated payoff of playing y there.
     """
     n_states = dists.shape[-1]
-    start = ((np.arange(n_states)[:, None] << 1) | np.arange(2)) & (n_states - 1)  # [u, y]
+    start = (np.arange(2 * n_states) & (n_states - 1)).reshape(n_states, 2)  # [u, y]: 2u + y
     cont = _continuation_values(p_one, delta, horizon)[:, :, start]
     w = dists[:, :, :, None] * sig[:, None, None, :]  # [theta, n, u, s]
-    valid = w[0] + w[1] != 0.0
+    total = w[0] + w[1]
+    valid = total != 0.0
     with np.errstate(invalid="ignore"):
-        post1 = w[1] / (w[0] + w[1])
+        post1 = w[1] / total
     post0 = 1.0 - post1
     value = np.stack([post0, post1], axis=-1) + post0[..., None] * cont[0][:, :, None]
     return post1, valid, value + post1[..., None] * cont[1][:, :, None]
@@ -207,30 +222,28 @@ def check_equilibrium(
     profile's (possibly randomized) action by more than eps plus twice
     the truncation tail, so it survives un-truncation.  Agents go in the
     chunks of ``chain.law_walk``; in each the argmax runs on arrays over
-    the (n, u, s) triples, and the hits' fields are gathered by column.
+    the (n, u, s) triples, and the hits' fields are appended to the
+    report's columns, with no record made per violation.
     """
     tail = certified_tail(n_range, delta, eps, horizon)
     n1, n2 = n_range
-    K, sig = profile.K, chain._signal_laws(model)
-    violations, checked = [], 0
+    sig = chain._signal_laws(model)
+    columns, checked = {f.name: [] for f in fields(Violation)}, 0
     for lo, tables, p_one, dists in chain.law_walk(profile, model, n1, n2, horizon):
         _, valid, value = _values(dists, p_one, sig, delta, horizon)
         tables = tables[: dists.shape[1]]
         sigma_value = tables * value[..., 1] + (1.0 - tables) * value[..., 0]
-        best_action = (value[..., 1] >= value[..., 0]).astype(int)
-        best_value = np.where(best_action == 1, value[..., 1], value[..., 0])
+        better = value[..., 1] >= value[..., 0]
+        best_value = np.where(better, value[..., 1], value[..., 0])
         gain = best_value - sigma_value
-        hits = np.flatnonzero(valid & (gain > eps + 2.0 * tail))
+        hits = valid & (gain > eps + 2.0 * tail)
         checked += int(np.count_nonzero(valid))
-        at, codes, s = np.unravel_index(hits, gain.shape)
-        codes = codes.tolist()
-        windows = {u: code_window(u, K) for u in set(codes)}  # the windows hit, by code
-        violations += map(
-            Violation, (at + lo).tolist(), map(windows.__getitem__, codes), s.tolist(),
-            (gain.ravel()[hits] - 2.0 * tail).tolist(), sigma_value.ravel()[hits].tolist(),
-            best_value.ravel()[hits].tolist(), best_action.ravel()[hits].tolist(),
-        )
-    return EquilibriumReport(violations, (n1, n2), eps, delta, horizon, tail, checked)
+        at, codes, s = np.nonzero(hits)
+        found = (at + lo, codes, s, gain[hits] - 2.0 * tail, sigma_value[hits], best_value[hits],
+                 better[hits].astype(int))
+        for column, values in zip(columns.values(), found):
+            column += values.tolist()
+    return EquilibriumReport(columns, profile.K, (n1, n2), eps, delta, horizon, tail, checked)
 
 
 @dataclass

@@ -28,10 +28,14 @@ from .schedule import RoleKind, refuse_past_memory, segment_table
 MAX_K = 16  # widest window a profile may have; a rule table has 2^K x 2 entries
 
 
+class ArgumentError(ValueError):
+    """An argument outside the range its function accepts (CLI exit code 4)."""
+
+
 def window_code(window, K: int) -> int:
     """Integer code of a window tuple (oldest decision first)."""
-    if len(window) != K:
-        raise ValueError(f"window {window} has length {len(window)}, expected {K}")
+    if len(window) != K or any(bit not in (0, 1) for bit in window):
+        raise ArgumentError(f"window {window} is not {K} decisions of 0 or 1")
     code = 0
     for bit in window:
         code = (code << 1) | int(bit)

@@ -201,12 +201,13 @@ class SegmentTable:
             k, r = self._k[j0], self._r[j0]
         else:
             k, r, count = self.runs(first, hi)
-            k, r = np.repeat(k, count), np.repeat(r, count)
+            k, r = np.array([k, r]).repeat(count, axis=1)
         counts[:, 1] = 2 * k - 2
         counts[:, 4] = 2 * r - 2
         slots, counts = slots.ravel(), counts.ravel()
         if lo == 0:  # agents 1 and 2 play slot PREAMBLE
-            slots, counts = np.r_[RoleKind.PREAMBLE, slots], np.r_[2, counts]
+            slots = np.concatenate(([RoleKind.PREAMBLE], slots))
+            counts = np.concatenate(([2], counts))
         a = n0 - start
         index = np.repeat(slots, counts)[a : a + n1 - n0 + 1]
         kinds = np.empty(7 + 2 * nseg, dtype=np.int8)

@@ -461,6 +461,26 @@ def test_laws_before_an_agent_do_not_depend_on_the_range_end(name, m37):
         assert np.array_equal(laws(n1), longest[:, : n1 - n0 + 1]), (name, n1)
 
 
+@pytest.mark.parametrize("name", ["designed", "random3", "copy6"])
+def test_law_walk_from_agent_1_starts_from_the_sweep_origin(name, m37):
+    # A walk from agent 1 sweeps no agent first: its laws are the bits of
+    # the chunk walks started from sweep(profile, model, 0, [0])[0].
+    if name == "designed":
+        prof = designed_profile(m37)
+    elif name == "random3":
+        prof = table_profile(list(np.random.default_rng(5).random((97, 8, 2))))
+    else:
+        prof = baseline_profile("copy", 6)
+    horizon = 20
+    n1 = 2 * (_CHUNK_BYTES // (32 << prof.K) - horizon) + 50  # three law_walk chunks
+    d = sweep(prof, m37, 0, [0])[0]
+    chunks = list(law_walk(prof, m37, 1, n1, horizon))
+    assert len(chunks) == 3
+    for lo, _, p_one, before in chunks:
+        expected, d = _walk(d, p_one[:, : before.shape[1]])
+        assert np.array_equal(before, expected), (name, lo)
+
+
 @pytest.mark.parametrize("model_args", [(0.3, 0.7), (0.4, 0.6)])
 def test_exact_chain_matches_enumeration(model_args):
     model = SignalModel(*model_args)

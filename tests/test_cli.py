@@ -17,6 +17,7 @@ from tandemlearn import (
     check_equilibrium,
     designed_profile,
     error_trajectory,
+    game,
 )
 from tandemlearn.cli import (
     _COMMANDS,
@@ -253,18 +254,44 @@ def test_equilibrium_report_matches_stdlib_writer(flags, count, capsys):
     writes for the list of per-violation records."""
     assert main(["equilibrium", "--model", "0.3,0.7", "--eps", "0.01", *flags]) == 0
     text = capsys.readouterr().out
-    model = quantize(SignalModel(0.3, 0.7))
-    payload = json.loads(text)
-    n1, n2 = (int(x) for x in payload["config"]["range"].split(".."))
-    profile = parse_profile(payload["config"]["profile"], model, K=payload["config"]["k"],
-                            horizon=n2 + payload["config"]["horizon"] + 1)
-    report = check_equilibrium(profile, model, payload["config"]["delta"], (n1, n2), 0.01,
-                               payload["config"]["horizon"])
+    report, expected = _report_by_records(json.loads(text)["config"])
     assert len(report.violations) == count
+    assert text == expected
+
+
+def _report_by_records(config: dict):
+    """The check an equilibrium call's config asks for, and the bytes
+    json.dumps writes for its report as a list of per-violation records."""
+    model = quantize(SignalModel(0.3, 0.7))
+    n1, n2 = (int(x) for x in config["range"].split(".."))
+    profile = parse_profile(config["profile"], model, K=config["k"],
+                            horizon=n2 + config["horizon"] + 1)
+    report = check_equilibrium(profile, model, config["delta"], (n1, n2), config["eps"],
+                               config["horizon"])
     records = [{**vars(v), "window": "".join(str(b) for b in v.window)} for v in report.violations]
     expected = {"passed": report.passed, "checked": report.checked,
                 "tail_bound": report.tail_bound, "violations": records}
-    assert text == _stdlib_json(expected, payload["config"])
+    return report, _stdlib_json(expected, config)
+
+
+def test_equilibrium_command_builds_no_violation_record(monkeypatch, capsys):
+    """The command writes the report from the check's columns: with every
+    ``Violation`` refused, the benchmark's call writes the bytes of the
+    records its report derives."""
+
+    class Refused(game.Violation):
+        def __init__(self, *fields):
+            raise AssertionError("a Violation record was built")
+
+    argv = ["equilibrium", "--model", "0.3,0.7", "--profile", "designed", "--delta", "0.5",
+            "--eps", "0.01", "--horizon", "20", "--range", "1..150"]
+    with monkeypatch.context() as patch:
+        patch.setattr(game, "Violation", Refused)
+        assert main(argv) == 0
+    text = capsys.readouterr().out
+    report, expected = _report_by_records(json.loads(text)["config"])
+    assert len(report.violations) == 108
+    assert text == expected
 
 
 def test_write_json_by_column_matches_stdlib(capsys):

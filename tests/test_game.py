@@ -70,6 +70,22 @@ def test_myopic_is_exact_equilibrium_at_zero_discount(m46):
     assert report.tail_bound == 0.0
 
 
+@pytest.mark.parametrize("profile, model, delta, n_range, eps, horizon", [
+    ("myopic", "m46", 0.0, (1, 100), 1e-9, 120),
+    ("designed", "m37", 0.5, (1, 150), 0.01, 20),
+    ("designed", "m37", 0.5, (1, 1), 0.01, 20),
+])
+def test_report_passes_exactly_when_it_holds_no_violation(
+    profile, model, delta, n_range, eps, horizon, request
+):
+    # passed reads the report's columns; violations builds the records from them.
+    model = request.getfixturevalue(model)
+    prof = myopic_profile(model, 1, 120) if profile == "myopic" else designed_profile(model)
+    report = check_equilibrium(prof, model, delta, n_range, eps, horizon)
+    assert report.passed == (len(report.violations) == 0)
+    assert all(len(column) == len(report.violations) for column in report.columns.values())
+
+
 def test_designed_profile_fails_at_positive_discount(m37):
     dp = designed_profile(m37)
     report = check_equilibrium(dp, m37, delta=0.5, n_range=(1, 40), eps=0.01, horizon=60)
@@ -114,10 +130,16 @@ _DESIGNED = designed_profile(_M37)
     (lambda: PayoffQuery(1, (1,), 1, 1, 0.5, True), None),
     (lambda: check_equilibrium(_DESIGNED, _M37, 0.5, (1, 3.5), 0.01, 20), None),
     (lambda: check_equilibrium(_DESIGNED, _M37, 0.5, (1, 3), 0.01, 20.5), None),
+    (lambda: PayoffQuery(1, (1,), 1.0, 1, 0.5, 5), None),
+    (lambda: PayoffQuery(1, (1,), 1, True, 0.5, 5), None),
+    (lambda: PayoffQuery(3.0, (1,), 1, 1, 0.5, 5), None),
+    (lambda: payoff(_DESIGNED, _M37, PayoffQuery(5, (3, 3), 1, 1, 0.5, 5)), None),
+    (lambda: posterior_sequence(_DESIGNED, _M37, (2, 10), window=(0, -1)), None),
 ], ids=["payoff-discount", "payoff-horizon", "payoff-signal", "payoff-action",
         "check-range", "check-discount", "check-eps", "check-horizon-too-short",
         "payoff-horizon-fraction", "payoff-horizon-bool", "check-range-fraction",
-        "check-horizon-fraction"])
+        "check-horizon-fraction", "payoff-signal-float", "payoff-action-bool",
+        "payoff-agent-float", "payoff-window-entry", "posterior-window-entry"])
 def test_argument_checks_raise_argument_error(call, argv, capsys):
     """Each argument check of the module raises ``ArgumentError``; a command
     line that reaches it exits 4 with the library's reason."""

@@ -31,7 +31,10 @@ from conftest import reference_designed_table, reference_step, table_profile
     lambda m: Profile(0, "empty"),
     lambda m: baseline_profile("copy", 2).rule(0),
     lambda m: myopic_profile(m, K=1, horizon=0),
-], ids=["window-length", "profile-window", "rule-agent", "myopic-horizon"])
+    lambda m: window_code((0, 2), 2),
+    lambda m: window_code((0, -1), 2),
+], ids=["window-length", "profile-window", "rule-agent", "myopic-horizon", "window-entry-2",
+        "window-entry-negative"])
 def test_argument_checks_raise_value_error(call, m37):
     with pytest.raises(ValueError):
         call(m37)
