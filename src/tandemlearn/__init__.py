@@ -6,6 +6,7 @@ bounded-likelihood-ratio signals.
 """
 
 from .signals import (
+    ArgumentError,
     DiscreteGeneralModel,
     ModelError,
     SignalModel,
@@ -24,7 +25,6 @@ from .profiles import (
     profile_from_json,
 )
 from .chain import (
-    ArgumentError,
     BlockStartChain,
     ChainDriftError,
     Trajectory,

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .profiles import ArgumentError, designed_profile
+from .profiles import designed_profile
 from .schedule import block_sizes_arrays, segment_table
-from .signals import blr_bounds
+from .signals import ArgumentError, _integer, blr_bounds
 
 # The sweep has no numba path; perfbench's environment stamp reads this name.
 HAVE_NUMBA = False
@@ -48,13 +49,6 @@ class ZeroProbabilityError(ValueError):
     """Conditioning on an event of probability zero."""
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int if it is an integer (numpy's too), not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ArgumentError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 # ---------------------------------------------------------------------------
 # Window distributions and forward propagation.
 # ---------------------------------------------------------------------------
@@ -72,7 +66,7 @@ def propagate_dist(dist: np.ndarray, table: np.ndarray, sig: tuple) -> np.ndarra
 
 def _signal_laws(model) -> np.ndarray:
     """sig[theta, s]: the signal law under each state of the world."""
-    return np.array([model.signal_probs(0), model.signal_probs(1)], dtype=np.float64)
+    return np.array([model.f0, model.f1], dtype=np.float64)
 
 
 def _mass(d: np.ndarray) -> np.ndarray:
@@ -277,9 +271,7 @@ def sweep(profile, model, N: int, record_after=()) -> dict:
     fixed grid, with step probabilities made once per table of a chunk's
     ``rule_palette``; each chunk is one ``_walk``, renormalised at its end.
     """
-    points = set(int(s) for s in record_after)
-    if points and (min(points) < 0 or max(points) > N):
-        raise ArgumentError("record points must lie in [0, N]")
+    points = set(_agent_list(record_after, N, 0, "record points"))
     d = np.zeros((2, 1 << profile.K))
     d[:, 0] = 1.0
     return _sweep_from(profile, model, 1, d, points)
@@ -315,7 +307,7 @@ def law_walk(profile, model, n0: int, n1: int, horizon: int = 0):
     never dependent on n1.  A chunk and its horizon hold at most
     _CHUNK_BYTES / (32 S) agents: a caller's [n, u, s, y] arrays stay in it.
     """
-    if not (1 <= n0 <= n1):
+    if not (1 <= _integer("n0", n0) <= _integer("n1", n1)):
         raise ArgumentError(f"need 1 <= n0 <= n1, got {n0}..{n1}")
     sig = _signal_laws(model)
     d = np.zeros((2, 1 << profile.K))
@@ -355,14 +347,19 @@ class Trajectory:
         return 0.5 * (self.p0_correct + self.p1_correct)
 
 
-def _checkpoint_agents(checkpoints, N: int) -> list:
-    """The checkpoints (default [N], or none if N < 1) sorted and deduplicated, in [1, N]."""
+def _agent_list(values, N: int, lo: int = 1, what: str = "checkpoints") -> list:
+    """The agents ``values`` (default [N], or none if N < 1) sorted and
+    deduplicated, in [lo, N]; each is read with ``operator.index``, so 5.5
+    is refused, not truncated."""
     N = _integer("N", N)
-    if checkpoints is None:
-        checkpoints = [N] if N >= 1 else []
-    ns = sorted(set(int(n) for n in checkpoints))
-    if ns and (ns[0] < 1 or ns[-1] > N):
-        raise ArgumentError(f"checkpoints must lie in [1, {N}], got {ns[0]}..{ns[-1]}")
+    if values is None:
+        values = [N] if N >= 1 else []
+    try:
+        ns = sorted(set(map(operator.index, values)))
+    except TypeError as exc:
+        raise ArgumentError(f"{what} must be integers: {exc}") from None
+    if ns and (ns[0] < lo or ns[-1] > N):
+        raise ArgumentError(f"{what} must lie in [{lo}, {N}], got {ns[0]}..{ns[-1]}")
     return ns
 
 
@@ -375,7 +372,7 @@ def _trajectory(ns: list, snaps: dict) -> Trajectory:
 
 def error_trajectory(profile, model, N: int, checkpoints=None) -> Trajectory:
     """Exact P(x_n = theta) at the checkpoint agents via forward sweep."""
-    ns = _checkpoint_agents(checkpoints, N)
+    ns = _agent_list(checkpoints, N)
     return _trajectory(ns, sweep(profile, model, N, ns))
 
 
@@ -505,7 +502,7 @@ def designed_trajectory(model, N: int, checkpoints=None) -> Trajectory:
     begins at most _JOIN_GAP agents after the previous checkpoint is swept
     in that one's stretch, so dense checkpoints cost one sweep.
     """
-    ns = _checkpoint_agents(checkpoints, N)
+    ns = _agent_list(checkpoints, N)
     profile = designed_profile(model)
     stretches = []  # [block i, its first agent, the checkpoints swept from it]
     for n in ns:
@@ -572,7 +569,7 @@ def series_diagnostics(model, M: int, checkpoints=None) -> SeriesDiagnostics:
     """Partial sums up to each checkpoint M' <= M plus tail exponents."""
     if _integer("M", M) < 2:
         raise ArgumentError("need M >= 2")
-    cps = _checkpoint_agents(checkpoints, M)
+    cps = _agent_list(checkpoints, M)
     if not cps:
         raise ArgumentError("need at least one checkpoint")
     k, r = block_sizes_arrays(M, model)
@@ -627,12 +624,12 @@ def k1_diagnostics(profile, model, N: int) -> K1Diagnostics:
         raise ArgumentError(f"need N >= 0, got {N}")
     m_blr, M_blr = blr_bounds(model)
     sig = _signal_laws(model)
-    palette, index = profile.rule_palette(1, N)
+    palette, index = profile.rule_palette(1, max(N, 1))  # a profile's range is never empty
     start = np.array([[1.0, 0.0], [1.0, 0.0]])  # x_0 is the zero padding
-    seen = _walk(start, _palette_step_probs(palette, index, sig))[0] > 0.0  # [theta, n, i]
+    seen = _walk(start, _palette_step_probs(palette, index[:N], sig))[0] > 0.0  # [theta, n, i]
     # The entries are the signal average even where a rule ignores the signal.
     one = sig[:, 0, None, None] * palette[:, :, 0] + sig[:, 1, None, None] * palette[:, :, 1]
-    one = one.take(index, axis=1)
+    one = one.take(index[:N], axis=1)
     a, abar = np.where(seen[..., None], np.stack([1.0 - one, one], axis=-1), np.nan)
     inside = (m_blr * abar - 1e-12 <= a) & (a <= M_blr * abar + 1e-12)
     violations = np.argwhere(seen.all(axis=0)[..., None] & ~inside)
@@ -671,7 +668,7 @@ def brute_force_oracle(profile, model, N: int, checkpoints=None) -> Trajectory:
     """
     if _integer("N", N) > BRUTE_FORCE_MAX_N:
         raise ArgumentError(f"brute force enumeration is limited to N <= {BRUTE_FORCE_MAX_N}")
-    ns = _checkpoint_agents(range(1, N + 1) if checkpoints is None else checkpoints, N)
+    ns = _agent_list(range(1, N + 1) if checkpoints is None else checkpoints, N)
     n_states = 1 << profile.K
     mask = n_states - 1
     correct = {0: {}, 1: {}}

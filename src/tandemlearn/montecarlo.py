@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .chain import ArgumentError, _checkpoint_agents, _integer, agent_chunks
+from .chain import ArgumentError, _agent_list, _integer, agent_chunks
 from .schedule import refuse_past_memory
 
 
@@ -47,7 +47,7 @@ class SimConfig:
         _check_key("seed", self.seed)
         if self.theta is not None and _integer("theta", self.theta) not in (0, 1):
             raise ArgumentError(f"theta must be None, 0 or 1, got {self.theta!r}")
-        cps = _checkpoint_agents(tuple(self.checkpoints) or None, self.N)  # () is (N,)
+        cps = _agent_list(tuple(self.checkpoints) or None, self.N)  # () is (N,)
         object.__setattr__(self, "checkpoints", tuple(cps))
 
 
@@ -288,24 +288,16 @@ def estimate_error(config: SimConfig) -> PathStats:
         config, np.arange(config.reps)
     )
     ns = np.asarray(config.checkpoints)
-    mean = np.empty(len(ns))
-    se = np.empty(len(ns))
-    census_median = np.empty(len(ns))
-    census_mean = np.empty(len(ns))
-    for i, n in enumerate(ns):
-        hit = (decisions[n] == theta).mean()
-        mean[i] = hit
-        se[i] = np.sqrt(hit * (1.0 - hit) / config.reps)
-        census_median[i] = np.median(census[n])
-        census_mean[i] = census[n].mean()
+    mean = (np.array([decisions[n] for n in config.checkpoints]) == theta).mean(axis=1)
+    counts = np.array([census[n] for n in config.checkpoints])  # [checkpoint, stream]
     qs = (10, 50, 90)
     quantiles = dict(zip(qs, np.percentile(switches, qs).tolist()))
     return PathStats(
         ns=ns,
         mean=mean,
-        se=se,
-        census_median=census_median,
-        census_mean=census_mean,
+        se=np.sqrt(mean * (1.0 - mean) / config.reps),
+        census_median=np.median(counts, axis=1),
+        census_mean=counts.mean(axis=1),
         switches_quantiles=quantiles,
         last_switch_median=float(np.median(last_switch)),
         reps=config.reps,

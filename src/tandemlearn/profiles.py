@@ -24,12 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import RoleKind, refuse_past_memory, segment_table
+from .signals import ArgumentError, _integer
 
 MAX_K = 16  # widest window a profile may have; a rule table has 2^K x 2 entries
 
 
-class ArgumentError(ValueError):
-    """An argument outside the range its function accepts (CLI exit code 4)."""
+def _window_length(K) -> int:
+    """K, checked as every profile's window length: an integer >= 1."""
+    if _integer("K", K) < 1:
+        raise ArgumentError("window length K must be >= 1")
+    return K
 
 
 def window_code(window, K: int) -> int:
@@ -57,9 +61,9 @@ class DecisionRule:
         table = np.ascontiguousarray(self.table, dtype=np.float64)
         n_states = table.shape[0]
         if table.ndim != 2 or table.shape[1] != 2 or n_states & (n_states - 1):
-            raise ValueError("rule table must have shape (2**K, 2)")
+            raise ArgumentError("rule table must have shape (2**K, 2)")
         if not np.all((table >= 0.0) & (table <= 1.0)):
-            raise ValueError("rule entries must be probabilities")
+            raise ArgumentError("rule entries must be probabilities")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
@@ -77,9 +81,7 @@ class Profile:
     2), and ``rule(n)`` is one row of that."""
 
     def __init__(self, K: int, descriptor: str):
-        if K < 1:
-            raise ValueError("window length K must be >= 1")
-        self.K = K
+        self.K = _window_length(K)
         self.descriptor = descriptor
 
     def rule_table_chunk(self, n0: int, n1: int) -> np.ndarray:
@@ -88,8 +90,6 @@ class Profile:
         return palette.take(index, axis=0)
 
     def rule(self, n: int) -> DecisionRule:
-        if n < 1:
-            raise ValueError("agent index must be >= 1")
         return DecisionRule(self.rule_table_chunk(n, n)[0])
 
     def search_table_chunk(self, n0: int, n1: int) -> np.ndarray:
@@ -116,6 +116,8 @@ class TableProfile(Profile):
 
     def rule_palette(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
         """The default table, then the tables of the range's listed agents."""
+        if not (1 <= _integer("n0", n0) <= _integer("n1", n1)):
+            raise ArgumentError("need 1 <= n0 <= n1")
         refuse_past_memory(n1 - n0 + 1, "agent rule indices")
         lo, hi = np.searchsorted(self._agents, [n0, n1 + 1])
         index = np.zeros(n1 - n0 + 1, dtype=np.intp)
@@ -133,14 +135,14 @@ class TableProfile(Profile):
 
 def baseline_profile(kind: str, K: int) -> TableProfile:
     """Control profiles: constant decisions and predecessor-copying."""
-    n_states = 1 << K
+    n_states = 1 << _window_length(K)
     if kind in ("constant0", "constant1"):
         table = np.full((n_states, 2), 1.0 if kind == "constant1" else 0.0)
     elif kind == "copy":
         table = np.zeros((n_states, 2))
         table[1::2, :] = 1.0  # low bit of the code is the predecessor
     else:
-        raise ValueError(f"unknown baseline profile {kind!r}")
+        raise ArgumentError(f"unknown baseline profile {kind!r}")
     return TableProfile(table, descriptor=kind)
 
 
@@ -168,22 +170,20 @@ DESIGNED_BASE = np.array(
     ],
     dtype=np.float64,
 )
-DESIGNED_BASE[RoleKind.S_FIRST, 0] = [0.0, 0.0]  # (0,0): randomized via delta
 
 DESIGNED_DELTA = np.zeros((7, 4, 2), dtype=np.float64)
 DESIGNED_DELTA[RoleKind.S_FIRST, 0, 1] = 1.0  # (0,0), s=1: decide 1 w.p. 1/m
 DESIGNED_DELTA[RoleKind.R_FIRST, 3, 0] = -1.0  # (1,1), s=0: decide 0 w.p. 1/m
 
 # A search starts when a block-first agent leaves the block's consensus:
-# deciding 1 on window (0,0) at S_FIRST, or 0 on (1,1) at R_FIRST.
+# deciding 1 on window (0,0) at S_FIRST, or 0 on (1,1) at R_FIRST.  That is
+# exactly where the 1/m term acts, and the agent decides as its signal reads,
+# so the signal axis of the delta is the decision axis here.
 # Indexed [kind, window, decision].
-DESIGNED_SEARCH = np.zeros((7, 4, 2), dtype=bool)
-DESIGNED_SEARCH[RoleKind.S_FIRST, 0, 1] = True
-DESIGNED_SEARCH[RoleKind.R_FIRST, 3, 0] = True
+DESIGNED_SEARCH = DESIGNED_DELTA != 0.0
 
-DESIGNED_BASE.setflags(write=False)
-DESIGNED_DELTA.setflags(write=False)
-DESIGNED_SEARCH.setflags(write=False)
+for _table in (DESIGNED_BASE, DESIGNED_DELTA, DESIGNED_SEARCH):
+    _table.setflags(write=False)
 
 
 class DesignedProfile(Profile):
@@ -256,10 +256,9 @@ def myopic_profile(model, K: int, horizon: int) -> TableProfile:
     profile, built against the exact window laws the profile itself
     induces, so it is a myopic best-response fixed point.  Agents past the
     stored tables (the laws' fixed point, or the horizon) play the last."""
-    if K < 1:  # Profile's own check, made before the induction that needs a window
-        raise ValueError("window length K must be >= 1")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _window_length(K)  # Profile's check, made before the induction that needs a window
+    if _integer("horizon", horizon) < 1:
+        raise ArgumentError("horizon must be >= 1")
     tables = _myopic_induction(model, K, horizon)
     return TableProfile(tables[-1], np.arange(1, len(tables) + 1), tables, f"myopic(K={K})")
 
@@ -271,7 +270,7 @@ def myopic_profile(model, K: int, horizon: int) -> TableProfile:
 
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+        raise ArgumentError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
 
 
@@ -282,22 +281,22 @@ def profile_from_dict(obj: dict) -> TableProfile:
     {"5": {...}}}`` where windows are K-character bitstrings, oldest
     decision first, and agents are integers >= 1 without sign or leading
     zeros.  Missing entries default to deciding 0.  Any other shape or
-    key, or K outside [1, MAX_K], raises ``ValueError``.
+    key, or K outside [1, MAX_K], raises ``ArgumentError``.
     """
     K = _object(obj, "a profile").get("K")
     if type(K) is not int or not 1 <= K <= MAX_K:
-        raise ValueError(f"profile K must be an integer in [1, {MAX_K}], got {K!r}")
+        raise ArgumentError(f"profile K must be an integer in [1, {MAX_K}], got {K!r}")
     n_states = 1 << K
 
     def build(entry, what) -> DecisionRule:
         table = np.zeros((n_states, 2))
         for win, by_signal in _object(entry, what).items():
             if len(win) != K or set(win) - {"0", "1"}:  # one key per window, no aliases
-                raise ValueError(f"bad window key {win!r} for K={K}")
+                raise ArgumentError(f"bad window key {win!r} for K={K}")
             code = int(win, 2)
             for s, prob in _object(by_signal, f"window {win!r}").items():
                 if s not in ("0", "1") or type(prob) not in (int, float):
-                    raise ValueError(f"bad entry {s!r}: {prob!r} in window {win!r}")
+                    raise ArgumentError(f"bad entry {s!r}: {prob!r} in window {win!r}")
                 table[code, int(s)] = prob
         return DecisionRule(table)
 
@@ -305,10 +304,10 @@ def profile_from_dict(obj: dict) -> TableProfile:
     agents = _object(obj.get("agents", {}), "agents")
     bad = [n for n in agents if not (n.isascii() and n.isdigit() and n[0] != "0")]
     if bad:  # "01" or "+1" would alias agent 1
-        raise ValueError(f"agent keys must be integers >= 1 written plainly, got {bad}")
+        raise ArgumentError(f"agent keys must be integers >= 1 written plainly, got {bad}")
     keys = sorted(map(int, agents))
     if keys and keys[-1] > np.iinfo(np.int64).max:
-        raise ValueError(f"agent keys must be at most 2^63 - 1, got {keys[-1]}")
+        raise ArgumentError(f"agent keys must be at most 2^63 - 1, got {keys[-1]}")
     tables = [build(agents[str(n)], f"agent {n}").table for n in keys]
     return TableProfile(default.table, keys, tables, "custom")
 

@@ -21,6 +21,8 @@ from enum import IntEnum
 
 import numpy as np
 
+from .signals import ArgumentError, _integer
+
 
 class RoleKind(IntEnum):
     PREAMBLE = 0
@@ -125,20 +127,20 @@ class SegmentTable:
         return self._k[j0 : j1 + 1], self._r[j0 : j1 + 1], counts
 
     def segment_start(self, m: int) -> int:
-        if m < 1:
-            raise ValueError("segment index must be >= 1")
+        if _integer("m", m) < 1:
+            raise ArgumentError("segment index must be >= 1")
         j = bisect.bisect_right(self._firsts, m) - 1
         return self._agents[j] + (m - self._firsts[j]) * 2 * (self._k[j] + self._r[j])
 
     def segment_of(self, n: int) -> int:
         """Segment index containing agent n (n >= 3)."""
-        if n < 3:
-            raise ValueError("agents 1 and 2 belong to no segment")
+        if _integer("n", n) < 3:
+            raise ArgumentError("agents 1 and 2 belong to no segment")
         return self._locate(n)[1]
 
     def role_of(self, n: int) -> AgentRole:
-        if n < 1:
-            raise ValueError("agent index must be >= 1")
+        if _integer("n", n) < 1:
+            raise ArgumentError("agent index must be >= 1")
         if n <= 2:
             return AgentRole(kind=RoleKind.PREAMBLE)
         j, m, start = self._locate(n)
@@ -157,8 +159,8 @@ class SegmentTable:
         R-block i/2.  These are the agents whose observed window
         realizes the two-state chain value w_i.
         """
-        if i < 1:
-            raise ValueError("block index must be >= 1")
+        if _integer("i", i) < 1:
+            raise ArgumentError("block index must be >= 1")
         start = self.segment_start((i + 1) // 2)
         return start if i % 2 == 1 else start + 2 * self._k[self._locate(start)[0]]
 
@@ -170,7 +172,7 @@ class SegmentTable:
         or R-block.  Below agent 3 the answer is the first block start,
         (1, 3).
         """
-        if n < 3:
+        if _integer("n", n) < 3:
             return 1, 3
         j, m, start = self._locate(n)
         r_start = start + 2 * self._k[j]
@@ -185,8 +187,8 @@ class SegmentTable:
         R_FIRST agents of the j-th segment the range touches, with its 1/m.
         The index is one ``np.repeat`` of per-segment slot runs.
         """
-        if not (1 <= n0 <= n1):
-            raise ValueError("need 1 <= n0 <= n1")
+        if not (1 <= _integer("n0", n0) <= _integer("n1", n1)):
+            raise ArgumentError("need 1 <= n0 <= n1")
         refuse_past_memory(n1 - n0 + 1, "agent roles")
         j0, lo, start = self._locate(n0) if n0 >= 3 else (0, 0, 1)  # 0: preamble
         j1, hi, _ = self._locate(n1) if n1 >= 3 else (0, 0, 1)

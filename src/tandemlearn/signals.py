@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 
 #: P(theta = 1).  Fixed by the model; not configurable.
 THETA_PRIOR = 0.5
@@ -18,6 +19,17 @@ THETA_PRIOR = 0.5
 
 class ModelError(ValueError):
     """Raised when a signal model violates its invariants."""
+
+
+class ArgumentError(ValueError):
+    """An argument outside the range its function accepts (CLI exit code 4)."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is an integer (numpy's too), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _canonical_pair(p0: float, p1: float) -> tuple[float, float]:
@@ -37,7 +49,8 @@ class SignalModel:
     state of the world 0 and 1 respectively.  Stored canonically with
     ``p0 < p1`` (labels are swapped on construction if needed), so the
     likelihood ratio dF0/dF1 satisfies 0 < m < 1 < M < inf with
-    m = p0/p1 and M = q0/q1.
+    m = p0/p1 and M = q0/q1.  It is the two-point law ``f0``, ``f1`` over
+    ``support`` (0, 1), the shape of a ``DiscreteGeneralModel``.
     """
 
     p0: float
@@ -67,7 +80,7 @@ class SignalModel:
     def p(self, theta: int) -> float:
         """P(s=1) under the given state of the world (0 or 1)."""
         if theta not in (0, 1):
-            raise ValueError(f"state of the world must be 0 or 1, got {theta!r}")
+            raise ArgumentError(f"state of the world must be 0 or 1, got {theta!r}")
         return self.p1 if theta == 1 else self.p0
 
     def q(self, theta: int) -> float:
@@ -82,6 +95,14 @@ class SignalModel:
     @property
     def support(self) -> tuple[int, int]:
         return (0, 1)
+
+    @property
+    def f0(self) -> tuple[float, float]:
+        return self.signal_probs(0)
+
+    @property
+    def f1(self) -> tuple[float, float]:
+        return self.signal_probs(1)
 
 
 @dataclass(frozen=True)
@@ -119,22 +140,12 @@ class DiscreteGeneralModel:
         object.__setattr__(self, "f0", f0)
         object.__setattr__(self, "f1", f1)
 
-    def _index(self, s) -> int:
-        try:
-            return self.support.index(s)
-        except ValueError:
-            raise ModelError(f"signal value {s!r} not in support") from None
-
 
 def likelihood_ratio(model, s) -> float:
     """dF0/dF1 evaluated at the signal value ``s``."""
-    if isinstance(model, SignalModel):
-        if s == 1:
-            return model.p0 / model.p1
-        if s == 0:
-            return model.q0 / model.q1
+    if s not in model.support:
         raise ModelError(f"signal value {s!r} not in support")
-    i = model._index(s)
+    i = model.support.index(s)
     f0, f1 = model.f0[i], model.f1[i]
     if f1 == 0.0:
         # A support point may carry no mass under either law, and then it has no ratio.
@@ -144,10 +155,8 @@ def likelihood_ratio(model, s) -> float:
 
 def blr_bounds(model) -> tuple[float, float]:
     """(m, M): the likelihood ratio's range over the support points of positive mass."""
-    support = model.support
-    if isinstance(model, DiscreteGeneralModel):  # mass under f1 iff under f0
-        support = [s for s, mass in zip(support, model.f1) if mass > 0.0]
-    ratios = [likelihood_ratio(model, s) for s in support]
+    # Mass under f1 iff under f0.
+    ratios = [likelihood_ratio(model, s) for s, mass in zip(model.support, model.f1) if mass > 0.0]
     return (min(ratios), max(ratios))
 
 
@@ -157,7 +166,7 @@ def quantize(model: DiscreteGeneralModel) -> SignalModel:
     The quantizer maps a signal to 1 exactly when it favors state 1,
     i.e. when f1[s] > f0[s] (equal priors); ties map to 0.  The induced
     Bernoulli parameters are p0' = sum of f0 over that set and p1' the
-    corresponding sum of f1.
+    corresponding sum of f1.  A ``SignalModel`` is its own quantization.
     """
     if isinstance(model, SignalModel):
         return model

@@ -686,7 +686,7 @@ def test_cli_fuzz_exits_cleanly(data):
     assert rc in (0, 2, 4), (argv, config, rc)
     if command == "equilibrium" and rc == 0:
         text = argv[argv.index("--eps") + 1] if "--eps" in argv else None
-        if text is None and isinstance(config, dict) and "eps" in config:
+        if text is None and isinstance(config, dict) and config.get("eps") is not None:
             text = str(config["eps"])
         eps = float(text) if text is not None else 1e-9
         report = json.loads(out.getvalue())

@@ -18,6 +18,7 @@ from tandemlearn import (
 from tandemlearn.profiles import (
     DESIGNED_BASE,
     DESIGNED_DELTA,
+    DESIGNED_SEARCH,
     Profile,
     _myopic_induction,
     code_window,
@@ -268,6 +269,16 @@ def test_rule_palette_spells_out_every_agent_rule(name, m37):
             seg = prof.segments
             touched = seg.segment_of(n1) - seg.segment_of(max(n0, 3)) + 1 if n1 >= 3 else 0
             assert len(palette) <= 7 + 2 * touched, (n0, n1, len(palette), touched)
+
+
+def test_designed_searches_start_where_the_delta_acts():
+    """Only deciding 1 on window 00 at S_FIRST and 0 on window 11 at
+    R_FIRST start a search."""
+    assert DESIGNED_SEARCH.dtype == bool and not DESIGNED_SEARCH.flags.writeable
+    assert np.argwhere(DESIGNED_SEARCH).tolist() == [
+        [RoleKind.S_FIRST, window_code((0, 0), 2), 1],
+        [RoleKind.R_FIRST, window_code((1, 1), 2), 0],
+    ]
 
 
 def test_designed_searching_mask(m37):

@@ -71,6 +71,20 @@ def test_blr_bounds_binary(m37):
     assert 0 < lo < 1 < hi
 
 
+@pytest.mark.parametrize("p0, p1", [(0.3, 0.7), (0.4, 0.6), (0.1, 0.8)])
+def test_binary_channel_is_the_two_point_law(p0, p1):
+    """A ``SignalModel`` is the law over (0, 1) that a ``DiscreteGeneralModel``
+    gives, and every function of the law reads the same from both."""
+    binary = SignalModel(p0, p1)
+    general = DiscreteGeneralModel((0, 1), (1 - p0, p0), (1 - p1, p1))
+    assert (binary.f0, binary.f1) == (binary.signal_probs(0), binary.signal_probs(1))
+    assert (binary.support, binary.f0, binary.f1) == (general.support, general.f0, general.f1)
+    for s in (0, 1):
+        assert likelihood_ratio(binary, s) == likelihood_ratio(general, s)
+    assert blr_bounds(binary) == blr_bounds(general)
+    assert quantize(general) == quantize(binary) == binary
+
+
 def test_general_model_quantizes_to_binary_channel():
     g = DiscreteGeneralModel(support=("a", "b", "c"), f0=(0.5, 0.3, 0.2), f1=(0.2, 0.3, 0.5))
     lo, hi = blr_bounds(g)
